@@ -13,6 +13,10 @@
 //     crafted width-heavy / blowup-prone / literal-heavy rulesets with the
 //     right exact-vs-heuristic method tags, and their JSON is golden.
 //   - Planner: engine-name round trip and forced-engine pinning.
+//   - Exactness: determinize() and boundActivationWidth() against
+//     clarity-first oracles kept here (a std::map subset construction and a
+//     linear-scan antichain search): equal DFA tables and equal WidthBound
+//     fields, at and around their state and macrostate budgets.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,11 +25,20 @@
 #include "analysis/Planner.h"
 #include "analysis/Verifier.h"
 #include "compiler/Pipeline.h"
+#include "fsa/AlphabetPartition.h"
+#include "fsa/Determinize.h"
 #include "mfsa/Merge.h"
+#include "support/Rng.h"
+#include "workload/Datasets.h"
 
 #include "TestHelpers.h"
 
 #include <algorithm>
+#include <array>
+#include <deque>
+#include <map>
+#include <queue>
+#include <unordered_set>
 
 using namespace mfsa;
 using namespace mfsa::test;
@@ -567,6 +580,381 @@ TEST(Planner, WidthBoundDominatesTrivialCases) {
   EXPECT_TRUE(W.Exact);
   EXPECT_EQ(W.MaxActiveRules, 1u);
   EXPECT_GE(W.MaxActiveStates, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Exactness: the planner's analyses against clarity-first oracles
+//===----------------------------------------------------------------------===//
+
+/// Reference scanning subset construction: every subset kept whole and
+/// sorted, interned through a std::map, processed from a FIFO worklist.
+Result<Dfa> referenceDeterminize(const std::vector<Nfa> &Fsas,
+                                 const std::vector<uint32_t> &GlobalIds,
+                                 uint32_t MaxStates) {
+  const uint32_t NumRules = static_cast<uint32_t>(Fsas.size());
+  // Fresh non-final entry clones, so ε-accepting rules never report a
+  // zero-length match (fsa/Reference.h semantics).
+  std::vector<Nfa> Rules;
+  for (const Nfa &Original : Fsas) {
+    Nfa A = Original;
+    StateId Entry = A.addState();
+    for (uint32_t I = 0, E = A.numTransitions(); I != E; ++I) {
+      const Transition T = A.transitions()[I];
+      if (T.From == A.initial())
+        A.addTransition(Entry, T.To, T.Label);
+    }
+    A.setInitial(Entry);
+    A.canonicalize();
+    Rules.push_back(std::move(A));
+  }
+  std::vector<uint32_t> Offset(NumRules + 1, 0);
+  for (uint32_t R = 0; R < NumRules; ++R)
+    Offset[R + 1] = Offset[R] + Rules[R].numStates();
+  const std::vector<SymbolSet> Atoms = computeAlphabetAtoms(Rules);
+  const uint32_t NumAtoms = static_cast<uint32_t>(Atoms.size());
+
+  using Subset = std::vector<uint32_t>;
+  std::vector<std::vector<Subset>> Moves(Offset[NumRules],
+                                         std::vector<Subset>(NumAtoms));
+  for (uint32_t R = 0; R < NumRules; ++R)
+    for (const Transition &T : Rules[R].transitions())
+      for (uint32_t A = 0; A < NumAtoms; ++A)
+        if (T.Label.intersects(Atoms[A]))
+          Moves[Offset[R] + T.From][A].push_back(Offset[R] + T.To);
+
+  Subset Restart, Start;
+  for (uint32_t R = 0; R < NumRules; ++R) {
+    Start.push_back(Offset[R] + Rules[R].initial());
+    if (!Rules[R].anchoredStart())
+      Restart.push_back(Offset[R] + Rules[R].initial());
+  }
+  std::sort(Start.begin(), Start.end());
+
+  Dfa Out;
+  Out.NumAtoms = NumAtoms;
+  Out.NumRules = NumRules;
+  Out.GlobalIds = GlobalIds;
+  Out.AtomOfByte.assign(256, 0);
+  for (uint32_t A = 0; A < NumAtoms; ++A)
+    Atoms[A].forEach(
+        [&](unsigned char C) { Out.AtomOfByte[C] = static_cast<uint8_t>(A); });
+
+  std::map<Subset, uint32_t> Ids;
+  std::vector<Subset> Subsets;
+  auto Intern = [&](const Subset &S) {
+    auto [It, Inserted] =
+        Ids.emplace(S, static_cast<uint32_t>(Subsets.size()));
+    if (Inserted)
+      Subsets.push_back(S);
+    return It->second;
+  };
+  Intern(Start);
+  std::queue<uint32_t> Work;
+  Work.push(0);
+  std::vector<bool> Done;
+  while (!Work.empty()) {
+    const uint32_t Id = Work.front();
+    Work.pop();
+    if (Id < Done.size() && Done[Id])
+      continue;
+    Done.resize(std::max<size_t>(Done.size(), Id + 1), false);
+    Done[Id] = true;
+    if (Subsets.size() > MaxStates)
+      return Result<Dfa>::error("explosion");
+    Out.Next.resize(std::max(Out.Next.size(), size_t(Id + 1) * NumAtoms));
+    const Subset Current = Subsets[Id];
+    for (uint32_t A = 0; A < NumAtoms; ++A) {
+      Subset Target = Restart;
+      for (uint32_t S : Current)
+        Target.insert(Target.end(), Moves[S][A].begin(), Moves[S][A].end());
+      std::sort(Target.begin(), Target.end());
+      Target.erase(std::unique(Target.begin(), Target.end()), Target.end());
+      const uint32_t To = Intern(Target);
+      Out.Next[size_t(Id) * NumAtoms + A] = To;
+      if (To >= Done.size() || !Done[To])
+        Work.push(To);
+    }
+  }
+  Out.NumStates = static_cast<uint32_t>(Subsets.size());
+  Out.Next.resize(size_t(Out.NumStates) * NumAtoms, 0);
+  Out.Accept.assign(Out.NumStates, DynamicBitset(NumRules));
+  Out.AcceptAtEnd.assign(Out.NumStates, DynamicBitset(NumRules));
+  for (uint32_t Id = 0; Id < Out.NumStates; ++Id)
+    for (uint32_t S : Subsets[Id])
+      for (uint32_t R = 0; R < NumRules; ++R) {
+        if (S < Offset[R] || S >= Offset[R + 1] ||
+            !Rules[R].isFinal(S - Offset[R]))
+          continue;
+        (Rules[R].anchoredEnd() ? Out.AcceptAtEnd : Out.Accept)[Id].set(R);
+      }
+  return Out;
+}
+
+/// The coarsest atoms refining every distinct label, in first-seen label
+/// order: the same construction boundActivationWidth uses, so the
+/// exploration order (and with it every counter) is comparable.
+std::vector<SymbolSet> referenceAtoms(const Mfsa &Z) {
+  std::vector<SymbolSet> Labels;
+  std::unordered_set<SymbolSet, SymbolSetHash> Seen;
+  for (const MfsaTransition &T : Z.transitions())
+    if (Seen.insert(T.Label).second)
+      Labels.push_back(T.Label);
+  auto Minus = [](const SymbolSet &A, const SymbolSet &B) {
+    std::array<uint64_t, SymbolSet::NumWords> W = A.words();
+    for (unsigned I = 0; I < SymbolSet::NumWords; ++I)
+      W[I] &= ~B.words()[I];
+    return SymbolSet::fromWords(W);
+  };
+  std::vector<SymbolSet> Atoms;
+  for (const SymbolSet &L : Labels) {
+    if (L.empty())
+      continue;
+    std::vector<SymbolSet> Next;
+    SymbolSet Rest = L;
+    for (const SymbolSet &A : Atoms) {
+      SymbolSet Common = A & L;
+      if (Common.empty()) {
+        Next.push_back(A);
+        continue;
+      }
+      if (SymbolSet OnlyA = Minus(A, Common); !OnlyA.empty())
+        Next.push_back(OnlyA);
+      Next.push_back(Common);
+      Rest = Minus(Rest, Common);
+    }
+    if (!Rest.empty())
+      Next.push_back(Rest);
+    Atoms = std::move(Next);
+  }
+  return Atoms;
+}
+
+/// Reference width search: the antichain is a plain list scanned linearly
+/// by both queries, and the worklist holds its own copy of every frontier.
+WidthBound referenceWidth(const Mfsa &Z, uint64_t MaxMacrostates) {
+  WidthBound Bound;
+  const uint32_t NumStates = Z.numStates();
+  const uint32_t NumRules = Z.numRules();
+  Bound.ReachableStates = DynamicBitset(NumStates);
+  if (NumStates == 0 || Z.numTransitions() == 0) {
+    Bound.Exact = true;
+    return Bound;
+  }
+  const std::vector<SymbolSet> Atoms = referenceAtoms(Z);
+  DynamicBitset IsInitial(NumStates);
+  for (uint32_t R = 0; R < NumRules; ++R)
+    IsInitial.set(Z.rule(R).Initial);
+  std::vector<DynamicBitset> PossRules(NumStates, DynamicBitset(NumRules));
+  for (const MfsaTransition &T : Z.transitions())
+    PossRules[T.To] |= T.Bel;
+  auto Subset = [](const DynamicBitset &A, const DynamicBitset &B) {
+    return (A & B) == A;
+  };
+
+  std::vector<DynamicBitset> Antichain;
+  std::deque<DynamicBitset> Worklist{DynamicBitset(NumStates)};
+  bool Budgeted = false;
+  while (!Worklist.empty()) {
+    if (MaxMacrostates && Bound.MacrostatesExplored >= MaxMacrostates) {
+      Budgeted = true;
+      break;
+    }
+    DynamicBitset S = std::move(Worklist.front());
+    Worklist.pop_front();
+    ++Bound.MacrostatesExplored;
+    Bound.MaxActiveStates = std::max(Bound.MaxActiveStates, S.count());
+    DynamicBitset Rules(NumRules);
+    S.forEach([&](unsigned Q) { Rules |= PossRules[Q]; });
+    Bound.MaxActiveRules = std::max(Bound.MaxActiveRules, Rules.count());
+    for (const SymbolSet &Atom : Atoms) {
+      DynamicBitset Succ(NumStates);
+      for (const MfsaTransition &T : Z.transitions())
+        if (T.Label.intersects(Atom) && (S.test(T.From) || IsInitial.test(T.From)))
+          Succ.set(T.To);
+      if (std::any_of(Antichain.begin(), Antichain.end(),
+                      [&](const DynamicBitset &T) { return Subset(Succ, T); }))
+        continue;
+      std::erase_if(Antichain,
+                    [&](const DynamicBitset &T) { return Subset(T, Succ); });
+      Bound.ReachableStates |= Succ;
+      Antichain.push_back(Succ);
+      Bound.AntichainPeak =
+          std::max<uint64_t>(Bound.AntichainPeak, Antichain.size());
+      Worklist.push_back(std::move(Succ));
+    }
+  }
+  if (Budgeted) {
+    Bound.MaxActiveStates = NumStates;
+    Bound.MaxActiveRules = NumRules;
+    for (uint32_t Q = 0; Q < NumStates; ++Q)
+      Bound.ReachableStates.set(Q);
+  }
+  Bound.Exact = !Budgeted;
+  return Bound;
+}
+
+void expectSameDfa(const Dfa &Actual, const Dfa &Expected,
+                   const std::string &Where) {
+  EXPECT_EQ(Actual.NumStates, Expected.NumStates) << Where;
+  EXPECT_EQ(Actual.NumAtoms, Expected.NumAtoms) << Where;
+  EXPECT_EQ(Actual.NumRules, Expected.NumRules) << Where;
+  EXPECT_TRUE(Actual.Next == Expected.Next) << Where;
+  EXPECT_TRUE(Actual.Accept == Expected.Accept) << Where;
+  EXPECT_TRUE(Actual.AcceptAtEnd == Expected.AcceptAtEnd) << Where;
+  EXPECT_TRUE(Actual.AtomOfByte == Expected.AtomOfByte) << Where;
+  EXPECT_TRUE(Actual.GlobalIds == Expected.GlobalIds) << Where;
+}
+
+/// Determinizes \p Fsas under \p MaxStates both ways and compares.
+void checkDeterminize(const std::vector<Nfa> &Fsas, uint32_t MaxStates,
+                      const std::string &Where) {
+  std::vector<uint32_t> Ids(Fsas.size());
+  for (uint32_t I = 0; I < Ids.size(); ++I)
+    Ids[I] = 100 + I;
+  Result<Dfa> Expected = referenceDeterminize(Fsas, Ids, MaxStates);
+  DeterminizeOptions Options;
+  Options.MaxStates = MaxStates;
+  Result<Dfa> Actual = determinize(Fsas, Ids, Options);
+  ASSERT_EQ(Actual.ok(), Expected.ok()) << Where << " cap " << MaxStates;
+  if (Actual.ok())
+    expectSameDfa(*Actual, *Expected, Where + " cap " +
+                                          std::to_string(MaxStates));
+}
+
+void expectSameWidth(const WidthBound &Actual, const WidthBound &Expected,
+                     const std::string &Where) {
+  EXPECT_EQ(Actual.MaxActiveStates, Expected.MaxActiveStates) << Where;
+  EXPECT_EQ(Actual.MaxActiveRules, Expected.MaxActiveRules) << Where;
+  EXPECT_EQ(Actual.Exact, Expected.Exact) << Where;
+  EXPECT_EQ(Actual.MacrostatesExplored, Expected.MacrostatesExplored)
+      << Where;
+  EXPECT_EQ(Actual.AntichainPeak, Expected.AntichainPeak) << Where;
+  EXPECT_TRUE(Actual.ReachableStates == Expected.ReachableStates) << Where;
+}
+
+void checkWidth(const Mfsa &Z, uint64_t MaxMacrostates,
+                const std::string &Where) {
+  WidthOptions Options;
+  Options.MaxMacrostates = MaxMacrostates;
+  expectSameWidth(boundActivationWidth(Z, Options),
+                  referenceWidth(Z, MaxMacrostates),
+                  Where + " budget " + std::to_string(MaxMacrostates));
+}
+
+/// A seeded ruleset: random patterns, some anchored at the start or the
+/// end, some accepting ε.
+std::vector<std::string> seededRuleset(uint64_t Seed) {
+  Rng Random(Seed);
+  std::vector<std::string> Patterns;
+  const uint64_t N = 1 + Random.nextBelow(6);
+  for (uint64_t I = 0; I < N; ++I) {
+    std::string P = randomPattern(Random, 3);
+    switch (Random.nextBelow(5)) {
+    case 0:
+      P = "^" + P;
+      break;
+    case 1:
+      P += "$";
+      break;
+    case 2:
+      P = "(" + P + ")*"; // accepts ε
+      break;
+    default:
+      break;
+    }
+    Patterns.push_back(P);
+  }
+  return Patterns;
+}
+
+std::vector<Nfa> compileAll(const std::vector<std::string> &Patterns) {
+  std::vector<Nfa> Fsas;
+  for (const std::string &P : Patterns)
+    Fsas.push_back(compileOptimized(P));
+  return Fsas;
+}
+
+TEST(Exactness, DeterminizeMatchesReferenceOnSeededRulesets) {
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    const std::vector<std::string> Patterns = seededRuleset(Seed);
+    const std::vector<Nfa> Fsas = compileAll(Patterns);
+    const std::string Where = formatPatterns(Patterns);
+    checkDeterminize(Fsas, 1u << 17, Where);
+    // A cap equal to the DFA's size admits it; one below refuses it.
+    Result<Dfa> Full = determinize(Fsas, std::vector<uint32_t>(Fsas.size()));
+    ASSERT_TRUE(Full.ok()) << Where;
+    checkDeterminize(Fsas, Full->NumStates, Where);
+    checkDeterminize(Fsas, Full->NumStates - 1, Where);
+  }
+}
+
+TEST(Exactness, DeterminizeMatchesReferenceOnAnchorsAndEpsilon) {
+  const std::vector<std::vector<std::string>> Cases = {
+      {"^abc", "bc$", "a*"},
+      {"^(ab)?", "^a", "b$"},
+      {"^abc$", "(a|b)*c", "[ab]{2,4}$"},
+      {"x?", "^", "$"},
+  };
+  for (const std::vector<std::string> &Patterns : Cases) {
+    const std::vector<Nfa> Fsas = compileAll(Patterns);
+    checkDeterminize(Fsas, 1u << 17, formatPatterns(Patterns));
+    checkDeterminize(Fsas, 1, formatPatterns(Patterns));
+  }
+}
+
+TEST(Exactness, DeterminizeMatchesReferenceOnTableIPrefixes) {
+  // Realistic labels and alphabets, under the planner's 4096-state probe
+  // cap: BRO's prefix completes, DS9's blows past it.
+  for (const char *Abbrev : {"BRO", "DS9"}) {
+    std::vector<std::string> Rules = generateRuleset(*findDataset(Abbrev));
+    Rules.resize(12);
+    checkDeterminize(compileAll(Rules), 1u << 12, Abbrev);
+  }
+}
+
+TEST(Exactness, WidthMatchesLinearAntichainOnSeededRulesets) {
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    const std::vector<std::string> Patterns = seededRuleset(Seed);
+    const Mfsa Z = mergePatterns(Patterns);
+    const std::string Where = formatPatterns(Patterns);
+    const WidthBound Unlimited = boundActivationWidth(Z, WidthOptions{0});
+    ASSERT_TRUE(Unlimited.Exact) << Where;
+    checkWidth(Z, 0, Where);
+    // A budget hit exactly still completes; one less cuts the search.
+    checkWidth(Z, Unlimited.MacrostatesExplored, Where);
+    checkWidth(Z, Unlimited.MacrostatesExplored - 1, Where);
+    checkWidth(Z, 1, Where);
+  }
+}
+
+TEST(Exactness, WidthKeepsAndThenDropsTheEmptyFrontier) {
+  // The first label is not on an initial state's arc, so the first
+  // successor of the ∅ seed is ∅ itself: it joins the empty antichain and
+  // must leave it once {0} arrives (∅ ⊆ everything).
+  Mfsa Z(1);
+  for (int I = 0; I < 3; ++I)
+    Z.addState();
+  Z.rule(0).Initial = 1;
+  Z.rule(0).Finals = {2};
+  Z.addTransition(0, 2, SymbolSet::singleton('a'), Z.makeBel(0));
+  Z.addTransition(1, 0, SymbolSet::singleton('b'), Z.makeBel(0));
+  const WidthBound W = boundActivationWidth(Z, WidthOptions{0});
+  EXPECT_EQ(W.AntichainPeak, 2u);
+  EXPECT_EQ(W.MacrostatesExplored, 4u);
+  checkWidth(Z, 0, "hand-built");
+  checkWidth(Z, 2, "hand-built");
+}
+
+TEST(Exactness, WidthMatchesLinearAntichainOnTableIGroups) {
+  // 40-rule groups under the planner's 1024-macrostate budget: antichains
+  // of hundreds of members, with members dropped and re-filed throughout.
+  for (const char *Abbrev : {"DS9", "PRO", "BRO"}) {
+    std::vector<std::string> Rules = generateRuleset(*findDataset(Abbrev));
+    Rules.resize(40);
+    const Mfsa Z = mergePatterns(Rules);
+    checkWidth(Z, 1u << 10, Abbrev);
+    checkWidth(Z, 100, Abbrev);
+  }
 }
 
 } // namespace

@@ -5,7 +5,8 @@
 // Covers the metrics registry (registration semantics, histogram bucketing,
 // byte-stable golden JSON), the compile-telemetry export (deterministic
 // modulo wall-clock fields, which by convention end in `_ns`/`_ms` and are
-// masked here), the engines' scan instrumentation (exact counters under a
+// masked here), the cost-model export (`analysis.cost.*`, golden modulo
+// the same masking), the engines' scan instrumentation (exact counters under a
 // sampling period of 1), and the trace-sink event stream (activation /
 // deactivation / match / step ordering and bookkeeping consistency).
 //
@@ -13,6 +14,7 @@
 
 #include "obs/Metrics.h"
 
+#include "analysis/CostModel.h"
 #include "compiler/Pipeline.h"
 #include "engine/Imfant.h"
 #include "engine/Trace.h"
@@ -224,6 +226,33 @@ TEST(CompileTelemetry, ExportIsByteStableModuloTimings) {
   EXPECT_NE(A.find("\"compile.quarantined_rules\": 0"), std::string::npos);
   EXPECT_NE(A.find("\"compile.peak.merged_states\""), std::string::npos);
   EXPECT_NE(A.find("\"analysis.inclusion.proofs\""), std::string::npos);
+}
+
+TEST(CostTelemetry, ExportIsGoldenModuloTimings) {
+  const std::vector<std::string> Rules = {"a[ab]*b", "ab*", "foobar"};
+  obs::MetricsRegistry Registry;
+  analyzeCost(mergePatterns(Rules), Rules).recordTo(Registry);
+  unsigned Masked = 0;
+  EXPECT_EQ(maskTimings(Registry.toJson(), &Masked),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"analysis.cost.width_macrostates\": 9\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"analysis.cost.dfa_probe_completed\": 1,\n"
+            "    \"analysis.cost.dfa_probe_states\": 9,\n"
+            "    \"analysis.cost.dfa_probe_wall_ms\": \"T\",\n"
+            "    \"analysis.cost.distinct_first_bytes\": 1,\n"
+            "    \"analysis.cost.prefilterable_rules\": 1,\n"
+            "    \"analysis.cost.width_antichain_peak\": 7,\n"
+            "    \"analysis.cost.width_exact\": 1,\n"
+            "    \"analysis.cost.width_rules_bound\": 3,\n"
+            "    \"analysis.cost.width_states_bound\": 3,\n"
+            "    \"analysis.cost.width_wall_ms\": \"T\"\n"
+            "  },\n"
+            "  \"histograms\": {}\n"
+            "}\n");
+  EXPECT_EQ(Masked, 2u) << "the width search's and the DFA probe's wall_ms";
 }
 
 //===----------------------------------------------------------------------===//
