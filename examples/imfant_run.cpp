@@ -203,10 +203,9 @@ int main(int argc, char **argv) {
         InputParallel = false;
       }
     }
-    // Explicitly forced engines skip the planner; the sparse/prefilter
-    // fallback inside runInputParallel would be silent, so say it here.
-    if (InputParallel && (EngineChoice == Engine::ImfantSparse ||
-                          EngineChoice == Engine::Prefilter)) {
+    // Explicitly forced engines skip the planner; the sparse fallback
+    // inside runInputParallel would be silent, so say it here.
+    if (InputParallel && EngineChoice == Engine::ImfantSparse) {
       std::fprintf(stderr,
                    "note: %s engine has no input-parallel executor; "
                    "scanning sequentially\n",

@@ -254,12 +254,14 @@ void choose(EnginePlan &Plan, const PlannerOptions &Options) {
 }
 
 /// Decides the plan's input-parallel dimension (EnginePlan::InputThreads /
-/// ParallelInput) for the already-chosen engine. The speculation fan-out —
-/// how many start states a non-leading chunk must consider — is priced
-/// from the static width facts: the DFA family's fan-out collapses via the
-/// state map, while the dense engine's is the population of the width
-/// bound's reachable-state union, which is only a trustworthy (bounded)
-/// figure when the antichain search completed exactly.
+/// ParallelInput) for the already-chosen engine. Every engine with an
+/// input-parallel executor is accepted, because each executor carries a
+/// run-time guard that caps its worst case at about sequential cost: the
+/// DFA family's state maps give up past MaxMapClasses live classes, and
+/// dense iMFAnt's death probe is bounded by MaxSpecWindowBytes, after which
+/// the join re-scans the chunk sequentially. The prefilter's residual rules
+/// go through the same iMFAnt executor, and its literal scan and confirm
+/// windows split across chunks without speculation.
 void decideParallelInput(EnginePlan &Plan, const PlannerOptions &Options) {
   Plan.InputThreads = std::max(1u, Options.InputThreads);
   Plan.ParallelInput = false;
@@ -270,42 +272,23 @@ void decideParallelInput(EnginePlan &Plan, const PlannerOptions &Options) {
   switch (Plan.Choice) {
   case Engine::Dfa:
   case Engine::StridedDfa:
-    // Per-start state maps collapse regardless of ruleset shape, and the
-    // executor's class-count guard bounds the worst case at run time.
     Plan.ParallelInput = true;
     Plan.ParallelInputWhy = "dfa state-map speculation with class collapse";
     return;
-  case Engine::ImfantDense: {
-    uint32_t FanOut = 0;
-    bool Exact = true;
-    if (const CandidatePlan *Cand = Plan.chosen())
-      for (const CostReport &G : Cand->Groups) {
-        Exact = Exact && G.Width.Exact;
-        FanOut = std::max(FanOut, G.Width.ReachableStates.count());
-      }
-    if (!Exact) {
-      Plan.ParallelInputWhy =
-          "width bound budgeted: speculation fan-out unbounded";
-      return;
-    }
-    // Beyond this the per-start outcome tables are priced out and the
-    // union death probe is the only speculation left — too weak a bet to
-    // recommend statically (the executor still accepts if forced).
-    constexpr uint32_t MaxPlannedFanOut = 64;
-    if (FanOut > MaxPlannedFanOut) {
-      Plan.ParallelInputWhy = "speculation fan-out " + std::to_string(FanOut) +
-                              " start states exceeds " +
-                              std::to_string(MaxPlannedFanOut);
-      return;
-    }
+  case Engine::ImfantDense:
     Plan.ParallelInput = true;
-    Plan.ParallelInputWhy = "speculation fan-out " + std::to_string(FanOut) +
-                            " start states within bound";
+    Plan.ParallelInputWhy =
+        "imfant speculation: death probe bounded by the overlap window, "
+        "sequential re-scan otherwise";
     return;
-  }
+  case Engine::Prefilter:
+    Plan.ParallelInput = true;
+    Plan.ParallelInputWhy =
+        "residual rules chunked as imfant; literal scan and confirm windows "
+        "split across chunks";
+    return;
   case Engine::Auto:
   case Engine::ImfantSparse:
-  case Engine::Prefilter:
     Plan.ParallelInputWhy = "engine has no input-parallel executor";
     return;
   }

@@ -124,12 +124,12 @@ struct EnginePlan {
   uint32_t Stride = 1; ///< 2 iff Choice == StridedDfa.
   /// Input-parallel dimension (engine/InputParallel.h): the chunk count the
   /// caller asked to split each input into (PlannerOptions::InputThreads),
-  /// and whether the planner actually recommends it for the chosen engine.
-  /// Enabled only when the engine has an input-parallel executor (dense
-  /// iMFAnt, DFA, stride-2 DFA) and — for the dense engine — the static
-  /// width bound is exact, so the speculation fan-out (the population of
-  /// WidthBound::ReachableStates) is a priced, bounded quantity rather than
-  /// a guess. ParallelInputWhy records the reason either way.
+  /// and whether the planner recommends it for the chosen engine. Enabled
+  /// for every engine with an input-parallel executor (dense iMFAnt, DFA,
+  /// stride-2 DFA, prefilter) when more than one thread is requested: each
+  /// executor's run-time guard (death-probe window, state-map class cap,
+  /// sequential re-scan fallback) bounds its worst case at about sequential
+  /// cost. ParallelInputWhy records the reason either way.
   unsigned InputThreads = 1;
   bool ParallelInput = false;
   std::string ParallelInputWhy;
@@ -182,8 +182,8 @@ struct PlannerOptions {
   /// callers without them (ANML-only loads) disable the candidate.
   bool AllowPrefilter = true;
   /// Requested input-parallel chunk count (imfant_run --input-threads).
-  /// 1 disables the dimension; above 1 the planner decides per plan
-  /// whether the chosen engine can speculate profitably (see
+  /// 1 disables the dimension; above 1 the planner enables it whenever
+  /// the chosen engine has an input-parallel executor (see
   /// EnginePlan::ParallelInput).
   unsigned InputThreads = 1;
 };

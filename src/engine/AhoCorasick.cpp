@@ -6,6 +6,7 @@
 
 #include "engine/AhoCorasick.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <queue>
@@ -25,6 +26,7 @@ AhoCorasick::AhoCorasick(const std::vector<std::string> &Literals)
   for (size_t L = 0; L < Literals.size(); ++L) {
     const std::string &Literal = Literals[L];
     assert(!Literal.empty() && "empty prefilter literal");
+    MaxLiteralLength = std::max(MaxLiteralLength, Literal.size());
     uint32_t Node = 0;
     for (char C : Literal) {
       unsigned char Byte = static_cast<unsigned char>(C);

@@ -70,23 +70,6 @@ ActivationSet unionActivations(const ActivationSet &A,
   return Out;
 }
 
-/// Runs \p Body(I) for I in [0, N): serially by default (each call timed
-/// in isolation for the modeled critical path), or on a pool of
-/// \p Threads workers. Bodies write only their own result slot, so the
-/// pooled variant needs no locking.
-template <class Fn>
-void forEachChunk(bool UseThreadPool, unsigned Threads, size_t N, Fn &&Body) {
-  if (UseThreadPool && N > 1 && Threads > 1) {
-    ThreadPool Pool(std::min<unsigned>(Threads, static_cast<unsigned>(N)));
-    for (size_t I = 0; I < N; ++I)
-      Pool.submit([I, &Body] { Body(I); });
-    Pool.wait();
-  } else {
-    for (size_t I = 0; I < N; ++I)
-      Body(I);
-  }
-}
-
 } // namespace
 
 double InputParallelStats::modeledWallSeconds() const {
@@ -159,7 +142,8 @@ InputParallelRun::InputParallelRun(const StridedDfa &Automaton,
                                    InputParallelOptions Options)
     : Kind(Backend::Stride2), Opts(std::move(Options)), Strided(&Automaton) {}
 
-std::vector<uint64_t> InputParallelRun::chunkBoundaries(size_t Len) const {
+std::vector<uint64_t> mfsa::inputChunkBounds(const InputParallelOptions &Opts,
+                                             size_t Len) {
   std::vector<uint64_t> Bounds;
   if (!Opts.CutOverride.empty()) {
     Bounds.push_back(0);
@@ -179,6 +163,26 @@ std::vector<uint64_t> InputParallelRun::chunkBoundaries(size_t Len) const {
     Bounds.push_back(Len * I / Chunks);
   Bounds.push_back(Len);
   return Bounds;
+}
+
+std::unique_ptr<ThreadPool>
+mfsa::makeInputPool(const InputParallelOptions &Options, size_t Chunks) {
+  if (!Options.UseThreadPool || Chunks < 2 || Options.Threads < 2)
+    return nullptr;
+  return std::make_unique<ThreadPool>(static_cast<unsigned>(
+      std::min<size_t>(Options.Threads, Chunks)));
+}
+
+void mfsa::forEachChunk(ThreadPool *Pool, size_t N,
+                        const std::function<void(size_t)> &Body) {
+  if (!Pool || N < 2) {
+    for (size_t I = 0; I < N; ++I)
+      Body(I);
+    return;
+  }
+  for (size_t I = 0; I < N; ++I)
+    Pool->submit([I, &Body] { Body(I); });
+  Pool->wait();
 }
 
 //===----------------------------------------------------------------------===//
@@ -222,16 +226,17 @@ constexpr size_t UnlimitedCap = std::numeric_limits<size_t>::max();
 void InputParallelRun::runImfant(std::string_view Input,
                                  const std::vector<uint64_t> &Bounds,
                                  MatchRecorder &Recorder,
-                                 InputParallelStats *Stats) const {
+                                 InputParallelStats *Stats,
+                                 ThreadPool *Pool) const {
   const ImfantEngine &Engine = *Imfant;
   const size_t NumChunks = Bounds.size() - 1;
   const uint64_t StreamEnd = Input.size();
   std::vector<ImfChunkWork> Work(NumChunks);
 
-  // Phase 1 — per chunk, independent (parallel under UseThreadPool):
-  // the iso scan, the union-frontier death probe, and (when the fan-out
-  // allows) the per-start outcome tables.
-  forEachChunk(Opts.UseThreadPool, Opts.Threads, NumChunks, [&](size_t I) {
+  // Phase 1 — per chunk, independent (parallel on a pool): the iso scan,
+  // the union-frontier death probe, and (when the fan-out allows) the
+  // per-start outcome tables.
+  forEachChunk(Pool, NumChunks, [&](size_t I) {
     Timer Clock;
     ImfChunkWork &W = Work[I];
     const uint64_t Base = Bounds[I];
@@ -662,24 +667,29 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
 } // namespace
 
 void InputParallelRun::run(std::string_view Input, MatchRecorder &Recorder,
-                           InputParallelStats *Stats) const {
-  const std::vector<uint64_t> Bounds = chunkBoundaries(Input.size());
+                           InputParallelStats *Stats, ThreadPool *Pool) const {
+  const std::vector<uint64_t> Bounds = inputChunkBounds(Opts, Input.size());
   if (Stats) {
     Stats->Threads = static_cast<unsigned>(Bounds.size() - 1);
     Stats->Chunks = Bounds.size() - 1;
     Stats->ChunkPhase1Seconds.assign(Bounds.size() - 1, 0.0);
   }
+  std::unique_ptr<ThreadPool> OwnPool;
+  if (!Pool) {
+    OwnPool = makeInputPool(Opts, Bounds.size() - 1);
+    Pool = OwnPool.get();
+  }
   switch (Kind) {
   case Backend::Imfant:
-    runImfant(Input, Bounds, Recorder, Stats);
+    runImfant(Input, Bounds, Recorder, Stats, Pool);
     break;
   case Backend::Dfa:
     runDfaFamily(DfaPolicy{*Automaton, simd::ops()}, Input, Bounds, Recorder,
-                 Stats);
+                 Stats, Pool);
     break;
   case Backend::Stride2:
     runDfaFamily(StridedPolicy{*Strided, simd::ops()}, Input, Bounds,
-                 Recorder, Stats);
+                 Recorder, Stats, Pool);
     break;
   }
 }
@@ -688,7 +698,8 @@ template <class Policy>
 void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
                                     const std::vector<uint64_t> &Bounds,
                                     MatchRecorder &Recorder,
-                                    InputParallelStats *Stats) const {
+                                    InputParallelStats *Stats,
+                                    ThreadPool *Pool) const {
   const size_t NumChunks = Bounds.size() - 1;
   const uint64_t StreamEnd = Input.size();
 
@@ -698,7 +709,7 @@ void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
   std::vector<Match> LeadMatches;
   uint32_t LeadExit = 0;
   std::vector<ChunkStateMap> Maps(NumChunks);
-  forEachChunk(Opts.UseThreadPool, Opts.Threads, NumChunks, [&](size_t I) {
+  forEachChunk(Pool, NumChunks, [&](size_t I) {
     Timer Clock;
     const uint64_t Base = Bounds[I];
     const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);

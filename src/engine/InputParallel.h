@@ -63,11 +63,15 @@
 #include "fsa/Determinize.h"
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 namespace mfsa {
+
+class ThreadPool;
 
 namespace obs {
 class MetricsRegistry;
@@ -143,6 +147,24 @@ struct InputParallelStats {
 void recordInputParallelStats(const InputParallelStats &Stats,
                               obs::MetricsRegistry &Registry);
 
+/// Chunk boundaries for \p Len input bytes under \p Options, including 0
+/// and \p Len: the CutOverride cuts when set, else an even split into at
+/// most Threads chunks of at least MinChunkBytes each.
+std::vector<uint64_t> inputChunkBounds(const InputParallelOptions &Options,
+                                       size_t Len);
+
+/// The pool an input-parallel scan of \p Chunks chunks runs on: min(Threads,
+/// Chunks) workers when \p Options.UseThreadPool asks for one and there are
+/// at least two chunks and two threads; null otherwise.
+std::unique_ptr<ThreadPool> makeInputPool(const InputParallelOptions &Options,
+                                          size_t Chunks);
+
+/// Runs \p Body(I) for I in [0, N) on \p Pool, or serially on the calling
+/// thread when \p Pool is null. Bodies must write only their own result
+/// slot; the call returns once every body has finished.
+void forEachChunk(ThreadPool *Pool, size_t N,
+                  const std::function<void(size_t)> &Body);
+
 /// One input-parallel executor bound to a sequential engine. Construction
 /// precomputes the speculative frontier (iMFAnt) or validates the automaton
 /// (DFA family); run() is const and allocates only per-run scratch, so one
@@ -161,24 +183,26 @@ public:
   /// nondecreasing end-offset order. \p Stats, when non-null, additionally
   /// collects per-chunk traversal statistics (slightly slower on the
   /// iMFAnt backend; use a separate run for timing sequential baselines).
+  /// \p Pool, when non-null, runs phase 1 instead of a pool of the run's
+  /// own, so a caller scanning several engines over one input starts its
+  /// workers once (see makeInputPool).
   void run(std::string_view Input, MatchRecorder &Recorder,
-           InputParallelStats *Stats = nullptr) const;
+           InputParallelStats *Stats = nullptr,
+           ThreadPool *Pool = nullptr) const;
 
   const InputParallelOptions &options() const { return Opts; }
 
 private:
   enum class Backend : uint8_t { Imfant, Dfa, Stride2 };
 
-  /// Cut positions (chunk boundaries including 0 and len) for \p Len bytes.
-  std::vector<uint64_t> chunkBoundaries(size_t Len) const;
-
   void runImfant(std::string_view Input,
                  const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
-                 InputParallelStats *Stats) const;
+                 InputParallelStats *Stats, ThreadPool *Pool) const;
   template <class Policy>
   void runDfaFamily(const Policy &P, std::string_view Input,
                     const std::vector<uint64_t> &Bounds,
-                    MatchRecorder &Recorder, InputParallelStats *Stats) const;
+                    MatchRecorder &Recorder, InputParallelStats *Stats,
+                    ThreadPool *Pool) const;
 
   Backend Kind;
   InputParallelOptions Opts;

@@ -7,6 +7,7 @@
 #include "engine/PlannedEngine.h"
 
 #include "fsa/Determinize.h"
+#include "support/ThreadPool.h"
 
 #include <utility>
 
@@ -123,27 +124,39 @@ void PlannedEngineSet::runInputParallel(std::string_view Input,
                                         MatchRecorder &Recorder,
                                         const InputParallelOptions &Options,
                                         InputParallelStats *Stats) const {
-  auto RunOne = [&](const InputParallelRun &Par) {
-    if (!Stats) {
-      Par.run(Input, Recorder);
-      return;
-    }
+  // Every group splits the same input into the same chunks, so one pool
+  // serves them all (sparse groups scan sequentially and need none).
+  const std::unique_ptr<ThreadPool> Pool =
+      Sparse.empty() ? makeInputPool(
+                           Options,
+                           inputChunkBounds(Options, Input.size()).size() - 1)
+                     : nullptr;
+  // Runs one executor, folding its stats into the caller's.
+  auto RunOne = [&](auto &&Scan) {
     InputParallelStats Group;
-    Par.run(Input, Recorder, &Group);
-    accumulateStats(*Stats, Group);
+    Scan(Stats ? &Group : nullptr);
+    if (Stats)
+      accumulateStats(*Stats, Group);
+  };
+  auto Chunked = [&](const InputParallelRun &Par) {
+    RunOne([&](InputParallelStats *S) {
+      Par.run(Input, Recorder, S, Pool.get());
+    });
   };
   for (const ImfantEngine &E : Dense)
-    RunOne(InputParallelRun(E, Options));
+    Chunked(InputParallelRun(E, Options));
   for (const std::unique_ptr<Dfa> &D : Dfas)
     if (Choice == Engine::Dfa)
-      RunOne(InputParallelRun(*D, Options));
+      Chunked(InputParallelRun(*D, Options));
   for (const std::unique_ptr<StridedDfa> &S : Strided)
-    RunOne(InputParallelRun(*S, Options));
-  // No input-parallel executor for these: sequential scan, same output.
+    Chunked(InputParallelRun(*S, Options));
+  // No input-parallel executor: sequential scan, same output.
   for (const SparseImfantEngine &E : Sparse)
     E.run(Input, Recorder);
   if (Pre)
-    Pre->run(Input, Recorder);
+    RunOne([&](InputParallelStats *S) {
+      Pre->runInputParallel(Input, Recorder, Options, S, Pool.get());
+    });
 }
 
 void PlannedEngineSet::run(std::string_view Input,

@@ -62,13 +62,15 @@ public:
   /// Scans \p Input group-sequentially with ImfantEngine's match semantics.
   void run(std::string_view Input, MatchRecorder &Recorder) const;
 
-  /// Input-parallel scan (engine/InputParallel.h): each group's input is
-  /// split into \p Options.Threads chunks with frontier-set boundary
-  /// stitching — byte-identical to run(). Engines without an input-parallel
-  /// executor (sparse iMFAnt, prefilter) fall back to the sequential run().
-  /// \p Stats, when non-null, accumulates chunk/speculation counters across
-  /// groups (per-chunk timings are the LAST group's, the one the modeled
-  /// wall should use when groups are timed individually).
+  /// Input-parallel scan (engine/InputParallel.h), byte-identical to run()
+  /// as a match set. Each dense, DFA or stride-2 group runs through
+  /// InputParallelRun, and the prefilter through
+  /// PrefilterEngine::runInputParallel, all on one pool when
+  /// \p Options.UseThreadPool is set. Sparse iMFAnt has no input-parallel
+  /// executor and falls back to the sequential run(). \p Stats, when
+  /// non-null, accumulates across groups: counters add up, peaks take the
+  /// maximum, and per-chunk phase-1 seconds add element-wise (chunk i of
+  /// every group is charged to notional thread i).
   void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
                         const InputParallelOptions &Options,
                         InputParallelStats *Stats = nullptr) const;

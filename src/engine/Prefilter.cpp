@@ -12,8 +12,11 @@
 #include "mfsa/Merge.h"
 #include "obs/Metrics.h"
 #include "regex/Parser.h"
+#include "support/ThreadPool.h"
+#include "support/Timer.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace mfsa;
 
@@ -87,90 +90,208 @@ void PrefilterEngine::setMetrics(obs::MetricsRegistry *Registry) {
       .set(Literals && Literals->rootSkipEnabled() ? 1 : 0);
 }
 
+std::vector<PrefilterEngine::ConfirmWindow> PrefilterEngine::coalesceWindows(
+    const std::vector<std::vector<size_t>> &Hits, size_t InputSize) const {
+  std::vector<ConfirmWindow> Windows;
+  for (size_t RuleIdx = 0; RuleIdx < Hits.size(); ++RuleIdx) {
+    const std::vector<size_t> &RuleHits = Hits[RuleIdx];
+    const size_t Reach = PrefilteredRules[RuleIdx].MaxMatchLength;
+    auto WindowBegin = [Reach](size_t Hit) {
+      return Hit > Reach ? Hit - Reach : 0;
+    };
+    size_t Cursor = 0;
+    while (Cursor < RuleHits.size()) {
+      const size_t Begin = WindowBegin(RuleHits[Cursor]);
+      size_t End = std::min(InputSize, RuleHits[Cursor] + Reach);
+      ++Cursor;
+      while (Cursor < RuleHits.size() && WindowBegin(RuleHits[Cursor]) <= End) {
+        End = std::min(InputSize, RuleHits[Cursor] + Reach);
+        ++Cursor;
+      }
+      Windows.push_back({static_cast<uint32_t>(RuleIdx), Begin, End});
+    }
+  }
+  return Windows;
+}
+
+bool PrefilterEngine::confirm(const ConfirmWindow &W, std::string_view Input,
+                              std::vector<Match> &Out) const {
+  MatchRecorder Window(MatchRecorder::Mode::Collect);
+  Window.Cap = std::numeric_limits<size_t>::max();
+  PrefilteredRules[W.RuleIdx].Confirm->run(
+      Input.substr(W.Begin, W.End - W.Begin), Window);
+  for (const auto &[GlobalId, Offset] : Window.matches())
+    Out.emplace_back(GlobalId, W.Begin + Offset);
+  return Window.total() > 0;
+}
+
+void PrefilterEngine::recordScan(
+    size_t Bytes, const std::vector<std::vector<size_t>> &Hits,
+    const std::vector<ConfirmWindow> &Windows, uint64_t WindowsConfirmed,
+    uint64_t Matches) const {
+#if MFSA_METRICS_ENABLED
+  if (!Metrics.Bytes)
+    return;
+  uint64_t LiteralHits = 0, WindowBytes = 0;
+  for (const std::vector<size_t> &RuleHits : Hits)
+    LiteralHits += RuleHits.size();
+  for (const ConfirmWindow &W : Windows) {
+    WindowBytes += W.End - W.Begin;
+    Metrics.WindowLen->observe(W.End - W.Begin);
+  }
+  Metrics.Bytes->add(Bytes);
+  Metrics.LiteralHits->add(LiteralHits);
+  Metrics.Windows->add(Windows.size());
+  Metrics.WindowBytes->add(WindowBytes);
+  Metrics.WindowsConfirmed->add(WindowsConfirmed);
+  Metrics.WindowsDropped->add(Windows.size() - WindowsConfirmed);
+  Metrics.Matches->add(Matches);
+#else
+  (void)Bytes;
+  (void)Hits;
+  (void)Windows;
+  (void)WindowsConfirmed;
+  (void)Matches;
+#endif
+}
+
 void PrefilterEngine::run(std::string_view Input,
                           MatchRecorder &Recorder) const {
-#if MFSA_METRICS_ENABLED
-  const bool Observed = Metrics.Bytes != nullptr;
-  uint64_t MatchesBefore = Recorder.total();
-  uint64_t LiteralHits = 0, Windows = 0, WindowBytes = 0;
-  uint64_t WindowsConfirmed = 0, WindowsDropped = 0;
-#endif
+  const uint64_t MatchesBefore = Recorder.total();
 
   // Residual rules scan the whole stream the ordinary way.
   if (Residual)
     Residual->run(Input, Recorder);
 
-  if (!Literals || Input.empty()) {
-#if MFSA_METRICS_ENABLED
-    if (Observed) {
-      Metrics.Bytes->add(Input.size());
-      Metrics.Matches->add(Recorder.total() - MatchesBefore);
-    }
-#endif
-    return;
-  }
-
-  // Phase 1: literal scan, collecting hit end-offsets per prefiltered rule.
+  // Literal scan, collecting hit end-offsets per prefiltered rule.
   std::vector<std::vector<size_t>> Hits(PrefilteredRules.size());
-  Literals->scan(Input, [&](uint32_t RuleIdx, size_t EndOffset) {
-    Hits[RuleIdx].push_back(EndOffset);
+  if (Literals)
+    Literals->scan(Input, [&](uint32_t RuleIdx, size_t EndOffset) {
+      Hits[RuleIdx].push_back(EndOffset);
+    });
+
+  // Confirm every coalesced window with its rule's own automaton.
+  const std::vector<ConfirmWindow> Windows =
+      coalesceWindows(Hits, Input.size());
+  uint64_t Confirmed = 0;
+  std::vector<Match> Found;
+  for (const ConfirmWindow &W : Windows) {
+    Found.clear();
+    Confirmed += confirm(W, Input, Found);
+    for (const Match &M : Found)
+      Recorder.onMatch(M.first, M.second);
+  }
+  recordScan(Input.size(), Hits, Windows, Confirmed,
+             Recorder.total() - MatchesBefore);
+}
+
+void PrefilterEngine::runInputParallel(std::string_view Input,
+                                       MatchRecorder &Recorder,
+                                       const InputParallelOptions &Options,
+                                       InputParallelStats *Stats,
+                                       ThreadPool *Pool) const {
+  const uint64_t MatchesBefore = Recorder.total();
+  const std::vector<uint64_t> Bounds = inputChunkBounds(Options, Input.size());
+  const size_t NumSlices = Bounds.size() - 1;
+  std::unique_ptr<ThreadPool> OwnPool;
+  if (!Pool) {
+    OwnPool = makeInputPool(Options, NumSlices);
+    Pool = OwnPool.get();
+  }
+
+  // Phase 1: the residual rules, chunked and stitched by the executor. It
+  // reports straight into the caller's recorder, first, as run() does.
+  if (Residual) {
+    InputParallelRun(*Residual, Options)
+        .run(Input, Recorder, Stats, Pool);
+  } else if (Stats) {
+    Stats->Threads = static_cast<unsigned>(NumSlices);
+    Stats->Chunks = NumSlices;
+    Stats->ChunkPhase1Seconds.assign(NumSlices, 0.0);
+  }
+  auto AddChunkSeconds = [Stats](size_t I, const Timer &Clock) {
+    if (Stats)
+      Stats->ChunkPhase1Seconds[I] += Clock.elapsedMs() / 1e3;
+  };
+
+  // Phase 2: the literal scan, one slice per chunk. A slice starts
+  // Lmax - 1 bytes early so it sees every literal ending inside its chunk,
+  // and keeps only those: an occurrence ending at a cut belongs to the
+  // chunk on its left.
+  std::vector<std::vector<std::vector<size_t>>> SliceHits(NumSlices);
+  if (Literals) {
+    const size_t Lead = Literals->maxLiteralLength() - 1;
+    forEachChunk(Pool, NumSlices, [&](size_t I) {
+      Timer Clock;
+      const size_t Lo = Bounds[I];
+      const size_t Hi = Bounds[I + 1];
+      const size_t From = Lo > Lead ? Lo - Lead : 0;
+      std::vector<std::vector<size_t>> &Hits = SliceHits[I];
+      Hits.resize(PrefilteredRules.size());
+      if (Lo < Hi)
+        Literals->scan(Input.substr(From, Hi - From),
+                       [&](uint32_t RuleIdx, size_t EndOffset) {
+                         if (From + EndOffset > Lo)
+                           Hits[RuleIdx].push_back(From + EndOffset);
+                       });
+      AddChunkSeconds(I, Clock);
+    });
+  }
+
+  // Slices ascend and each keeps its hits sorted, so concatenating them in
+  // slice order gives exactly the sequential per-rule hit lists.
+  Timer JoinClock;
+  std::vector<std::vector<size_t>> Hits(PrefilteredRules.size());
+  for (std::vector<std::vector<size_t>> &Slice : SliceHits)
+    for (size_t RuleIdx = 0; RuleIdx < Slice.size(); ++RuleIdx)
+      Hits[RuleIdx].insert(Hits[RuleIdx].end(), Slice[RuleIdx].begin(),
+                           Slice[RuleIdx].end());
+  const std::vector<ConfirmWindow> Windows =
+      coalesceWindows(Hits, Input.size());
+
+  // Phase 3: confirmation. The windows are cut into NumSlices contiguous
+  // runs of about equal cost (bytes plus a fixed per-window charge for the
+  // automaton's set-up); each worker collects its run's matches privately.
+  constexpr uint64_t WindowSetupBytes = 64;
+  auto Cost = [&](const ConfirmWindow &W) {
+    return W.End - W.Begin + WindowSetupBytes;
+  };
+  uint64_t TotalCost = 0;
+  for (const ConfirmWindow &W : Windows)
+    TotalCost += Cost(W);
+  std::vector<size_t> RunBegin(NumSlices + 1, Windows.size());
+  RunBegin[0] = 0;
+  uint64_t Acc = 0;
+  for (size_t W = 0, Next = 1; W < Windows.size() && Next < NumSlices; ++W) {
+    Acc += Cost(Windows[W]);
+    while (Next < NumSlices && Acc * NumSlices >= TotalCost * Next)
+      RunBegin[Next++] = W + 1;
+  }
+  double JoinSeconds = JoinClock.elapsedMs() / 1e3;
+
+  struct ConfirmRun {
+    std::vector<Match> Matches;
+    uint64_t Confirmed = 0;
+  };
+  std::vector<ConfirmRun> Runs(NumSlices);
+  forEachChunk(Pool, NumSlices, [&](size_t I) {
+    Timer Clock;
+    for (size_t W = RunBegin[I]; W < RunBegin[I + 1]; ++W)
+      Runs[I].Confirmed += confirm(Windows[W], Input, Runs[I].Matches);
+    AddChunkSeconds(I, Clock);
   });
-#if MFSA_METRICS_ENABLED
-  if (Observed)
-    for (const std::vector<size_t> &RuleHits : Hits)
-      LiteralHits += RuleHits.size();
-#endif
 
-  // Phase 2: per rule, widen hits into ±MaxMatchLength windows, coalesce
-  // overlaps (hits arrive already sorted), and confirm with the rule's own
-  // automaton. Coalescing keeps windows disjoint, so no (rule, end) pair is
-  // reported twice.
-  for (size_t RuleIdx = 0; RuleIdx < PrefilteredRules.size(); ++RuleIdx) {
-    const PrefilteredRule &Rule = PrefilteredRules[RuleIdx];
-    const std::vector<size_t> &RuleHits = Hits[RuleIdx];
-    if (RuleHits.empty())
-      continue;
-    const size_t Reach = Rule.MaxMatchLength;
-
-    size_t Cursor = 0;
-    while (Cursor < RuleHits.size()) {
-      size_t Begin = RuleHits[Cursor] > Reach ? RuleHits[Cursor] - Reach : 0;
-      size_t End = std::min(Input.size(), RuleHits[Cursor] + Reach);
-      ++Cursor;
-      while (Cursor < RuleHits.size() &&
-             (RuleHits[Cursor] > Reach ? RuleHits[Cursor] - Reach : 0) <=
-                 End) {
-        End = std::min(Input.size(), RuleHits[Cursor] + Reach);
-        ++Cursor;
-      }
-
-      MatchRecorder Window(MatchRecorder::Mode::Collect);
-      Rule.Confirm->run(Input.substr(Begin, End - Begin), Window);
-      for (const auto &[GlobalId, Offset] : Window.matches())
-        Recorder.onMatch(GlobalId, Begin + Offset);
-#if MFSA_METRICS_ENABLED
-      if (Observed) {
-        ++Windows;
-        WindowBytes += End - Begin;
-        Metrics.WindowLen->observe(End - Begin);
-        if (Window.total() > 0)
-          ++WindowsConfirmed;
-        else
-          ++WindowsDropped;
-      }
-#endif
-    }
+  // Replay in run order, which is run()'s rule and window order.
+  JoinClock.reset();
+  uint64_t Confirmed = 0;
+  for (const ConfirmRun &Run : Runs) {
+    Confirmed += Run.Confirmed;
+    for (const Match &M : Run.Matches)
+      Recorder.onMatch(M.first, M.second);
   }
-
-#if MFSA_METRICS_ENABLED
-  if (Observed) {
-    Metrics.Bytes->add(Input.size());
-    Metrics.LiteralHits->add(LiteralHits);
-    Metrics.Windows->add(Windows);
-    Metrics.WindowBytes->add(WindowBytes);
-    Metrics.WindowsConfirmed->add(WindowsConfirmed);
-    Metrics.WindowsDropped->add(WindowsDropped);
-    Metrics.Matches->add(Recorder.total() - MatchesBefore);
-  }
-#endif
+  JoinSeconds += JoinClock.elapsedMs() / 1e3;
+  if (Stats)
+    Stats->JoinSeconds += JoinSeconds;
+  recordScan(Input.size(), Hits, Windows, Confirmed,
+             Recorder.total() - MatchesBefore);
 }

@@ -26,6 +26,7 @@
 
 #include "engine/AhoCorasick.h"
 #include "engine/Imfant.h"
+#include "engine/InputParallel.h"
 #include "support/Result.h"
 
 #include <memory>
@@ -49,6 +50,29 @@ public:
   /// ImfantEngine over the full ruleset.
   void run(std::string_view Input, MatchRecorder &Recorder) const;
 
+  /// Input-parallel scan with run()'s match set, in three phases on one
+  /// pool of \p Options.Threads workers (when UseThreadPool is set):
+  ///  1. the residual rules through InputParallelRun over \p Options'
+  ///     chunks;
+  ///  2. the literal scan in the same chunks: slice i scans
+  ///     [b_i - (Lmax - 1), b_{i+1}) and keeps only hits whose end offset
+  ///     lies in (b_i, b_{i+1}], so every occurrence is found by exactly one
+  ///     slice and the per-rule hit lists concatenate, in slice order, to
+  ///     the sequential ones;
+  ///  3. confirmation: the windows are coalesced exactly as in run(), split
+  ///     into contiguous runs of about equal cost, one per worker, and each
+  ///     worker's matches are replayed into \p Recorder in run()'s rule and
+  ///     window order.
+  /// \p Stats, when non-null, receives the residual executor's chunk
+  /// counters; per-chunk phase-1 seconds also include slice i's literal
+  /// scan and worker i's confirm time, and the window coalescing and replay
+  /// count as join time. \p Pool, when non-null, is used instead of a pool
+  /// of the call's own.
+  void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
+                        const InputParallelOptions &Options,
+                        InputParallelStats *Stats = nullptr,
+                        ThreadPool *Pool = nullptr) const;
+
   size_t numPrefiltered() const { return PrefilteredRules.size(); }
   size_t numResidual() const { return NumResidualRules; }
 
@@ -67,6 +91,34 @@ private:
     std::unique_ptr<ImfantEngine> Confirm;
     uint32_t MaxMatchLength = 0;
   };
+
+  /// One coalesced confirm window: rule RuleIdx's automaton runs over
+  /// [Begin, End) of the input.
+  struct ConfirmWindow {
+    uint32_t RuleIdx = 0;
+    size_t Begin = 0;
+    size_t End = 0;
+  };
+
+  using Match = std::pair<uint32_t, uint64_t>; ///< (global rule, end).
+
+  /// Widens each rule's sorted literal hit ends \p Hits into
+  /// ±MaxMatchLength windows and coalesces overlaps, in rule then window
+  /// order. Windows of one rule are disjoint, so no (rule, end) pair can be
+  /// reported twice.
+  std::vector<ConfirmWindow>
+  coalesceWindows(const std::vector<std::vector<size_t>> &Hits,
+                  size_t InputSize) const;
+
+  /// Runs \p W's confirm automaton, appending its matches with absolute
+  /// end offsets to \p Out. \returns whether the window matched.
+  bool confirm(const ConfirmWindow &W, std::string_view Input,
+               std::vector<Match> &Out) const;
+
+  /// Publishes one scan's `prefilter.*` counts (no-op when detached).
+  void recordScan(size_t Bytes, const std::vector<std::vector<size_t>> &Hits,
+                  const std::vector<ConfirmWindow> &Windows,
+                  uint64_t WindowsConfirmed, uint64_t Matches) const;
 
   struct ScanMetricHandles {
     obs::Counter *Bytes = nullptr;

@@ -572,6 +572,43 @@ TEST(Planner, ForcedEnginePinsChoiceButKeepsTrace) {
   EXPECT_NE(Plan.explainJson().find("\"candidates\""), std::string::npos);
 }
 
+TEST(Planner, InputParallelAcceptedBehindRuntimeGuards) {
+  // A one-macrostate width budget leaves the bound budgeted (inexact).
+  // Dense iMFAnt and the prefilter are still accepted — their executors'
+  // death-probe window and re-scan fallback bound the worst case at run
+  // time — while sparse iMFAnt (no executor) and a single input thread
+  // decline.
+  std::vector<std::string> Patterns = {"foobar", "bazqux", "[ab]+c",
+                                       "(a|b)*abb"};
+  std::vector<Mfsa> Mfsas;
+  Mfsas.push_back(mergePatterns(Patterns));
+  auto PlanWith = [&](Engine Force, unsigned InputThreads) {
+    PlannerOptions Options;
+    Options.Cost.Width.MaxMacrostates = 1;
+    Options.Force = Force;
+    Options.InputThreads = InputThreads;
+    return planMfsas(Mfsas, Patterns, 0, Options);
+  };
+  for (Engine E : {Engine::ImfantDense, Engine::Prefilter}) {
+    const EnginePlan Plan = PlanWith(E, 4);
+    ASSERT_NE(Plan.chosen(), nullptr);
+    ASSERT_FALSE(Plan.chosen()->Groups.empty());
+    EXPECT_FALSE(Plan.chosen()->Groups.front().Width.Exact) << engineName(E);
+    EXPECT_TRUE(Plan.ParallelInput) << engineName(E);
+    EXPECT_EQ(Plan.InputThreads, 4u);
+    EXPECT_NE(Plan.explainJson().find("\"enabled\": true"), std::string::npos)
+        << Plan.explainJson();
+  }
+  const EnginePlan Sparse = PlanWith(Engine::ImfantSparse, 4);
+  EXPECT_FALSE(Sparse.ParallelInput);
+  EXPECT_EQ(Sparse.ParallelInputWhy, "engine has no input-parallel executor");
+  for (Engine E : {Engine::ImfantDense, Engine::Prefilter}) {
+    const EnginePlan Single = PlanWith(E, 1);
+    EXPECT_FALSE(Single.ParallelInput) << engineName(E);
+    EXPECT_EQ(Single.ParallelInputWhy, "single input thread requested");
+  }
+}
+
 TEST(Planner, WidthBoundDominatesTrivialCases) {
   // One-rule automaton: the bound can never exceed one active rule.
   std::vector<std::string> Patterns = {"abc"};

@@ -26,6 +26,10 @@
 // and that the per-chunk speculative frontiers stay within the static
 // width bound — the soundness fact the executor's speculation relies on.
 //
+// An eighth leg runs PlannedEngineSet::runInputParallel on the Auto plan
+// (T=3, 1-byte minimum chunks), so whichever engine the planner picks —
+// the prefilter included — is also checked under input-parallel chunking.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CostModel.h"
@@ -122,6 +126,9 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
   ParOpts.MinChunkBytes = 1;
   ParOpts.Width = &Width;
   InputParallelRun Par(Imfant, ParOpts);
+  InputParallelOptions PlannedParOpts;
+  PlannedParOpts.Threads = 3;
+  PlannedParOpts.MinChunkBytes = 1;
 
   SimdLevelGuard Guard;
   for (const std::string &Input : Inputs) {
@@ -181,6 +188,13 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
             << "engine=input-parallel " << Tag;
         EXPECT_GE(Width.MaxActiveStates, ParStats.MaxSpecFrontier)
             << "spec frontier bound " << Tag;
+      }
+      {
+        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+        Planned->runInputParallel(Input, Recorder, PlannedParOpts);
+        EXPECT_EQ(recorderEnds(Recorder), Expected)
+            << "engine=auto(" << engineName(Plan.Choice) << ")-input-parallel "
+            << Tag;
       }
     }
   }

@@ -11,19 +11,28 @@
 // engine/InputParallel.h. A ThreadPool case runs the same property with
 // phase 1 actually concurrent, which the tsan CI leg exercises.
 //
+// The prefilter executor (PrefilterEngine::runInputParallel) gets the same
+// treatment on rulesets mixing literal-gated and residual rules, with extra
+// cuts aimed at its literal slices and confirm windows, and is compared
+// against PrefilterEngine::run as well as the oracle.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CostModel.h"
 #include "engine/InputParallel.h"
 #include "engine/MultiStride.h"
+#include "engine/Prefilter.h"
 #include "fsa/Determinize.h"
+#include "fsa/LiteralAnalysis.h"
 #include "mfsa/Merge.h"
+#include "regex/Parser.h"
 #include "support/SimdDispatch.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -304,4 +313,217 @@ TEST(InputParallel, StatsClassifyChunks) {
       << "dead=" << Stats.SpecDeadChunks << " table=" << Stats.SpecTableChunks
       << " rescan=" << Stats.RescanFallbackChunks;
   EXPECT_EQ(Stats.RescanFallbackChunks, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Prefilter executor: residual rules through the iMFAnt executor, literal
+// slices over the same chunks, confirm windows spread across workers.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using MatchList = std::vector<std::pair<uint32_t, uint64_t>>;
+
+MatchList sortedMatches(const MatchRecorder &Recorder) {
+  MatchList Out = Recorder.matches();
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// Cut sets aimed at the literal stage. For every occurrence of a
+/// prefiltered rule's literal: a cut inside it; cuts at its end and one
+/// byte either side; cuts half a confirm window before and after its end,
+/// which land inside coalesced windows. Plus 0, len and duplicates, which
+/// leave empty chunks.
+std::vector<std::vector<uint64_t>>
+literalCuts(const std::vector<std::string> &Patterns,
+            const std::string &Input) {
+  std::vector<uint64_t> Inside, AtEnds, InWindows;
+  for (const std::string &Pattern : Patterns) {
+    Result<Regex> Re = parseRegex(Pattern);
+    EXPECT_TRUE(Re.ok()) << Pattern;
+    const PrefilterInfo Info =
+        analyzeForPrefilter(*Re, compileOptimized(Pattern));
+    if (!Info.Prefilterable)
+      continue;
+    const uint64_t Half = Info.MaxMatchLength / 2;
+    for (size_t At = Input.find(Info.Literal); At != std::string::npos;
+         At = Input.find(Info.Literal, At + 1)) {
+      const uint64_t End = At + Info.Literal.size();
+      Inside.push_back(At + Info.Literal.size() / 2);
+      AtEnds.insert(AtEnds.end(), {End - 1, End, End + 1});
+      InWindows.insert(InWindows.end(), {End > Half ? End - Half : 0,
+                                         End + Half});
+    }
+  }
+  const uint64_t Len = Input.size();
+  return {Inside, AtEnds, InWindows, {0, 0, Len / 3, Len / 3, Len, Len}};
+}
+
+/// Checks PrefilterEngine::runInputParallel against run() and the oracle on
+/// every input, under the default split at several thread counts, the
+/// shared adversarial cuts and literalCuts, at every SIMD level, with and
+/// without a thread pool: identical sorted (rule, end) lists, total() and
+/// perRule().
+void checkPrefilterInputParallel(uint64_t Seed,
+                                 const std::vector<std::string> &Patterns,
+                                 const std::vector<std::string> &Inputs) {
+  Result<PrefilterEngine> Pre = PrefilterEngine::create(Patterns);
+  ASSERT_TRUE(Pre.ok()) << formatPatterns(Patterns);
+
+  Rng Random(Seed ^ 0x51ed270b4c3a9f1dull);
+  SimdLevelGuard Guard;
+  for (const std::string &Input : Inputs) {
+    const RuleEnds Expected = oracleRuleEnds(Patterns, Input);
+    std::vector<std::pair<unsigned, std::vector<uint64_t>>> Chunkings;
+    for (unsigned T : {2u, 3u, 8u})
+      Chunkings.emplace_back(T, std::vector<uint64_t>{});
+    for (std::vector<uint64_t> &Cuts : adversarialCuts(Random, Input, Expected))
+      Chunkings.emplace_back(4u, std::move(Cuts));
+    for (std::vector<uint64_t> &Cuts : literalCuts(Patterns, Input))
+      Chunkings.emplace_back(4u, std::move(Cuts));
+
+    for (simd::Level Lvl : simd::availableLevels()) {
+      ASSERT_TRUE(simd::setLevel(Lvl));
+      MatchRecorder Seq(MatchRecorder::Mode::Collect);
+      Pre->run(Input, Seq);
+      const std::string CaseTag = "seed=" + std::to_string(Seed) +
+                                  " ruleset=" + formatPatterns(Patterns) +
+                                  " input=\"" + Input + "\" simd=" +
+                                  simd::levelName(Lvl);
+      ASSERT_EQ(recorderEnds(Seq), Expected) << "sequential " << CaseTag;
+      const MatchList Want = sortedMatches(Seq);
+
+      for (const auto &[Threads, Cuts] : Chunkings)
+        for (bool Pooled : {false, true}) {
+          const std::string Tag = CaseTag + " T=" + std::to_string(Threads) +
+                                  " " + formatCuts(Cuts) +
+                                  (Pooled ? " pooled" : " serial");
+          InputParallelOptions Opts;
+          Opts.Threads = Threads;
+          Opts.MinChunkBytes = 1;
+          Opts.CutOverride = Cuts;
+          Opts.UseThreadPool = Pooled;
+          MatchRecorder Par(MatchRecorder::Mode::Collect);
+          InputParallelStats Stats;
+          Pre->runInputParallel(Input, Par, Opts, &Stats);
+          EXPECT_EQ(sortedMatches(Par), Want) << Tag;
+          EXPECT_EQ(Par.total(), Seq.total()) << Tag;
+          EXPECT_EQ(Par.perRule(), Seq.perRule()) << Tag;
+          EXPECT_EQ(recorderEnds(Par), Expected) << Tag;
+          const size_t Chunks = inputChunkBounds(Opts, Input.size()).size() - 1;
+          EXPECT_EQ(Stats.Chunks, Chunks) << Tag;
+          EXPECT_EQ(Stats.ChunkPhase1Seconds.size(), Chunks) << Tag;
+        }
+    }
+  }
+}
+
+/// Prefiltered and residual rules side by side: literal-gated rules with
+/// bounded matches, and residual ones that are `^`- or `$`-anchored,
+/// literal-poor or unbounded.
+const std::vector<std::string> &mixedRuleset() {
+  static const std::vector<std::string> Patterns = {
+      "abc",          "cab(a|b){1,2}", "d[ab]cd",  "bcd(a|c)?e",
+      "^ab",          "ce$",           "^a[bc]*d$", "(ab)+c",
+      "aab[cd]{0,3}", "b{2,}c"};
+  return Patterns;
+}
+
+} // namespace
+
+TEST(InputParallelPrefilter, MixedRulesetUnderAdversarialCuts) {
+  Result<PrefilterEngine> Pre = PrefilterEngine::create(mixedRuleset());
+  ASSERT_TRUE(Pre.ok());
+  ASSERT_GT(Pre->numPrefiltered(), 0u);
+  ASSERT_GT(Pre->numResidual(), 0u);
+
+  Rng Random(4401);
+  std::vector<std::string> Inputs = {
+      "",
+      "abcabcabc",                          // overlapping literal hits
+      "abdxabcdxcababxdacdbcdaeaabcdcdce",  // every literal, `$` at the end
+      "abcadbcdceecababbxxbbbcaabdd",
+  };
+  for (int Trial = 0; Trial < 3; ++Trial)
+    Inputs.push_back(randomInput(Random, 40 + Random.nextBelow(40)));
+  checkPrefilterInputParallel(4401, mixedRuleset(), Inputs);
+}
+
+class InputParallelPrefilterProperty
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(InputParallelPrefilterProperty, MatchesSequentialUnderChunking) {
+  const uint64_t Seed = GetParam();
+  Rng Random(Seed);
+
+  // Literal-gated rules (3-4 byte literal, bounded tail) plus random
+  // shapes, which mostly land in the residual MFSA.
+  static const char Letters[] = "abcd";
+  std::vector<std::string> Patterns;
+  const unsigned Literal = 1 + Random.nextBelow(3);
+  for (unsigned I = 0; I < Literal; ++I) {
+    std::string P;
+    for (uint64_t L = 0, N = 3 + Random.nextBelow(2); L < N; ++L)
+      P.push_back(Letters[Random.nextBelow(4)]);
+    if (Random.nextBool(0.5))
+      P += "[a-c]{0," + std::to_string(1 + Random.nextBelow(3)) + "}";
+    Patterns.push_back(P);
+  }
+  for (unsigned I = 0, N = 1 + Random.nextBelow(3); I < N; ++I)
+    Patterns.push_back(randomPattern(Random, 3));
+  if (Random.nextBool(0.5))
+    Patterns.push_back("^" + randomPattern(Random, 2));
+  if (Random.nextBool(0.5))
+    Patterns.push_back(randomPattern(Random, 2) + "$");
+
+  std::vector<std::string> Inputs;
+  for (int Trial = 0; Trial < 2; ++Trial)
+    Inputs.push_back(randomInput(Random, 24 + Random.nextBelow(64)));
+  // Back-to-back literal copies: windows coalesce across several hits.
+  Inputs.push_back(Patterns[0].substr(0, 3) + Patterns[0].substr(0, 3) + "e" +
+                   Patterns[0].substr(0, 3) + randomInput(Random, 16));
+  checkPrefilterInputParallel(Seed, Patterns, Inputs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InputParallelPrefilterProperty,
+                         ::testing::Range<uint64_t>(9200, 9210));
+
+TEST(InputParallelPrefilter, PrefilterOnlyAndResidualOnly) {
+  // No residual MFSA: the chunk counters come from the literal slices. No
+  // literal: the residual executor alone.
+  Rng Random(4402);
+  std::vector<std::string> Inputs = {"", "abcdabcab", randomInput(Random, 60)};
+  checkPrefilterInputParallel(4402, {"abc", "dab[a-c]?", "bca"}, Inputs);
+  checkPrefilterInputParallel(4403, {"^ab", "[ab]+c", "cd$"}, Inputs);
+}
+
+TEST(InputParallelPrefilter, PooledPhasesAreRaceFree) {
+  // All three phases concurrent on one pool (the tsan leg's target): each
+  // residual chunk, literal slice and confirm run writes only its own slot,
+  // and the caller's recorder is touched by the calling thread alone.
+  Rng Random(4404);
+  std::string Input;
+  while (Input.size() < (1u << 16))
+    Input += Random.nextBool(0.2) ? mixedRuleset()[Random.nextBelow(4)]
+                                  : randomInput(Random, 24);
+  Result<PrefilterEngine> Pre = PrefilterEngine::create(mixedRuleset());
+  ASSERT_TRUE(Pre.ok());
+  MatchRecorder Seq(MatchRecorder::Mode::Collect);
+  Pre->run(Input, Seq);
+  ASSERT_GT(Seq.total(), 0u);
+
+  InputParallelOptions Opts;
+  Opts.Threads = 4;
+  Opts.MinChunkBytes = 1;
+  Opts.UseThreadPool = true;
+  for (int Rep = 0; Rep < 4; ++Rep) {
+    MatchRecorder Par(MatchRecorder::Mode::Collect);
+    InputParallelStats Stats;
+    Pre->runInputParallel(Input, Par, Opts, &Stats);
+    EXPECT_EQ(sortedMatches(Par), sortedMatches(Seq));
+    EXPECT_EQ(Par.perRule(), Seq.perRule());
+    EXPECT_EQ(Stats.Chunks, 4u);
+    EXPECT_EQ(Stats.RescanFallbackChunks, 0u);
+  }
 }
