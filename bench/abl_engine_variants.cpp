@@ -2,10 +2,11 @@
 //
 // Part of the mfsa project. MIT License.
 //
-// iNFAnt's symbol-major layout (scan every transition the input symbol
-// enables — ImfantEngine) versus a CPU-style state-major layout (walk the
-// active states' out-edges — SparseImfantEngine). Which wins depends on
-// active-set pressure vs per-symbol transition density (Table II).
+// The dense engine (ImfantEngine: active states' out-edges plus precomputed
+// per-symbol injection lists) versus the sparse one (SparseImfantEngine:
+// active states' out-edges plus every initial state's out-edges per byte,
+// injection masks computed on the fly). Both are state-major for
+// propagation; the ratio isolates what precomputing injection buys.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,14 +20,14 @@ using namespace mfsa;
 using namespace mfsa::bench;
 
 int main() {
-  printHeader("Ablation G - symbol-major vs state-major engine layout",
+  printHeader("Ablation G - dense vs sparse iMFAnt engine layout",
               "§V engine design (iNFAnt layout choice)");
   BenchReport Report("abl_engine_variants",
                      "§V engine design (iNFAnt layout choice)");
 
   const std::vector<uint32_t> Factors = {1, 50, 0};
-  std::printf("%-8s %5s %12s %12s %9s\n", "dataset", "M", "symbol-major",
-              "state-major", "ratio");
+  std::printf("%-8s %5s %12s %12s %9s\n", "dataset", "M", "dense",
+              "sparse", "ratio");
   for (const DatasetSpec &Spec : standardDatasets()) {
     CompiledDataset Dataset = compileDataset(Spec, streamBytes());
     for (uint32_t M : Factors) {
@@ -71,14 +72,14 @@ int main() {
                   mergingFactorName(M).c_str(), DenseSec, SparseSec,
                   DenseSec / SparseSec);
       Report.result(Spec.Abbrev + ".m_" + mergingFactorName(M) +
-                        ".symbol_major_s",
+                        ".dense_s",
                     DenseSec, "s");
       Report.result(Spec.Abbrev + ".m_" + mergingFactorName(M) +
-                        ".state_major_s",
+                        ".sparse_s",
                     SparseSec, "s");
     }
   }
-  std::printf("\nratio > 1: state-major wins (sparse active sets); engine "
+  std::printf("\nratio > 1: sparse wins; engine "
               "construction time included for both (dominated by scanning "
               "at these stream sizes)\n");
   return 0;

@@ -65,44 +65,51 @@ ImfantEngine::ImfantEngine(const Mfsa &Z)
     }
 #endif
 
-  // Deduplicate belonging sets into BelPool; MFSAs built from similar rules
-  // reuse few distinct sets, so the pool stays small.
-  std::unordered_map<std::vector<uint64_t>, uint32_t, BlockHash> PoolIndex;
+  // Deduplicate belonging sets and labels into pools; MFSAs built from
+  // similar rules reuse few distinct sets, so the pools stay small.
+  std::unordered_map<std::vector<uint64_t>, uint32_t, BlockHash> BelIndex;
   auto InternBel = [&](const DynamicBitset &Bel) -> uint32_t {
     std::vector<uint64_t> Block(Words, 0);
     std::copy(Bel.words().begin(), Bel.words().end(), Block.begin());
-    auto It = PoolIndex.find(Block);
-    if (It != PoolIndex.end())
-      return It->second;
-    uint32_t Idx = static_cast<uint32_t>(PoolIndex.size());
-    PoolIndex.emplace(Block, Idx);
-    BelPool.insert(BelPool.end(), Block.begin(), Block.end());
-    return Idx;
+    auto [It, Fresh] =
+        BelIndex.emplace(Block, static_cast<uint32_t>(BelIndex.size()));
+    if (Fresh)
+      BelPool.insert(BelPool.end(), Block.begin(), Block.end());
+    return It->second;
+  };
+  std::unordered_map<SymbolSet, uint32_t, SymbolSetHash> LabelIndex;
+  auto InternLabel = [&](const SymbolSet &Label) -> uint32_t {
+    auto [It, Fresh] =
+        LabelIndex.emplace(Label, static_cast<uint32_t>(LabelIndex.size()));
+    if (Fresh)
+      LabelPool.insert(LabelPool.end(), Label.words().begin(),
+                       Label.words().end());
+    return It->second;
   };
 
-  // Bucket transitions per enabling symbol (the iNFAnt layout): first count,
-  // then fill, keeping entries contiguous per symbol.
-  std::vector<uint32_t> Counts(257, 0);
+  // CSR adjacency by source state (propagation, Eq. 6). Empty-labelled
+  // transitions never fire and are dropped.
+  std::vector<uint32_t> Counts(NumStates + 1, 0);
   for (const MfsaTransition &T : Z.transitions())
-    T.Label.forEach([&](unsigned char C) { ++Counts[C]; });
-  Offsets.assign(257, 0);
-  for (unsigned C = 0; C < 256; ++C)
-    Offsets[C + 1] = Offsets[C] + Counts[C];
-  Entries.resize(Offsets[256]);
-  std::vector<uint32_t> Fill(Offsets.begin(), Offsets.end() - 1);
-  for (const MfsaTransition &T : Z.transitions()) {
-    uint32_t BelIdx = InternBel(T.Bel);
-    T.Label.forEach([&](unsigned char C) {
-      Entries[Fill[C]++] = TableEntry{T.From, T.To, BelIdx};
-    });
-  }
+    if (!T.Label.empty())
+      ++Counts[T.From + 1];
+  EdgeOffsets.assign(NumStates + 1, 0);
+  for (uint32_t S = 0; S < NumStates; ++S)
+    EdgeOffsets[S + 1] = EdgeOffsets[S] + Counts[S + 1];
+  Edges.resize(EdgeOffsets[NumStates]);
+  std::vector<uint32_t> Fill(EdgeOffsets.begin(), EdgeOffsets.end() - 1);
+  for (const MfsaTransition &T : Z.transitions())
+    if (!T.Label.empty())
+      Edges[Fill[T.From]++] =
+          OutEdge{T.To, InternBel(T.Bel), InternLabel(T.Label)};
 
-  // Per-state activation metadata.
-  InitialRules.assign(static_cast<size_t>(NumStates) * Words, 0);
+  // Per-state activation metadata; the initial-rule blocks and the start
+  // anchor mask only feed the injection lists below.
+  std::vector<uint64_t> InitialRules(static_cast<size_t>(NumStates) * Words,
+                                     0);
+  std::vector<uint64_t> NotAnchoredStartMask(Words, ~0ULL);
   FinalRules.assign(static_cast<size_t>(NumStates) * Words, 0);
-  InitialAny.assign(NumStates, 0);
   FinalAny.assign(NumStates, 0);
-  NotAnchoredStartMask.assign(Words, ~0ULL);
   NotAnchoredEndMask.assign(Words, ~0ULL);
   GlobalIds.resize(NumRules);
 
@@ -111,7 +118,6 @@ ImfantEngine::ImfantEngine(const Mfsa &Z)
     GlobalIds[Rule] = Info.GlobalId;
     InitialRules[static_cast<size_t>(Info.Initial) * Words + Rule / 64] |=
         1ULL << (Rule % 64);
-    InitialAny[Info.Initial] = 1;
     for (StateId F : Info.Finals) {
       FinalRules[static_cast<size_t>(F) * Words + Rule / 64] |=
           1ULL << (Rule % 64);
@@ -122,6 +128,60 @@ ImfantEngine::ImfantEngine(const Mfsa &Z)
     if (Info.AnchoredEnd)
       NotAnchoredEndMask[Rule / 64] &= ~(1ULL << (Rule % 64));
   }
+
+  // Injection lists (Eq. 4): every transition out of a state hosting some
+  // rule's initial state contributes Init(From) ∩ bel, split into its
+  // unanchored part (injected at every offset) and its `^` part (offset 0
+  // only). Contributions are merged per (symbol, destination).
+  std::vector<const MfsaTransition *> Sources;
+  std::vector<uint64_t> SourceMasks; ///< Per source: unanchored, then `^`.
+  for (const MfsaTransition &T : Z.transitions()) {
+    const uint64_t *Init = &InitialRules[static_cast<size_t>(T.From) * Words];
+    bool Any = false;
+    for (uint32_t I = 0; I < Words; ++I)
+      Any = Any || (Init[I] & T.Bel.words()[I]);
+    if (!Any || T.Label.empty())
+      continue;
+    Sources.push_back(&T);
+    for (uint32_t I = 0; I < Words; ++I)
+      SourceMasks.push_back(Init[I] & T.Bel.words()[I] &
+                            NotAnchoredStartMask[I]);
+    for (uint32_t I = 0; I < Words; ++I)
+      SourceMasks.push_back(Init[I] & T.Bel.words()[I] &
+                            ~NotAnchoredStartMask[I]);
+  }
+  std::vector<uint32_t> SlotOf(NumStates, UINT32_MAX);
+  auto BuildList = [&](InjectionList &List, uint32_t Part) {
+    std::vector<uint32_t> Offsets(257, 0);
+    for (unsigned C = 0; C < 256; ++C) {
+      const uint32_t Begin = static_cast<uint32_t>(List.To.size());
+      for (size_t Src = 0; Src < Sources.size(); ++Src) {
+        const uint64_t *Mask = &SourceMasks[(2 * Src + Part) * Words];
+        if (!Sources[Src]->Label.contains(static_cast<unsigned char>(C)) ||
+            std::all_of(Mask, Mask + Words, [](uint64_t X) { return !X; }))
+          continue;
+        const StateId To = Sources[Src]->To;
+        if (SlotOf[To] == UINT32_MAX) {
+          SlotOf[To] = static_cast<uint32_t>(List.To.size());
+          List.To.push_back(To);
+          List.Masks.resize(List.Masks.size() + Words, 0);
+        }
+        uint64_t *Dst = &List.Masks[static_cast<size_t>(SlotOf[To]) * Words];
+        for (uint32_t I = 0; I < Words; ++I)
+          Dst[I] |= Mask[I];
+      }
+      for (uint32_t I = Begin; I < List.To.size(); ++I)
+        SlotOf[List.To[I]] = UINT32_MAX;
+      Offsets[C + 1] = static_cast<uint32_t>(List.To.size());
+    }
+    // An empty list keeps no offsets; the scan loop checks To.empty().
+    if (!List.To.empty())
+      List.Offsets = std::move(Offsets);
+    List.To.shrink_to_fit();
+    List.Masks.shrink_to_fit();
+  };
+  BuildList(Inject, 0);
+  BuildList(InjectAtStart, 1);
 }
 
 void ImfantEngine::setMetrics(obs::MetricsRegistry *Registry) {
@@ -145,11 +205,9 @@ void ImfantEngine::setMetrics(obs::MetricsRegistry *Registry) {
 
 std::vector<uint64_t> ImfantEngine::possibleRulesByState() const {
   std::vector<uint64_t> Out(static_cast<size_t>(NumStates) * Words, 0);
-  // Entries repeat each transition once per enabled symbol; the union is
-  // idempotent, so no dedup pass is needed.
-  for (const TableEntry &Entry : Entries) {
-    uint64_t *Dst = &Out[static_cast<size_t>(Entry.To) * Words];
-    const uint64_t *Bel = &BelPool[static_cast<size_t>(Entry.BelIdx) * Words];
+  for (const OutEdge &Edge : Edges) {
+    uint64_t *Dst = &Out[static_cast<size_t>(Edge.To) * Words];
+    const uint64_t *Bel = &BelPool[static_cast<size_t>(Edge.BelIdx) * Words];
     for (uint32_t I = 0; I < Words; ++I)
       Dst[I] |= Bel[I];
   }
@@ -157,11 +215,12 @@ std::vector<uint64_t> ImfantEngine::possibleRulesByState() const {
 }
 
 size_t ImfantEngine::footprintBytes() const {
-  return Entries.size() * sizeof(TableEntry) + Offsets.size() * 4 +
-         (BelPool.size() + InitialRules.size() + FinalRules.size() +
-          NotAnchoredStartMask.size() + NotAnchoredEndMask.size()) *
+  return Edges.size() * sizeof(OutEdge) + EdgeOffsets.size() * 4 +
+         (LabelPool.size() + BelPool.size() + FinalRules.size() +
+          NotAnchoredEndMask.size()) *
              8 +
-         InitialAny.size() + FinalAny.size() + GlobalIds.size() * 4;
+         Inject.bytes() + InjectAtStart.bytes() + FinalAny.size() +
+         GlobalIds.size() * 4;
 }
 
 void ImfantEngine::run(std::string_view Input, MatchRecorder &Recorder,
@@ -268,6 +327,10 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
   assert(W == E.Words && "dispatch mismatch");
   const simd::KernelTable &K = simd::ops();
   const bool Inject = InjectionEnabled;
+  const OutEdge *Edges = E.Edges.data();
+  const uint32_t *EdgeOffsets = E.EdgeOffsets.data();
+  const uint64_t *Labels = E.LabelPool.data();
+  const uint64_t *Bels = E.BelPool.data();
   uint64_t *A = ActivationScratch.data();
   size_t Consumed = Chunk.size();
 
@@ -290,105 +353,98 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
     MetricsUnionScratch.assign(W, 0);
 #endif
 
+  // Arrival: marks \p To active for the next step and returns its J.
+  auto Arrive = [&](StateId To) -> uint64_t * {
+    if (!NextActive[To]) {
+      NextActive[To] = 1;
+      NextTouched.push_back(To);
+    }
+    return &NextJ[static_cast<size_t>(To) * W];
+  };
+  // Applies one symbol's precomputed injections; returns the entry count.
+  auto ApplyInjections = [&](const InjectionList &List, unsigned char C) {
+    const uint32_t Begin = List.Offsets[C], End = List.Offsets[C + 1];
+    for (uint32_t I = Begin; I < End; ++I) {
+      uint64_t *DstJ = Arrive(List.To[I]);
+      const uint64_t *Mask = &List.Masks[static_cast<size_t>(I) * W];
+      if constexpr (SingleWord)
+        DstJ[0] |= Mask[0];
+      else
+        K.OrWords(DstJ, Mask, W);
+    }
+    return End - Begin;
+  };
+
   for (size_t Pos = 0; Pos < Chunk.size(); ++Pos) {
     const unsigned char C = static_cast<unsigned char>(Chunk[Pos]);
     const bool AtStart = (AbsoluteOffset == 0);
     ++AbsoluteOffset;
+    const unsigned LabelWord = C >> 6, LabelBit = C & 63;
+    uint64_t Examined = 0;
 
-    const uint32_t Begin = E.Offsets[C];
-    const uint32_t End = E.Offsets[C + 1];
-    if (Stats) {
-      TransitionsEvaluated += End - Begin;
-      std::fill(UnionJ.begin(), UnionJ.end(), 0);
+    // Propagation (Eq. 6): every active state sends J ∩ bel across each
+    // out-edge whose label holds this symbol.
+    for (StateId S : CurTouched) {
+      const uint64_t *SrcJ = &CurJ[static_cast<size_t>(S) * W];
+      const uint32_t Begin = EdgeOffsets[S], End = EdgeOffsets[S + 1];
+      Examined += End - Begin;
+      for (uint32_t EIdx = Begin; EIdx < End; ++EIdx) {
+        const OutEdge &Edge = Edges[EIdx];
+        if (!((Labels[static_cast<size_t>(Edge.LabelIdx) * 4 + LabelWord] >>
+               LabelBit) &
+              1))
+          continue;
+        const uint64_t *Bel = &Bels[static_cast<size_t>(Edge.BelIdx) * W];
+        if constexpr (SingleWord) {
+          const uint64_t Crossing = SrcJ[0] & Bel[0];
+          if (Crossing)
+            Arrive(Edge.To)[0] |= Crossing;
+        } else if (K.AndInto(A, SrcJ, Bel, W)) {
+          K.OrWords(Arrive(Edge.To), A, W);
+        }
+      }
     }
 
-    // `$`-anchored matches only survive if this symbol turns out to be the
-    // stream's last; restart the pending set for this offset.
+    // Injection (Eq. 4): rules whose match may begin at this symbol; the
+    // `^` rules only at offset 0.
+    if (Inject && !E.Inject.To.empty())
+      Examined += ApplyInjections(E.Inject, C);
+    if (Inject && AtStart && !E.InjectAtStart.To.empty())
+      Examined += ApplyInjections(E.InjectAtStart, C);
+
+    // Match reporting (Eq. 5) over the states this step reached: active
+    // rules for which the state is final. Unanchored-end rules report
+    // immediately (once per rule and offset); `$`-anchored ones park in
+    // PendingAtEnd, which only survives if this symbol is the stream's last.
     std::fill(PendingAtEnd.begin(), PendingAtEnd.end(), 0);
-
-    for (uint32_t EIdx = Begin; EIdx < End; ++EIdx) {
-      const TableEntry &Entry = E.Entries[EIdx];
-      const bool FromActive = CurActive[Entry.From];
-      const bool FromInitial = Inject && E.InitialAny[Entry.From];
-      // iNFAnt enables a transition when it starts in an active or initial
-      // state; everything else is skipped outright.
-      if (!FromActive && !FromInitial)
+    for (StateId S : NextTouched) {
+      if (!E.FinalAny[S])
         continue;
-
-      const uint64_t *Bel = &E.BelPool[static_cast<size_t>(Entry.BelIdx) * W];
-      bool Any = false;
-
-      // Activation set crossing this transition: propagate J from the
-      // source (rule pruning per Eq. 6 is the ∩ bel) and inject rules whose
-      // match may begin here (Eq. 4), respecting start anchors away from
-      // offset 0.
-      if (FromActive) {
-        const uint64_t *SrcJ = &CurJ[static_cast<size_t>(Entry.From) * W];
-        if constexpr (SingleWord) {
-          A[0] = SrcJ[0] & Bel[0];
-          Any = A[0] != 0;
-        } else {
-          Any = K.AndInto(A, SrcJ, Bel, W);
-        }
-      } else {
-        std::fill(ActivationScratch.begin(), ActivationScratch.end(), 0);
-      }
-      if (FromInitial) {
-        const uint64_t *Init =
-            &E.InitialRules[static_cast<size_t>(Entry.From) * W];
-        if constexpr (SingleWord) {
-          uint64_t Inject = Init[0] & Bel[0];
-          if (!AtStart)
-            Inject &= E.NotAnchoredStartMask[0];
-          A[0] |= Inject;
-          Any = Any || A[0];
-        } else {
-          Any = K.OrAndInto(A, Init, Bel,
-                            AtStart ? nullptr : E.NotAnchoredStartMask.data(),
-                            W);
-        }
-      }
-      if (!Any)
-        continue;
-
-      // Arrival: merge the activation set into the destination state.
-      uint64_t *DstJ = &NextJ[static_cast<size_t>(Entry.To) * W];
-      if (!NextActive[Entry.To]) {
-        NextActive[Entry.To] = 1;
-        NextTouched.push_back(Entry.To);
-      }
-      if constexpr (SingleWord)
-        DstJ[0] |= A[0];
-      else
-        K.OrWords(DstJ, A, W);
-
-      // Match reporting (Eq. 5): active rules for which the destination is
-      // final. Unanchored-end rules report immediately (minus pairs already
-      // reported this step); `$`-anchored ones park in PendingAtEnd.
-      if (E.FinalAny[Entry.To]) {
-        const uint64_t *Fin = &E.FinalRules[static_cast<size_t>(Entry.To) * W];
-        for (uint32_t I = 0; I < W; ++I) {
-          uint64_t Arrived = A[I] & Fin[I];
-          if (!Arrived)
-            continue;
-          PendingAtEnd[I] |= Arrived & ~E.NotAnchoredEndMask[I];
-          uint64_t Hits =
-              Arrived & E.NotAnchoredEndMask[I] & ~MatchedThisStep[I];
-          if (!Hits)
-            continue;
-          if (!MatchedThisStep[I])
-            MatchedDirtyWords.push_back(I);
-          MatchedThisStep[I] |= Hits;
-          while (Hits) {
-            unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Hits));
-            Hits &= Hits - 1;
-            Recorder.onMatch(E.GlobalIds[I * 64 + Bit], AbsoluteOffset);
-          }
+      const uint64_t *J = &NextJ[static_cast<size_t>(S) * W];
+      const uint64_t *Fin = &E.FinalRules[static_cast<size_t>(S) * W];
+      for (uint32_t I = 0; I < W; ++I) {
+        const uint64_t Arrived = J[I] & Fin[I];
+        if (!Arrived)
+          continue;
+        PendingAtEnd[I] |= Arrived & ~E.NotAnchoredEndMask[I];
+        uint64_t Hits =
+            Arrived & E.NotAnchoredEndMask[I] & ~MatchedThisStep[I];
+        if (!Hits)
+          continue;
+        if (!MatchedThisStep[I])
+          MatchedDirtyWords.push_back(I);
+        MatchedThisStep[I] |= Hits;
+        while (Hits) {
+          unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Hits));
+          Hits &= Hits - 1;
+          Recorder.onMatch(E.GlobalIds[I * 64 + Bit], AbsoluteOffset);
         }
       }
     }
 
     if (Stats) {
+      TransitionsEvaluated += Examined;
+      std::fill(UnionJ.begin(), UnionJ.end(), 0);
       for (StateId S : NextTouched)
         K.OrWords(UnionJ.data(), &NextJ[static_cast<size_t>(S) * W], W);
       uint32_t ActiveRules =
@@ -401,11 +457,11 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
 
 #if MFSA_METRICS_ENABLED
     if (Observed) {
-      ChunkTransitions += End - Begin;
+      ChunkTransitions += Examined;
       if (++MetricsTick >= SampleEvery) {
         MetricsTick = 0;
         E.Metrics.Frontier->observe(NextTouched.size());
-        E.Metrics.TransitionsPerByte->observe(End - Begin);
+        E.Metrics.TransitionsPerByte->observe(Examined);
         // Active-set occupancy |∪ J(q)| — the paper's Table II quantity.
         std::fill(MetricsUnionScratch.begin(), MetricsUnionScratch.end(), 0);
         for (StateId S : NextTouched)

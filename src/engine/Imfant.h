@@ -8,13 +8,10 @@
 /// Declares ImfantEngine, the execution engine of the paper's §V: an
 /// extension of the iNFAnt NFA-matching algorithm that supports MFSAs.
 ///
-/// Like iNFAnt, the engine pre-processes the automaton into a data structure
-/// "linking each symbol in a standard 256-characters alphabet to the
-/// transitions it enables" and keeps a state vector of active states; all
-/// transitions enabled by the current symbol are evaluated per input
-/// character. The iMFAnt extension stores, for each active state, "the
-/// result of the activation function upon reaching it": a per-state rule
-/// bitset J maintained according to the paper's rules (4)-(6):
+/// The engine keeps a state vector of active states and, for each active
+/// state, "the result of the activation function upon reaching it": a
+/// per-state rule bitset J maintained according to the paper's rules
+/// (4)-(6):
 ///
 ///   (4) crossing a transition out of rule j's initial state activates j;
 ///   (5) arriving in a final state of an active rule j reports a match;
@@ -22,8 +19,27 @@
 ///       — implemented as J(q1) ∩ bel(t), since `bel` records exactly which
 ///       rules own each transition.
 ///
-/// Running a single-rule MFSA (merging factor M = 1) degenerates to the
-/// original iNFAnt algorithm and serves as the paper's baseline.
+/// Pre-processing splits those rules over two index structures instead of
+/// iNFAnt's single symbol-indexed table ("linking each symbol ... to the
+/// transitions it enables"), because per byte only a small share of that
+/// table's row leaves an active or initial state:
+///
+///   - Propagation (6) is state-major: each step walks the active states and
+///     their out-edges (CSR adjacency), label-tests each edge against the
+///     byte, and ORs J ∩ bel into the destination. Labels and belonging
+///     sets are interned in pools, so an edge is three 32-bit indices.
+///   - Injection (4) stays symbol-indexed but is precomputed: for every byte
+///     a list of (destination, mask) pairs, each mask the union of
+///     initial-rules ∩ bel over the transitions out of initial states that
+///     the byte enables, with `^` rules masked out; a second list adds the
+///     `^` rules at offset 0. Injecting costs one OR per entry.
+///   - Match reporting (5) runs after the step over the states it reached,
+///     as J(q) ∩ final-rules(q), deduplicated per (rule, offset).
+///
+/// The reported (rule, end offset) set is exactly iNFAnt's; the order of matches within one end offset is unspecified (it follows
+/// the order in which the step reached final states). Running a single-rule
+/// MFSA (merging factor M = 1) degenerates to iNFAnt's semantics and serves
+/// as the paper's baseline on the same scan loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +62,8 @@ class MetricsRegistry;
 
 /// Collects matches emitted by an engine run. A match is a (rule, end
 /// offset) pair; the engine already deduplicates pairs arising from multiple
-/// simultaneous paths.
+/// simultaneous paths. Matches arrive in nondecreasing end-offset order;
+/// within one offset their order is engine-specific and unspecified.
 class MatchRecorder {
 public:
   enum class Mode : uint8_t {
@@ -102,13 +119,15 @@ struct RunStats {
   double AvgActiveRules = 0.0;  ///< Mean |∪ J(q)| over steps.
   uint32_t MaxActiveRules = 0;  ///< Peak |∪ J(q)| over steps.
   uint32_t MaxFrontier = 0;     ///< Peak simultaneously-active states.
-  uint64_t TransitionsEvaluated = 0; ///< Total per-symbol table entries seen.
+  /// Entries examined: out-edges of active states label-tested against the
+  /// byte, plus per-symbol injection entries applied.
+  uint64_t TransitionsEvaluated = 0;
 };
 
 /// The iMFAnt engine. Construction performs the algorithm's pre-processing
-/// (symbol-indexed transition table, belonging pool, per-state activation
-/// metadata); run() is const and allocates only per-run scratch, so one
-/// engine may be shared across threads.
+/// (out-edge adjacency, label and belonging pools, per-symbol injection
+/// lists, per-state final metadata); run() is const and allocates only
+/// per-run scratch, so one engine may be shared across threads.
 class ImfantEngine {
 public:
   explicit ImfantEngine(const Mfsa &Z);
@@ -155,8 +174,8 @@ public:
     void startAt(uint64_t Offset);
 
     /// Enables/disables rule injection (Eq. 4). With injection off the
-    /// scanner is a pure propagator of the seeded configuration — no new
-    /// match attempt begins — and feed() returns early once the frontier
+    /// scanner is a pure active-state walk of the seeded configuration — no
+    /// new match attempt begins — and feed() returns early once the frontier
     /// dies, since nothing can revive it; offset() then reports the death
     /// position rather than the full fed length.
     void setInjection(bool Enabled);
@@ -208,7 +227,8 @@ public:
   const std::vector<uint32_t> &globalIds() const { return GlobalIds; }
 
   /// Per-state possible-rule masks: numStates() flat ruleWords()-wide
-  /// blocks, each the union of bel over the state's incoming transitions.
+  /// blocks, each the union of bel over the state's incoming transitions
+  /// (those with a non-empty label).
   /// Any reachable activation J(q) is a subset of state q's mask — both
   /// propagation (Eq. 6's ∩ bel) and injection (Eq. 4's init ∩ bel) filter
   /// through an incoming transition's belonging set — so the input-parallel
@@ -225,8 +245,9 @@ public:
   /// against concurrent run() calls: attach before sharing the engine.
   void setMetrics(obs::MetricsRegistry *Registry);
 
-  /// Bytes of the pre-processed matching structure (transition table plus
-  /// activation metadata), a memory-footprint proxy for the benches.
+  /// Bytes of the pre-processed matching structure (adjacency, pools,
+  /// injection lists and activation metadata), a memory-footprint proxy for
+  /// the benches.
   size_t footprintBytes() const;
 
 private:
@@ -244,31 +265,48 @@ private:
     obs::Histogram *TransitionsPerByte = nullptr;
   };
 
-  /// One entry of the per-symbol transition table.
-  struct TableEntry {
-    StateId From;
+  /// One out-edge of the CSR adjacency: a transition minus its source.
+  struct OutEdge {
     StateId To;
-    uint32_t BelIdx; ///< Index into BelPool (words offset = BelIdx * Words).
+    uint32_t BelIdx;   ///< Index into BelPool (words offset = BelIdx * Words).
+    uint32_t LabelIdx; ///< Index into LabelPool (4 words per label).
+  };
+
+  /// Precomputed Eq. 4 injections: symbol c's entries span
+  /// [Offsets[c], Offsets[c+1]); entry i ORs the Words-wide block at
+  /// Masks[i * Words] into state To[i]'s J. Masks are never empty.
+  struct InjectionList {
+    std::vector<uint32_t> Offsets; ///< 257 entries; none if To is empty.
+    std::vector<StateId> To;
+    std::vector<uint64_t> Masks;
+
+    size_t bytes() const {
+      return Offsets.size() * 4 + To.size() * 4 + Masks.size() * 8;
+    }
   };
 
   uint32_t NumStates = 0;
   uint32_t NumRules = 0;
   uint32_t Words = 0; ///< 64-bit words per rule bitset.
 
-  /// Symbol-indexed table: Table[c] spans [Offsets[c], Offsets[c+1]).
-  std::vector<TableEntry> Entries;
-  std::vector<uint32_t> Offsets; ///< 257 entries.
+  /// Out-edges of state s span [EdgeOffsets[s], EdgeOffsets[s+1]). Edges
+  /// with an empty label can never fire and are not stored.
+  std::vector<OutEdge> Edges;
+  std::vector<uint32_t> EdgeOffsets; ///< NumStates + 1 entries.
 
-  std::vector<uint64_t> BelPool; ///< Deduplicated belonging bitsets.
+  std::vector<uint64_t> LabelPool; ///< Deduplicated 256-bit labels.
+  std::vector<uint64_t> BelPool;   ///< Deduplicated belonging bitsets.
 
-  /// Per-state activation metadata, flat Words-wide blocks.
-  std::vector<uint64_t> InitialRules; ///< Rules whose initial state is q.
-  std::vector<uint64_t> FinalRules;   ///< Rules for which q is final.
-  std::vector<uint8_t> InitialAny;
+  /// Injection at every offset (start-anchored rules excluded), and the
+  /// start-anchored rules' extra injections, applied only at offset 0.
+  InjectionList Inject;
+  InjectionList InjectAtStart;
+
+  /// Per-state match metadata, flat Words-wide blocks.
+  std::vector<uint64_t> FinalRules; ///< Rules for which q is final.
   std::vector<uint8_t> FinalAny;
 
-  /// Masks excluding anchored rules away from their anchor position.
-  std::vector<uint64_t> NotAnchoredStartMask;
+  /// Mask excluding `$`-anchored rules away from the stream's end.
   std::vector<uint64_t> NotAnchoredEndMask;
 
   std::vector<uint32_t> GlobalIds; ///< Local rule -> dataset rule id.

@@ -6,14 +6,13 @@
 ///
 /// \file
 /// Declares SparseImfantEngine, an alternative execution layout for MFSAs.
-/// iNFAnt (and ImfantEngine) is *symbol-major*: per input character it scans
-/// every transition that character enables — the GPU-friendly layout of the
-/// original algorithm. This variant is *state-major*: it keeps an explicit
-/// list of active states and walks only their outgoing transitions (CSR
-/// adjacency), the layout a CPU engine would naturally choose when few
-/// states are active. The ablation bench `abl_engine_variants` measures
-/// where each layout wins as active-set pressure changes; the test suite
-/// checks the two engines report identical matches.
+/// Like ImfantEngine it keeps an explicit list of active states and walks
+/// their outgoing transitions (CSR adjacency); unlike it, injection (Eq. 4)
+/// is not precomputed: every byte also walks the out-edges of every state
+/// hosting a rule's initial state, label-testing each and ANDing the rules'
+/// initial masks with bel on the fly. The ablation bench
+/// `abl_engine_variants` measures the two layouts against each other; the
+/// test suite checks they report identical matches.
 ///
 //===----------------------------------------------------------------------===//
 

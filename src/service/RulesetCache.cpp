@@ -12,6 +12,9 @@
 
 #include <cstdio>
 #include <sys/stat.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 namespace mfsa::service {
 
@@ -224,6 +227,14 @@ RulesetCache::acquire(const std::vector<std::string> &Rules, uint32_t M,
     Diag Error;
     std::shared_ptr<const CompiledRuleset> Built =
         buildOrLoad(SaltedKey, Rules, M, Source, Error);
+#ifdef __GLIBC__
+    // A compile or load frees megabytes of transient heap (per-rule NFAs,
+    // merge indexes, materialized MFSAs) that glibc would otherwise keep
+    // cached in the building thread's arena for the life of the process.
+    // Hand it back to the OS here, on the miss path only: hits never pay
+    // for the arena walk.
+    malloc_trim(0);
+#endif
     if (!Built) {
       Line->Failed = true;
       Line->Error = Error;

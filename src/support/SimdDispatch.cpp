@@ -74,23 +74,6 @@ bool scalarAndInto(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
   return Any != 0;
 }
 
-bool scalarOrAndInto(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
-                     const uint64_t *Mask, size_t W) {
-  uint64_t Any = 0;
-  if (Mask) {
-    for (size_t I = 0; I < W; ++I) {
-      A[I] |= Src[I] & Bel[I] & Mask[I];
-      Any |= A[I];
-    }
-  } else {
-    for (size_t I = 0; I < W; ++I) {
-      A[I] |= Src[I] & Bel[I];
-      Any |= A[I];
-    }
-  }
-  return Any != 0;
-}
-
 size_t scalarFindByteInSet(const uint8_t *Data, size_t Len,
                            const uint8_t *Needles, uint32_t NumNeedles,
                            const uint64_t Bitmap[4]) {
@@ -105,7 +88,7 @@ size_t scalarFindByteInSet(const uint8_t *Data, size_t Len,
 constexpr KernelTable ScalarTable = {
     "scalar",        scalarOrWords,         scalarAndWords,
     scalarAndNotWords, scalarAnyWords,      scalarIntersectsWords,
-    scalarCountWords, scalarAndInto,        scalarOrAndInto,
+    scalarCountWords, scalarAndInto,
     scalarFindByteInSet,
 };
 

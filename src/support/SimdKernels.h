@@ -53,11 +53,6 @@ struct KernelTable {
   /// A[i] = Src[i] & Bel[i]; \returns true iff any result word is nonzero.
   bool (*AndInto)(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
                   size_t W);
-  /// Fused activation-injection kernel (Eq. 4 with start-anchor masking):
-  /// A[i] |= Src[i] & Bel[i] [& Mask[i] when Mask != nullptr];
-  /// \returns true iff any word of A is nonzero afterwards.
-  bool (*OrAndInto)(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
-                    const uint64_t *Mask, size_t W);
 
   /// Byte-class search powering the literal-prefilter root skip: \returns
   /// the index of the first byte of Data[0, Len) contained in the set, or

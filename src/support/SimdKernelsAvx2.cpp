@@ -135,33 +135,6 @@ bool avxAndInto(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
   return !_mm256_testz_si256(Acc, Acc) || Tail != 0;
 }
 
-bool avxOrAndInto(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
-                  const uint64_t *Mask, size_t W) {
-  size_t I = 0;
-  __m256i Acc = _mm256_setzero_si256();
-  for (; I + 4 <= W; I += 4) {
-    __m256i S = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I));
-    __m256i B = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Bel + I));
-    __m256i R = _mm256_and_si256(S, B);
-    if (Mask)
-      R = _mm256_and_si256(R, _mm256_loadu_si256(
-                                  reinterpret_cast<const __m256i *>(Mask + I)));
-    R = _mm256_or_si256(
-        R, _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(A + I), R);
-    Acc = _mm256_or_si256(Acc, R);
-  }
-  uint64_t Tail = 0;
-  for (; I < W; ++I) {
-    uint64_t Inject = Src[I] & Bel[I];
-    if (Mask)
-      Inject &= Mask[I];
-    A[I] |= Inject;
-    Tail |= A[I];
-  }
-  return !_mm256_testz_si256(Acc, Acc) || Tail != 0;
-}
-
 size_t avxFindByteInSet(const uint8_t *Data, size_t Len,
                         const uint8_t *Needles, uint32_t NumNeedles,
                         const uint64_t Bitmap[4]) {
@@ -190,7 +163,7 @@ size_t avxFindByteInSet(const uint8_t *Data, size_t Len,
 constexpr KernelTable Avx2Table = {
     "avx2",          avxOrWords,          avxAndWords,
     avxAndNotWords,  avxAnyWords,         avxIntersectsWords,
-    avxCountWords,   avxAndInto,          avxOrAndInto,
+    avxCountWords,   avxAndInto,
     avxFindByteInSet,
 };
 

@@ -121,33 +121,6 @@ bool sseAndInto(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
   return !_mm_testz_si128(Acc, Acc) || Tail != 0;
 }
 
-bool sseOrAndInto(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
-                  const uint64_t *Mask, size_t W) {
-  size_t I = 0;
-  __m128i Acc = _mm_setzero_si128();
-  for (; I + 2 <= W; I += 2) {
-    __m128i S = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Src + I));
-    __m128i B = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Bel + I));
-    __m128i R = _mm_and_si128(S, B);
-    if (Mask)
-      R = _mm_and_si128(
-          R, _mm_loadu_si128(reinterpret_cast<const __m128i *>(Mask + I)));
-    R = _mm_or_si128(
-        R, _mm_loadu_si128(reinterpret_cast<const __m128i *>(A + I)));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(A + I), R);
-    Acc = _mm_or_si128(Acc, R);
-  }
-  uint64_t Tail = 0;
-  for (; I < W; ++I) {
-    uint64_t Inject = Src[I] & Bel[I];
-    if (Mask)
-      Inject &= Mask[I];
-    A[I] |= Inject;
-    Tail |= A[I];
-  }
-  return !_mm_testz_si128(Acc, Acc) || Tail != 0;
-}
-
 size_t sseFindByteInSet(const uint8_t *Data, size_t Len,
                         const uint8_t *Needles, uint32_t NumNeedles,
                         const uint64_t Bitmap[4]) {
@@ -177,7 +150,7 @@ size_t sseFindByteInSet(const uint8_t *Data, size_t Len,
 constexpr KernelTable Sse42Table = {
     "sse42",         sseOrWords,          sseAndWords,
     sseAndNotWords,  sseAnyWords,         sseIntersectsWords,
-    sseCountWords,   sseAndInto,          sseOrAndInto,
+    sseCountWords,   sseAndInto,
     sseFindByteInSet,
 };
 

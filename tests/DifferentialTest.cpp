@@ -3,7 +3,7 @@
 // Part of the mfsa project. MIT License.
 //
 // Runs the same seeded rulesets and inputs through every execution engine the
-// library ships — symbol-major iMFAnt, state-major sparse iMFAnt, the union
+// library ships — dense iMFAnt, state-major sparse iMFAnt, the union
 // DFA, the stride-2 DFA, and the literal prefilter — plus the brute-force AST
 // oracle, and asserts identical per-rule match-end sets. Everything derives
 // from one deterministic RNG seed, so any failure reproduces from the
@@ -267,7 +267,7 @@ TEST(Differential, SelfOverlappingRules) {
 // Wide rulesets: everything above stays under 64 rules, where the iMFAnt
 // engines take their single-word scalar fast path. These rule counts force
 // multi-word activation sets (70 rules -> 2 words, 261 -> 5) so the fused
-// AndInto/OrAndInto kernels — including the 256-bit main loop plus its tail —
+// AndInto/OrWords kernels — including the 256-bit main loop plus its tail —
 // are what actually executes at each dispatch level.
 //===----------------------------------------------------------------------===//
 

@@ -6,11 +6,13 @@
 
 #include "engine/Imfant.h"
 #include "engine/Parallel.h"
+#include "engine/SparseImfant.h"
 
 #include "fsa/Passes.h"
 #include "fsa/Reference.h"
 #include "mfsa/Merge.h"
 #include "regex/Parser.h"
+#include "support/SimdDispatch.h"
 
 #include "TestHelpers.h"
 
@@ -355,6 +357,276 @@ TEST(Parallel, GenerousDeadlineChunkedRunMatchesUnbounded) {
   EXPECT_FALSE(Result.Degraded);
   EXPECT_EQ(Result.NumCompleted, Engines.size());
   EXPECT_EQ(Result.TotalMatches, SequentialTotal);
+}
+
+//===----------------------------------------------------------------------===//
+// Hand-built MFSAs: propagation (Eq. 6) and injection (Eq. 4) run over
+// separate index structures and match reporting (Eq. 5) runs after the step,
+// so these cases put both paths on one state, one destination and one final
+// byte, and check the (rule, offset) set against the per-rule NFA oracle and
+// the sparse engine at every SIMD level.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using RuleEnds = std::map<uint32_t, std::set<size_t>>;
+
+/// Builds an MFSA by hand. Logical rule k of a case maps to rule id
+/// Ids[k]; every other id gets a filler automaton `z`, so a wide case (>= 65 rules) spreads its logical rules
+/// over several bitset words.
+class HandMfsa {
+public:
+  HandMfsa(uint32_t NumRules, std::vector<RuleId> Ids)
+      : Z(NumRules), Ids(std::move(Ids)) {}
+
+  StateId state() { return Z.addState(); }
+
+  void edge(StateId From, StateId To, const std::string &Symbols,
+            std::initializer_list<uint32_t> Logical) {
+    DynamicBitset Bel(Z.numRules());
+    for (uint32_t K : Logical)
+      Bel.set(Ids[K]);
+    Z.addTransition(From, To, SymbolSet::of(Symbols), Bel);
+  }
+
+  void rule(uint32_t Logical, StateId Initial, std::vector<StateId> Finals,
+            bool AnchoredStart = false, bool AnchoredEnd = false) {
+    setRule(Ids[Logical], Initial, std::move(Finals), AnchoredStart,
+            AnchoredEnd);
+  }
+
+  /// Adds the fillers (after the case's own states, so those keep ids
+  /// 0, 1, ...) and returns the verified MFSA.
+  Mfsa take() {
+    for (RuleId R = 0; R < Z.numRules(); ++R) {
+      if (std::find(Ids.begin(), Ids.end(), R) != Ids.end())
+        continue;
+      StateId From = Z.addState(), To = Z.addState();
+      Z.addTransition(From, To, SymbolSet::of("z"), Z.makeBel(R));
+      setRule(R, From, {To}, false, false);
+    }
+    EXPECT_EQ(Z.verify(), "");
+    return std::move(Z);
+  }
+
+private:
+  void setRule(RuleId R, StateId Initial, std::vector<StateId> Finals,
+               bool AnchoredStart, bool AnchoredEnd) {
+    Mfsa::RuleInfo &Info = Z.rule(R);
+    Info.Initial = Initial;
+    Info.Finals = std::move(Finals);
+    Info.AnchoredStart = AnchoredStart;
+    Info.AnchoredEnd = AnchoredEnd;
+    Info.GlobalId = R;
+  }
+
+  Mfsa Z;
+  std::vector<RuleId> Ids;
+};
+
+/// Rule ids for a case's logical rules: adjacent in one word, or spread
+/// across words of a 70-rule MFSA.
+std::vector<RuleId> caseIds(bool Wide, uint32_t Count) {
+  std::vector<RuleId> Ids;
+  for (uint32_t K = 0; K < Count; ++K)
+    Ids.push_back(Wide ? 3 + 64 * (K % 2) + K : K);
+  return Ids;
+}
+
+/// Per-rule oracle: simulateNfa over each rule's own sub-automaton
+/// (extractRule restores its anchors), for a scan whose first byte sits at
+/// absolute offset \p Base. Away from offset 0 a `^` rule cannot match.
+RuleEnds oracleMfsaEnds(const Mfsa &Z, std::string_view Input,
+                        uint64_t Base = 0) {
+  RuleEnds Ends;
+  for (RuleId R = 0; R < Z.numRules(); ++R) {
+    if (Base > 0 && Z.rule(R).AnchoredStart)
+      continue;
+    for (size_t End : simulateNfa(Z.extractRule(R), Input))
+      Ends[Z.rule(R).GlobalId].insert(Base + End);
+  }
+  return Ends;
+}
+
+/// Groups collected pairs per rule, failing on a repeated (rule, offset)
+/// pair or on offsets that go backwards.
+RuleEnds groupEnds(const MatchRecorder &Recorder, const std::string &Tag) {
+  RuleEnds Ends;
+  uint64_t Last = 0;
+  for (const auto &[Rule, End] : Recorder.matches()) {
+    EXPECT_GE(End, Last) << Tag << ": offsets must be nondecreasing";
+    Last = End;
+    EXPECT_TRUE(Ends[Rule].insert(End).second)
+        << Tag << ": duplicate match (" << Rule << ", " << End << ")";
+  }
+  return Ends;
+}
+
+/// Streams \p Input through a Scanner started at \p Base in \p Step-byte
+/// feeds.
+RuleEnds scanEnds(const ImfantEngine &Engine, std::string_view Input,
+                  uint64_t Base, size_t Step, const std::string &Tag) {
+  ImfantEngine::Scanner Scan(Engine);
+  if (Base > 0)
+    Scan.startAt(Base);
+  MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+  for (size_t Pos = 0; Pos < Input.size(); Pos += Step)
+    Scan.feed(Input.substr(Pos, Step), Recorder);
+  Scan.finish(Recorder);
+  EXPECT_EQ(Scan.offset(), Base + Input.size()) << Tag;
+  return groupEnds(Recorder, Tag);
+}
+
+struct SimdLevelReset {
+  ~SimdLevelReset() { simd::resetToEnv(); }
+};
+
+/// The equivalence check every hand-built case runs: whole-input run(),
+/// 1-byte feeds, and startAt(Base) feeds against the oracle, plus run()
+/// against the sparse engine, at every available SIMD level.
+void checkHandMfsa(const Mfsa &Z, const std::vector<std::string> &Inputs) {
+  ImfantEngine Engine(Z);
+  SparseImfantEngine Sparse(Z);
+  SimdLevelReset Reset;
+  for (simd::Level Lvl : simd::availableLevels()) {
+    ASSERT_TRUE(simd::setLevel(Lvl));
+    for (const std::string &Input : Inputs) {
+      const std::string Tag = std::string("simd=") + simd::levelName(Lvl) +
+                              " rules=" + std::to_string(Z.numRules()) +
+                              " input=\"" + Input + "\"";
+      const RuleEnds Expected = oracleMfsaEnds(Z, Input);
+
+      MatchRecorder Whole(MatchRecorder::Mode::Collect);
+      Engine.run(Input, Whole);
+      EXPECT_EQ(groupEnds(Whole, Tag), Expected) << Tag << " run()";
+
+      MatchRecorder SparseRec(MatchRecorder::Mode::Collect);
+      Sparse.run(Input, SparseRec);
+      EXPECT_EQ(groupEnds(SparseRec, Tag), Expected) << Tag << " sparse";
+
+      EXPECT_EQ(scanEnds(Engine, Input, 0, 1, Tag), Expected)
+          << Tag << " 1-byte feeds";
+      for (uint64_t Base : {1u, 7u})
+        EXPECT_EQ(scanEnds(Engine, Input, Base, 1, Tag),
+                  oracleMfsaEnds(Z, Input, Base))
+            << Tag << " startAt(" << Base << ")";
+    }
+  }
+}
+
+/// Rule 0 starts at state S0, which rule 1 also reaches through
+/// propagation: on `xc` the `c` step both propagates rule 1 out of the
+/// active state S0 and injects rule 0 from it, into the same destination.
+Mfsa activeInitialCase(bool Wide) {
+  HandMfsa H(Wide ? 70 : 2, caseIds(Wide, 2));
+  StateId S0 = H.state(), S1 = H.state(), Fin = H.state();
+  H.edge(S1, S0, "x", {1});
+  H.edge(S0, Fin, "c", {0, 1});
+  H.edge(S0, S0, "a", {0, 1});
+  H.rule(0, S0, {Fin});
+  H.rule(1, S1, {Fin});
+  return H.take();
+}
+
+/// `^ab` and `ab` share their states; `^`-injection happens only when the
+/// scan starts at absolute offset 0.
+Mfsa anchoredStartCase(bool Wide) {
+  HandMfsa H(Wide ? 70 : 2, caseIds(Wide, 2));
+  StateId S0 = H.state(), S1 = H.state(), S2 = H.state();
+  H.edge(S0, S1, "a", {0, 1});
+  H.edge(S1, S2, "b", {0, 1});
+  H.rule(0, S0, {S2}, /*AnchoredStart=*/true);
+  H.rule(1, S0, {S2});
+  return H.take();
+}
+
+/// `(ab)*a$` next to the unanchored `(ab)*a`: on a final `a` after `ab` the
+/// final state is reached by propagation from S0 (active via `b`) and by
+/// injection from S0 (the rules' initial state) in the same step.
+Mfsa anchoredEndCase(bool Wide) {
+  HandMfsa H(Wide ? 70 : 2, caseIds(Wide, 2));
+  StateId S0 = H.state(), S1 = H.state();
+  H.edge(S0, S1, "a", {0, 1});
+  H.edge(S1, S0, "b", {0, 1});
+  H.rule(0, S0, {S1}, false, /*AnchoredEnd=*/true);
+  H.rule(1, S0, {S1});
+  return H.take();
+}
+
+const std::vector<std::string> HandInputs = {
+    "",       "a",        "c",     "xc",    "xac",      "ab",
+    "abab",   "aba",      "ababa", "xcxc",  "zxczab",   "ba",
+    "aaxaac", "abxcabab", "zzz",   "xcaba", "abaxcaca", "bab"};
+
+} // namespace
+
+TEST(ImfantSplit, InitialStateActiveAndInjectedInOneStep) {
+  for (bool Wide : {false, true}) {
+    Mfsa Z = activeInitialCase(Wide);
+    checkHandMfsa(Z, HandInputs);
+    // Both paths land in one destination on the `c` of `xc`: rule 0 by
+    // injection, rule 1 by propagation, each reported once.
+    MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+    ImfantEngine(Z).run("xc", Recorder);
+    const std::vector<RuleId> Ids = caseIds(Wide, 2);
+    EXPECT_EQ(groupEnds(Recorder, "xc"),
+              (RuleEnds{{Ids[0], {2}}, {Ids[1], {2}}}));
+  }
+}
+
+TEST(ImfantSplit, StartAnchorOnlyAtOffsetZero) {
+  for (bool Wide : {false, true}) {
+    Mfsa Z = anchoredStartCase(Wide);
+    checkHandMfsa(Z, HandInputs);
+    const std::vector<RuleId> Ids = caseIds(Wide, 2);
+    ImfantEngine Engine(Z);
+    EXPECT_EQ(scanEnds(Engine, "abab", 0, 4, "base 0"),
+              (RuleEnds{{Ids[0], {2}}, {Ids[1], {2, 4}}}));
+    EXPECT_EQ(scanEnds(Engine, "abab", 5, 1, "base 5"),
+              (RuleEnds{{Ids[1], {7, 9}}}));
+  }
+}
+
+TEST(ImfantSplit, EndAnchorReachedByBothPathsOnLastByte) {
+  for (bool Wide : {false, true}) {
+    Mfsa Z = anchoredEndCase(Wide);
+    checkHandMfsa(Z, HandInputs);
+    const std::vector<RuleId> Ids = caseIds(Wide, 2);
+    MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+    ImfantEngine(Z).run("aba", Recorder);
+    EXPECT_EQ(groupEnds(Recorder, "aba"),
+              (RuleEnds{{Ids[0], {3}}, {Ids[1], {1, 3}}}));
+  }
+}
+
+TEST(ImfantSplit, InjectionOffStopsAtFrontierDeath) {
+  for (bool Wide : {false, true}) {
+    Mfsa Z = activeInitialCase(Wide);
+    ImfantEngine Engine(Z);
+    const std::vector<RuleId> Ids = caseIds(Wide, 2);
+    // Seed rule 1 on S0 (state 0): `a` keeps it alive, `c` reaches the
+    // final state, which has no out-edges, so the frontier dies on the next
+    // byte and the rest of the chunk is never consumed.
+    ActivationSet Seed;
+    Seed.Words = Engine.ruleWords();
+    Seed.States = {0};
+    Seed.RuleBlocks.assign(Seed.Words, 0);
+    Seed.RuleBlocks[Ids[1] / 64] = 1ULL << (Ids[1] % 64);
+    for (size_t Step : {size_t(1), size_t(16)}) {
+      ImfantEngine::Scanner Scan(Engine);
+      Scan.startAt(10);
+      Scan.setInjection(false);
+      Scan.seedActivation(Seed);
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      const std::string Input = "aacxcxcaaa";
+      for (size_t Pos = 0; Pos < Input.size(); Pos += Step)
+        Scan.feed(std::string_view(Input).substr(Pos, Step), Recorder);
+      EXPECT_TRUE(Scan.frontierEmpty());
+      EXPECT_EQ(Scan.offset(), 14u) << "step " << Step;
+      Scan.finish(Recorder);
+      EXPECT_EQ(groupEnds(Recorder, "seeded"), (RuleEnds{{Ids[1], {13}}}));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

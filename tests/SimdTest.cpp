@@ -154,29 +154,12 @@ TEST(Simd, FusedKernelsMatchScalar) {
             makeWords(Random, W, kFills[Random.nextBelow(4)]);
         std::vector<uint64_t> Bel =
             makeWords(Random, W, kFills[Random.nextBelow(4)]);
-        std::vector<uint64_t> Mask =
-            makeWords(Random, W, kFills[Random.nextBelow(4)]);
-        std::vector<uint64_t> Acc =
-            makeWords(Random, W, kFills[Random.nextBelow(4)]);
 
         std::vector<uint64_t> Expect(W, 0), Got(W, 0);
         bool RefAny = Ref.AndInto(Expect.data(), Src.data(), Bel.data(), W);
         bool GotAny = Table->AndInto(Got.data(), Src.data(), Bel.data(), W);
         EXPECT_EQ(Got, Expect) << "AndInto W=" << W;
         EXPECT_EQ(GotAny, RefAny) << "AndInto any W=" << W;
-
-        // OrAndInto with and without the anchor mask.
-        for (const uint64_t *M : {static_cast<const uint64_t *>(nullptr),
-                                  static_cast<const uint64_t *>(Mask.data())}) {
-          Expect = Acc;
-          Got = Acc;
-          RefAny = Ref.OrAndInto(Expect.data(), Src.data(), Bel.data(), M, W);
-          GotAny = Table->OrAndInto(Got.data(), Src.data(), Bel.data(), M, W);
-          EXPECT_EQ(Got, Expect)
-              << "OrAndInto W=" << W << " mask=" << (M != nullptr);
-          EXPECT_EQ(GotAny, RefAny)
-              << "OrAndInto any W=" << W << " mask=" << (M != nullptr);
-        }
       }
   }
 }
