@@ -3,8 +3,8 @@
 // Part of the mfsa project. MIT License.
 //
 // Does the static cost planner (analysis/Planner.h) earn its keep? Every
-// Table I dataset is scanned by each fixed engine — dense/sparse iMFAnt at
-// their best merging factor out of {1, 50, all}, the union DFA and stride-2
+// Table I dataset is scanned by each fixed engine — dense iMFAnt at its
+// best merging factor out of {1, 50, all}, the union DFA and stride-2
 // DFA at the fewest feasible groups, and the literal prefilter — and by the
 // engine + merging factor the planner picked from the same candidates. The
 // headline per dataset is auto_s vs best_fixed_s: a planner that predicts
@@ -107,22 +107,19 @@ int main(int argc, char **argv) {
         return Rc;
     } else {
       std::fprintf(stderr, "usage: %s [--engine "
-                           "auto|dense|sparse|dfa|stride2|prefilter]\n",
+                           "auto|dense|dfa|stride2|prefilter]\n",
                    argv[0]);
       return cli::kExitUsage;
     }
   }
 
   printHeader("Planner ablation - Engine::Auto vs every fixed engine",
-              "§V engine choice; static cost & activation-width analyzer");
-  BenchReport Report("abl_planner",
-                     "§V engine choice; static cost & activation-width "
-                     "analyzer");
+              "§V engine choice; static cost analyzer");
+  BenchReport Report("abl_planner", "§V engine choice; static cost analyzer");
 
   bool SelfGateFailed = false;
-  std::printf("%-8s %9s %9s %9s %9s %9s | %9s %-14s %9s\n", "dataset",
-              "dense", "sparse", "dfa", "stride2", "prefilt", "auto",
-              "(choice)", "best-fix");
+  std::printf("%-8s %9s %9s %9s %9s | %9s %-14s %9s\n", "dataset", "dense",
+              "dfa", "stride2", "prefilt", "auto", "(choice)", "best-fix");
   for (const DatasetSpec &Spec : standardDatasets()) {
     CompiledDataset Dataset = compileDataset(Spec, streamBytes());
 
@@ -141,8 +138,6 @@ int main(int argc, char **argv) {
     const std::vector<uint32_t> ImfantFactors = {0, 50, 1};
     const std::vector<uint32_t> DfaFactors = {0, 50};
     EngineTiming Dense = bestOver(Engine::ImfantDense, Dataset, ImfantFactors);
-    EngineTiming Sparse =
-        bestOver(Engine::ImfantSparse, Dataset, ImfantFactors);
     EngineTiming Dfa = bestOver(Engine::Dfa, Dataset, DfaFactors);
     EngineTiming Stride2 = bestOver(Engine::StridedDfa, Dataset, DfaFactors);
     EngineTiming Prefilter = timeEngine(Engine::Prefilter, Dataset, 0);
@@ -175,11 +170,9 @@ int main(int argc, char **argv) {
     }
 
     // Every engine that ran must agree on the match total.
-    const EngineTiming *All[] = {&Dense,   &Sparse,    &Dfa,
-                                 &Stride2, &Prefilter, &Auto};
-    const char *Names[] = {"dense", "sparse", "dfa", "stride2", "prefilter",
-                           "auto"};
-    for (size_t I = 0; I < 6; ++I)
+    const EngineTiming *All[] = {&Dense, &Dfa, &Stride2, &Prefilter, &Auto};
+    const char *Names[] = {"dense", "dfa", "stride2", "prefilter", "auto"};
+    for (size_t I = 0; I < 5; ++I)
       if (All[I]->Feasible && All[I]->Matches != Dense.Matches) {
         std::fprintf(stderr, "MISMATCH on %s: %s found %lu matches, dense "
                              "found %lu\n",
@@ -190,7 +183,7 @@ int main(int argc, char **argv) {
       }
 
     double BestFixed = Dense.Sec;
-    for (size_t I = 1; I < 5; ++I)
+    for (size_t I = 1; I < 4; ++I)
       if (All[I]->Feasible && All[I]->Sec < BestFixed)
         BestFixed = All[I]->Sec;
 
@@ -203,13 +196,12 @@ int main(int argc, char **argv) {
     };
     std::string Choice = std::string(engineName(Plan.Choice)) + "@" +
                          mergingFactorName(Plan.MergingFactor);
-    std::printf("%-8s %9s %9s %9s %9s %9s | %8.4fs %-14s %8.4fs\n",
-                Spec.Abbrev.c_str(), Cell(Dense).c_str(), Cell(Sparse).c_str(),
-                Cell(Dfa).c_str(), Cell(Stride2).c_str(),
-                Cell(Prefilter).c_str(), Auto.Sec, Choice.c_str(), BestFixed);
+    std::printf("%-8s %9s %9s %9s %9s | %8.4fs %-14s %8.4fs\n",
+                Spec.Abbrev.c_str(), Cell(Dense).c_str(), Cell(Dfa).c_str(),
+                Cell(Stride2).c_str(), Cell(Prefilter).c_str(), Auto.Sec,
+                Choice.c_str(), BestFixed);
 
     Report.result(Spec.Abbrev + ".dense_s", Dense.Sec, "s");
-    Report.result(Spec.Abbrev + ".sparse_s", Sparse.Sec, "s");
     if (Dfa.Feasible)
       Report.result(Spec.Abbrev + ".dfa_s", Dfa.Sec, "s");
     if (Stride2.Feasible)

@@ -112,7 +112,7 @@ inline int parseEngineFlag(const char *Value, Engine &Out) {
     return kExitOk;
   std::fprintf(stderr,
                "error: unknown engine '%s' (expected "
-               "auto|dense|sparse|dfa|stride2|prefilter)\n",
+               "auto|dense|dfa|stride2|prefilter)\n",
                Value ? Value : "");
   return kExitUsage;
 }

@@ -58,9 +58,9 @@ static void usage(const char *Prog) {
                "  --spot-check  also prove sampled artifact rules' languages\n"
                "              against a fresh compile of the embedded "
                "patterns\n"
-               "  --engine e  execution engine: auto|dense|sparse|dfa|\n"
-               "              stride2|prefilter (default dense; auto asks\n"
-               "              the static cost planner)\n"
+               "  --engine e  execution engine: auto|dense|dfa|stride2|\n"
+               "              prefilter (default dense; auto asks the\n"
+               "              static cost planner)\n"
                "  --explain-plan  with --engine auto, print the planner's\n"
                "              JSON decision trace before running\n"
                "  --metrics   dump scan instrumentation after the run "
@@ -202,15 +202,6 @@ int main(int argc, char **argv) {
                      Plan.ParallelInputWhy.c_str());
         InputParallel = false;
       }
-    }
-    // Explicitly forced engines skip the planner; the sparse fallback
-    // inside runInputParallel would be silent, so say it here.
-    if (InputParallel && EngineChoice == Engine::ImfantSparse) {
-      std::fprintf(stderr,
-                   "note: %s engine has no input-parallel executor; "
-                   "scanning sequentially\n",
-                   engineName(EngineChoice));
-      InputParallel = false;
     }
     Result<PlannedEngineSet> Set =
         PlannedEngineSet::create(EngineChoice, Mfsas, RulePatterns);

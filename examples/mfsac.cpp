@@ -62,9 +62,9 @@ static void usage(const char *Prog) {
                "              the chosen engine/merging factor\n"
                "  --explain-plan  like --plan, plus the full JSON decision "
                "trace\n"
-               "  --engine e  pin the planned engine: auto|dense|sparse|dfa|\n"
-               "              stride2|prefilter (default auto = let the\n"
-               "              planner choose)\n"
+               "  --engine e  pin the planned engine: auto|dense|dfa|stride2|\n"
+               "              prefilter (default auto = let the planner\n"
+               "              choose)\n"
                "  --metrics   dump per-stage compile telemetry (text; "
                "--metrics=json for JSON)\n"
                "exit codes: 0 ok, 1 error, 2 usage, 3 missing/unreadable "

@@ -412,24 +412,10 @@ MfsaShape computeShape(const Mfsa &Z) {
   for (const MfsaTransition &T : Z.transitions())
     LabelBytes += T.Label.count();
   Shape.AvgTableRow = static_cast<double>(LabelBytes) / 256.0;
-  if (Shape.NumStates)
-    Shape.AvgOutDegree = static_cast<double>(Shape.NumTransitions) /
-                         static_cast<double>(Shape.NumStates);
   return Shape;
 }
 
 void CostReport::recordTo(obs::MetricsRegistry &Registry) const {
-  Registry.gauge("analysis.cost.width_states_bound")
-      .set(static_cast<int64_t>(Width.MaxActiveStates));
-  Registry.gauge("analysis.cost.width_rules_bound")
-      .set(static_cast<int64_t>(Width.MaxActiveRules));
-  Registry.gauge("analysis.cost.width_exact").set(Width.Exact ? 1 : 0);
-  Registry.counter("analysis.cost.width_macrostates")
-      .add(Width.MacrostatesExplored);
-  Registry.gauge("analysis.cost.width_wall_ms")
-      .set(static_cast<int64_t>(Width.WallMs));
-  Registry.gauge("analysis.cost.width_antichain_peak")
-      .set(static_cast<int64_t>(Width.AntichainPeak));
   Registry.gauge("analysis.cost.dfa_probe_states")
       .set(static_cast<int64_t>(Dfa.DfaStates));
   Registry.gauge("analysis.cost.dfa_probe_completed").set(Dfa.Completed ? 1
@@ -446,7 +432,6 @@ CostReport analyzeCost(const Mfsa &Z, const std::vector<std::string> &Patterns,
                        const CostOptions &Options) {
   CostReport Report;
   Report.Shape = computeShape(Z);
-  Report.Width = boundActivationWidth(Z, Options.Width);
   Report.Dfa = probeDfaBlowup(Z, Options.Probe);
   Report.Literals = profileLiterals(Z, Patterns, Options.MinLiteralLength);
   return Report;

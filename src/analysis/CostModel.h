@@ -7,10 +7,9 @@
 /// \file
 /// Declares the static analyzer behind the `Engine::Auto` planner
 /// (analysis/Planner.h): everything the engine-selection decision needs,
-/// computed from a compiled Mfsa before a single input byte is scanned.
-///
-/// Three facts are extracted, mirroring the three axes the ablation benches
-/// show drive the engine crossover points (BENCH_abl_engine_variants):
+/// computed from a compiled Mfsa before a single input byte is scanned,
+/// plus the activation-width bound the linter and the input-parallel
+/// executor consume.
 ///
 ///  (a) A *sound upper bound* on the worst-case simultaneous active-state
 ///      width (the paper's Table II pressure), via antichain-pruned
@@ -25,6 +24,8 @@
 ///      bounds the engine's observed frontier, and the per-state
 ///      possible-rule union bounds |∪ J(q)| the same way. The differential
 ///      harness asserts exactly this against RunStats on every seeded case.
+///      This search is its own entry point (boundActivationWidth); the
+///      planner does not run it.
 ///
 ///  (b) DFA and stride-2 blowup estimates by *budgeted subset-construction
 ///      probing*: run the real scanning determinization (fsa/Determinize.h)
@@ -83,10 +84,9 @@ struct WidthBound {
   double WallMs = 0.0;
   /// Union of every reachable macrostate (numStates bits): a sound
   /// over-approximation of the states that can ever be active mid-stream.
-  /// The input-parallel executor (engine/InputParallel.h) seeds its
-  /// speculative chunk frontiers from exactly this set, and the planner
-  /// prices the speculation fan-out by its population. When the search was
-  /// budgeted, every bit is set (trivially sound).
+  /// The input-parallel executor (engine/InputParallel.h), when handed the
+  /// bound, seeds its speculative chunk frontiers from exactly this set.
+  /// When the search was budgeted, every bit is set (trivially sound).
   DynamicBitset ReachableStates;
 };
 
@@ -153,8 +153,7 @@ struct MfsaShape {
   /// Expected per-symbol transition-table row length under a uniform byte
   /// prior: Σ_t |label(t)| / 256 — the dense engine's per-byte work.
   double AvgTableRow = 0.0;
-  double AvgOutDegree = 0.0; ///< Transitions / states.
-  uint32_t BelWords = 0;     ///< 64-bit words per rule bitset.
+  uint32_t BelWords = 0; ///< 64-bit words per rule bitset.
 };
 
 /// Computes the structural shape of \p Z.
@@ -162,7 +161,6 @@ MfsaShape computeShape(const Mfsa &Z);
 
 /// Knobs for the combined analysis.
 struct CostOptions {
-  WidthOptions Width;
   DfaProbeOptions Probe;
   uint32_t MinLiteralLength = 3;
 };
@@ -170,7 +168,6 @@ struct CostOptions {
 /// The combined static-analysis report for one Mfsa.
 struct CostReport {
   MfsaShape Shape;
-  WidthBound Width;
   DfaEstimate Dfa;
   LiteralProfile Literals;
 
@@ -178,7 +175,8 @@ struct CostReport {
   void recordTo(obs::MetricsRegistry &Registry) const;
 };
 
-/// Runs all three analyses over \p Z (see the individual entry points).
+/// Computes \p Z's shape, DFA probe and literal profile (the planner's
+/// inputs; see the individual entry points).
 CostReport analyzeCost(const Mfsa &Z, const std::vector<std::string> &Patterns,
                        const CostOptions &Options = {});
 

@@ -21,8 +21,6 @@ const char *engineName(Engine E) {
     return "auto";
   case Engine::ImfantDense:
     return "dense";
-  case Engine::ImfantSparse:
-    return "sparse";
   case Engine::Dfa:
     return "dfa";
   case Engine::StridedDfa:
@@ -34,8 +32,8 @@ const char *engineName(Engine E) {
 }
 
 bool engineFromName(std::string_view Name, Engine &Out) {
-  for (Engine E : {Engine::Auto, Engine::ImfantDense, Engine::ImfantSparse,
-                   Engine::Dfa, Engine::StridedDfa, Engine::Prefilter})
+  for (Engine E : {Engine::Auto, Engine::ImfantDense, Engine::Dfa,
+                   Engine::StridedDfa, Engine::Prefilter})
     if (Name == engineName(E)) {
       Out = E;
       return true;
@@ -61,24 +59,15 @@ double spillFactor(double Bytes, const CostCoefficients &C) {
 /// group-sequential: each group's engine scans the whole input.
 void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
                      bool AllowPrefilter, const CostCoefficients &C) {
-  double DenseNs = 0.0, SparseNs = 0.0, DfaNs = 0.0, Stride2Ns = 0.0;
+  double DenseNs = 0.0, DfaNs = 0.0, Stride2Ns = 0.0;
   double DenseBytes = 0.0, DfaBytes = 0.0, Stride2Bytes = 0.0, RowSum = 0.0;
-  bool DfaOk = true, Stride2Ok = true, WidthExact = true;
+  bool DfaOk = true, Stride2Ok = true;
   for (const CostReport &G : Cand.Groups) {
     const double PerEntry =
         C.DenseNsPerEntry + G.Shape.BelWords * C.BitsetNsPerWord;
     RowSum += G.Shape.AvgTableRow;
     DenseNs += G.Shape.AvgTableRow * PerEntry;
     DenseBytes += denseFootprint(G);
-    // The sparse walk only touches active states; its worst case is the
-    // sound width bound (pessimistic: the observed average is lower, so
-    // this biases toward dense — the safe direction on the baselines).
-    const double Width = G.Width.Exact
-                             ? static_cast<double>(G.Width.MaxActiveStates)
-                             : static_cast<double>(G.Shape.NumStates);
-    WidthExact = WidthExact && G.Width.Exact;
-    SparseNs += Width * G.Shape.AvgOutDegree *
-                (C.SparseNsPerEdge + G.Shape.BelWords * C.BitsetNsPerWord);
     DfaOk = DfaOk && G.Dfa.Completed;
     DfaNs += C.DfaNsPerByte;
     DfaBytes +=
@@ -95,7 +84,6 @@ void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
                           : static_cast<double>(Cand.NumGroups) /
                                 static_cast<double>(Cand.Groups.size());
   DenseNs *= Scale;
-  SparseNs *= Scale;
   DfaNs *= Scale;
   Stride2Ns *= Scale;
   DenseBytes *= Scale;
@@ -120,9 +108,6 @@ void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
                 "avg table row %.1f entries/byte over %u group(s)", RowSum,
                 Cand.NumGroups);
   Add(Engine::ImfantDense, DenseNs, true, Buf);
-  Add(Engine::ImfantSparse, SparseNs, true,
-      WidthExact ? "worst-case width bound is exact"
-                 : "width bound budgeted: trivial all-states bound used");
   if (DfaOk)
     Add(Engine::Dfa, DfaNs, true, "subset construction completed in budget");
   else
@@ -175,9 +160,9 @@ CandidatePlan evaluateGroups(const std::vector<Mfsa> &Groups,
   CandidatePlan Cand;
   Cand.MergingFactor = MergingFactor;
   Cand.NumGroups = static_cast<uint32_t>(Groups.size());
-  // A K=300 candidate would otherwise pay 300 width searches and DFA probes
-  // per plan: beyond the budget, analyze an evenly spaced sample and let
-  // estimateEngines extrapolate the summed cost terms.
+  // A K=300 candidate would otherwise pay 300 DFA probes per plan: beyond
+  // the budget, analyze an evenly spaced sample and let estimateEngines
+  // extrapolate the summed cost terms.
   std::vector<size_t> Sampled;
   const size_t Limit =
       Options.MaxAnalyzedGroups ? Options.MaxAnalyzedGroups : Groups.size();
@@ -288,7 +273,6 @@ void decideParallelInput(EnginePlan &Plan, const PlannerOptions &Options) {
         "split across chunks";
     return;
   case Engine::Auto:
-  case Engine::ImfantSparse:
     Plan.ParallelInputWhy = "engine has no input-parallel executor";
     return;
   }
@@ -350,18 +334,14 @@ std::string EnginePlan::explainJson() const {
     J += ", \"analyzed_groups\": " + std::to_string(Cand.Groups.size());
 
     // Aggregate the cost-model facts over the candidate's analyzed groups:
-    // peak width, total table pressure, the probe verdicts. Summed terms
-    // are extrapolated to the real group count when only a sample was
+    // total table pressure, the probe verdicts. Summed terms are
+    // extrapolated to the real group count when only a sample was
     // analyzed, mirroring estimateEngines.
-    uint32_t WidthStates = 0, WidthRules = 0;
-    bool WidthExact = true, DfaCompleted = true, Stride2Ok = true;
+    bool DfaCompleted = true, Stride2Ok = true;
     uint64_t DfaStates = 0;
     double Row = 0.0;
     uint32_t Prefilterable = 0, TotalRules = 0;
     for (const CostReport &G : Cand.Groups) {
-      WidthStates = std::max(WidthStates, G.Width.MaxActiveStates);
-      WidthRules = std::max(WidthRules, G.Width.MaxActiveRules);
-      WidthExact = WidthExact && G.Width.Exact;
       DfaCompleted = DfaCompleted && G.Dfa.Completed;
       Stride2Ok = Stride2Ok && G.Dfa.Stride2Feasible;
       DfaStates += G.Dfa.DfaStates;
@@ -375,11 +355,7 @@ std::string EnginePlan::explainJson() const {
                                   static_cast<double>(Cand.Groups.size());
     DfaStates = static_cast<uint64_t>(static_cast<double>(DfaStates) * Scale);
     Row *= Scale;
-    J += ",\n     \"width\": {\"states_bound\": " + std::to_string(WidthStates);
-    J += ", \"rules_bound\": " + std::to_string(WidthRules);
-    J += ", \"exact\": ";
-    J += WidthExact ? "true" : "false";
-    J += "},\n     \"dfa\": {\"completed\": ";
+    J += ",\n     \"dfa\": {\"completed\": ";
     J += DfaCompleted ? "true" : "false";
     J += ", \"states\": " + std::to_string(DfaStates);
     J += ", \"stride2_feasible\": ";
@@ -425,13 +401,13 @@ void EnginePlan::recordTo(obs::MetricsRegistry &Registry) const {
   Registry.gauge("analysis.cost.parallel_input")
       .set(ParallelInput ? static_cast<int64_t>(InputThreads) : 0);
   if (const CandidatePlan *Cand = chosen()) {
-    // Publish the widest group's report: the bottleneck the plan hinges on.
-    const CostReport *Widest = nullptr;
+    // Publish the largest group's report: the bottleneck the plan hinges on.
+    const CostReport *Largest = nullptr;
     for (const CostReport &G : Cand->Groups)
-      if (!Widest || G.Width.MaxActiveStates > Widest->Width.MaxActiveStates)
-        Widest = &G;
-    if (Widest)
-      Widest->recordTo(Registry);
+      if (!Largest || G.Shape.NumStates > Largest->Shape.NumStates)
+        Largest = &G;
+    if (Largest)
+      Largest->recordTo(Registry);
   }
 }
 
@@ -457,19 +433,10 @@ EnginePlan planRuleset(const std::vector<Nfa> &OptimizedFsas,
   std::vector<uint32_t> Factors = Options.CandidateFactors;
   std::sort(Factors.begin(), Factors.end());
   Factors.erase(std::unique(Factors.begin(), Factors.end()), Factors.end());
-  const uint32_t N = static_cast<uint32_t>(OptimizedFsas.size());
   for (uint32_t M : Factors) {
     // Trial-merge the candidate grouping, preserving dataset global ids.
-    const uint32_t GroupSize = M == 0 ? std::max(N, 1u) : M;
-    std::vector<Mfsa> Groups;
-    for (uint32_t Begin = 0; Begin < N; Begin += GroupSize) {
-      const uint32_t End = std::min(N, Begin + GroupSize);
-      std::vector<Nfa> Slice(OptimizedFsas.begin() + Begin,
-                             OptimizedFsas.begin() + End);
-      std::vector<uint32_t> Ids(GlobalIds.begin() + Begin,
-                                GlobalIds.begin() + End);
-      Groups.push_back(mergeFsas(Slice, Ids, Options.Merge));
-    }
+    const std::vector<Mfsa> Groups =
+        mergeInGroups(OptimizedFsas, GlobalIds, M, Options.Merge);
     Plan.Candidates.push_back(evaluateGroups(Groups, M, Patterns, Options));
   }
   choose(Plan, Options);

@@ -8,7 +8,7 @@
 /// Declares the adaptive engine planner the ROADMAP's "Adaptive engine
 /// planner" item asks for: convert the static facts of analysis/CostModel.h
 /// plus cost coefficients fitted to the committed `bench/baselines/`
-/// numbers into an EnginePlan — which of the five engines to run, at what
+/// numbers into an EnginePlan — which of the four engines to run, at what
 /// merging factor K, and at what stride — with a JSON explain trace of
 /// every candidate evaluated and why the winner won (Hyperscan-style
 /// hybrid dispatch, grounded in our own baselines rather than guesswork).
@@ -37,19 +37,20 @@ namespace obs {
 class MetricsRegistry;
 } // namespace obs
 
-/// The engine-selection axis (CompileOptions::Engine): the five concrete
+/// The engine-selection axis (CompileOptions::Engine): the four concrete
 /// execution strategies the benches compare, plus Auto ("let the planner
-/// decide").
+/// decide"). The values are stable: the `analysis.cost.chosen_engine` gauge
+/// exports them, and 2 stays unused since the sparse iMFAnt engine was
+/// removed.
 enum class Engine : uint8_t {
-  Auto,         ///< Resolve via the planner.
-  ImfantDense,  ///< Symbol-major iMFAnt (engine/Imfant.h).
-  ImfantSparse, ///< State-major CSR iMFAnt (engine/SparseImfant.h).
-  Dfa,          ///< Scanning subset-construction DFA (engine/DfaEngine.h).
-  StridedDfa,   ///< Stride-2 DFA (engine/MultiStride.h).
-  Prefilter,    ///< AC literal prefilter + confirm (engine/Prefilter.h).
+  Auto = 0,        ///< Resolve via the planner.
+  ImfantDense = 1, ///< Active-state iMFAnt (engine/Imfant.h).
+  Dfa = 3,         ///< Scanning subset-construction DFA (engine/DfaEngine.h).
+  StridedDfa = 4,  ///< Stride-2 DFA (engine/MultiStride.h).
+  Prefilter = 5,   ///< AC literal prefilter + confirm (engine/Prefilter.h).
 };
 
-/// Stable CLI/JSON name: auto, dense, sparse, dfa, stride2, prefilter.
+/// Stable CLI/JSON name: auto, dense, dfa, stride2, prefilter.
 const char *engineName(Engine E);
 
 /// Parses an engineName() string. \returns false on an unknown name.
@@ -63,10 +64,7 @@ struct CostCoefficients {
   /// Dense iMFAnt: per per-symbol table entry evaluated per input byte
   /// (BENCH_engine_throughput dense rows / avg table row).
   double DenseNsPerEntry = 1.2;
-  /// Sparse iMFAnt: per (active state × out edge) touched per byte; higher
-  /// than the dense constant because the CSR walk is branchy.
-  double SparseNsPerEdge = 2.0;
-  /// Both iMFAnt engines: per 64-bit belonging word combined per entry.
+  /// Dense iMFAnt: per 64-bit belonging word combined per entry.
   double BitsetNsPerWord = 0.4;
   /// DFA: one table lookup + accept probe per byte.
   double DfaNsPerByte = 1.0;
@@ -152,15 +150,10 @@ struct EnginePlan {
 /// Planner knobs.
 struct PlannerOptions {
   /// Planning must stay orders of magnitude cheaper than scanning, so the
-  /// analyzer budgets default lower here than CostOptions' own defaults:
-  /// an exhausted width budget only degrades the sparse estimate to its
-  /// pessimistic fallback, and a DFA probe needs few states to *prove* a
-  /// blowup (completing under the smaller cap still implies the engine
-  /// builder's far larger cap succeeds).
-  PlannerOptions() {
-    Cost.Width.MaxMacrostates = 1u << 10;
-    Cost.Probe.MaxStates = 1u << 12;
-  }
+  /// DFA probe budget defaults lower here than CostOptions' own: a probe
+  /// needs few states to *prove* a blowup (completing under the smaller cap
+  /// still implies the engine builder's far larger cap succeeds).
+  PlannerOptions() { Cost.Probe.MaxStates = 1u << 12; }
 
   CostCoefficients Coefficients;
   CostOptions Cost;
@@ -169,8 +162,8 @@ struct PlannerOptions {
   std::vector<uint32_t> CandidateFactors = {1, 50, 0};
   /// Cap on fully-analyzed groups per candidate: beyond it, an evenly
   /// spaced sample is analyzed and the summed cost terms are scaled by the
-  /// real group count (a K=300 candidate would otherwise pay 300 width
-  /// searches and DFA probes per plan).
+  /// real group count (a K=300 candidate would otherwise pay 300 DFA
+  /// probes per plan).
   uint32_t MaxAnalyzedGroups = 8;
   /// Merge options for planRuleset's trial merges.
   MergeOptions Merge;

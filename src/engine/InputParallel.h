@@ -93,8 +93,7 @@ struct InputParallelOptions {
   /// iMFAnt speculation: per-start outcome tables are recorded only when
   /// the speculative frontier has at most this many start states — each
   /// start state costs one full chunk propagation in phase 1, so a large
-  /// fan-out is priced out (the planner uses the static width bound for
-  /// the same decision ahead of time).
+  /// fan-out is priced out.
   uint32_t MaxSpecStartStates = 8;
   /// DFA state-map guard: abandon a chunk's map (join re-scans it
   /// sequentially) if the live class count still exceeds this after the

@@ -9,6 +9,7 @@
 #include "fsa/Determinize.h"
 #include "support/ThreadPool.h"
 
+#include <type_traits>
 #include <utility>
 
 namespace mfsa {
@@ -23,15 +24,13 @@ PlannedEngineSet::create(Engine Choice, const std::vector<Mfsa> &Mfsas,
     return Result<PlannedEngineSet>::error(
         "Engine::Auto is not buildable; resolve it through the planner");
   case Engine::ImfantDense:
+    Set.Groups.reserve(Mfsas.size());
     for (const Mfsa &Z : Mfsas)
-      Set.Dense.emplace_back(Z);
-    return Set;
-  case Engine::ImfantSparse:
-    for (const Mfsa &Z : Mfsas)
-      Set.Sparse.emplace_back(Z);
+      Set.Groups.emplace_back(std::in_place_type<ImfantEngine>, Z);
     return Set;
   case Engine::Dfa:
   case Engine::StridedDfa:
+    Set.Groups.reserve(Mfsas.size());
     for (size_t G = 0; G < Mfsas.size(); ++G) {
       const Mfsa &Z = Mfsas[G];
       std::vector<Nfa> Fsas;
@@ -43,20 +42,15 @@ PlannedEngineSet::create(Engine Choice, const std::vector<Mfsa> &Mfsas,
       Result<Dfa> D = determinize(Fsas, GlobalIds);
       if (!D)
         return D.withContext("group " + std::to_string(G)).takeDiag();
-      Set.Dfas.push_back(std::make_unique<Dfa>(std::move(*D)));
-      if (Choice == Engine::StridedDfa) {
-        Result<StridedDfa> S = makeStride2(*Set.Dfas.back());
-        if (!S)
-          return S.withContext("group " + std::to_string(G)).takeDiag();
-        Set.Strided.push_back(std::make_unique<StridedDfa>(std::move(*S)));
+      if (Choice == Engine::Dfa) {
+        Set.Groups.emplace_back(std::move(*D));
+        continue;
       }
+      Result<StridedDfa> S = makeStride2(*D);
+      if (!S)
+        return S.withContext("group " + std::to_string(G)).takeDiag();
+      Set.Groups.emplace_back(std::move(*S));
     }
-    if (Choice == Engine::StridedDfa)
-      for (const std::unique_ptr<StridedDfa> &S : Set.Strided)
-        Set.StridedRunners.emplace_back(*S);
-    else
-      for (const std::unique_ptr<Dfa> &D : Set.Dfas)
-        Set.DfaRunners.emplace_back(*D);
     return Set;
   case Engine::Prefilter: {
     if (Patterns.empty())
@@ -65,7 +59,7 @@ PlannedEngineSet::create(Engine Choice, const std::vector<Mfsa> &Mfsas,
     Result<PrefilterEngine> P = PrefilterEngine::create(Patterns);
     if (!P)
       return P.takeDiag();
-    Set.Pre.emplace(std::move(*P));
+    Set.Groups.emplace_back(std::move(*P));
     return Set;
   }
   }
@@ -76,19 +70,10 @@ Result<PlannedEngineSet> PlannedEngineSet::createFromRuleset(
     const EnginePlan &Plan, const std::vector<Nfa> &OptimizedFsas,
     const std::vector<uint32_t> &GlobalIds,
     const std::vector<std::string> &Patterns, const MergeOptions &Merge) {
-  const uint32_t N = static_cast<uint32_t>(OptimizedFsas.size());
-  const uint32_t GroupSize =
-      Plan.MergingFactor == 0 ? std::max(N, 1u) : Plan.MergingFactor;
-  std::vector<Mfsa> Groups;
-  for (uint32_t Begin = 0; Begin < N; Begin += GroupSize) {
-    const uint32_t End = std::min(N, Begin + GroupSize);
-    std::vector<Nfa> Slice(OptimizedFsas.begin() + Begin,
-                           OptimizedFsas.begin() + End);
-    std::vector<uint32_t> Ids(GlobalIds.begin() + Begin,
-                              GlobalIds.begin() + End);
-    Groups.push_back(mergeFsas(Slice, Ids, Merge));
-  }
-  return create(Plan.Choice, Groups, Patterns);
+  return create(Plan.Choice,
+                mergeInGroups(OptimizedFsas, GlobalIds, Plan.MergingFactor,
+                              Merge),
+                Patterns);
 }
 
 namespace {
@@ -125,59 +110,40 @@ void PlannedEngineSet::runInputParallel(std::string_view Input,
                                         const InputParallelOptions &Options,
                                         InputParallelStats *Stats) const {
   // Every group splits the same input into the same chunks, so one pool
-  // serves them all (sparse groups scan sequentially and need none).
-  const std::unique_ptr<ThreadPool> Pool =
-      Sparse.empty() ? makeInputPool(
-                           Options,
-                           inputChunkBounds(Options, Input.size()).size() - 1)
-                     : nullptr;
-  // Runs one executor, folding its stats into the caller's.
-  auto RunOne = [&](auto &&Scan) {
-    InputParallelStats Group;
-    Scan(Stats ? &Group : nullptr);
+  // serves them all.
+  const std::unique_ptr<ThreadPool> Pool = makeInputPool(
+      Options, inputChunkBounds(Options, Input.size()).size() - 1);
+  for (const Group &G : Groups) {
+    InputParallelStats GroupStats;
+    InputParallelStats *S = Stats ? &GroupStats : nullptr;
+    std::visit(
+        [&](const auto &E) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(E)>,
+                                       PrefilterEngine>)
+            E.runInputParallel(Input, Recorder, Options, S, Pool.get());
+          else
+            InputParallelRun(E, Options).run(Input, Recorder, S, Pool.get());
+        },
+        G);
     if (Stats)
-      accumulateStats(*Stats, Group);
-  };
-  auto Chunked = [&](const InputParallelRun &Par) {
-    RunOne([&](InputParallelStats *S) {
-      Par.run(Input, Recorder, S, Pool.get());
-    });
-  };
-  for (const ImfantEngine &E : Dense)
-    Chunked(InputParallelRun(E, Options));
-  for (const std::unique_ptr<Dfa> &D : Dfas)
-    if (Choice == Engine::Dfa)
-      Chunked(InputParallelRun(*D, Options));
-  for (const std::unique_ptr<StridedDfa> &S : Strided)
-    Chunked(InputParallelRun(*S, Options));
-  // No input-parallel executor: sequential scan, same output.
-  for (const SparseImfantEngine &E : Sparse)
-    E.run(Input, Recorder);
-  if (Pre)
-    RunOne([&](InputParallelStats *S) {
-      Pre->runInputParallel(Input, Recorder, Options, S, Pool.get());
-    });
+      accumulateStats(*Stats, GroupStats);
+  }
 }
 
 void PlannedEngineSet::run(std::string_view Input,
                            MatchRecorder &Recorder) const {
-  for (const ImfantEngine &E : Dense)
-    E.run(Input, Recorder);
-  for (const SparseImfantEngine &E : Sparse)
-    E.run(Input, Recorder);
-  for (const DfaEngine &E : DfaRunners)
-    E.run(Input, Recorder);
-  for (const StridedDfaEngine &E : StridedRunners)
-    E.run(Input, Recorder);
-  if (Pre)
-    Pre->run(Input, Recorder);
-}
-
-size_t PlannedEngineSet::numGroups() const {
-  if (Pre)
-    return 1;
-  return Dense.size() + Sparse.size() + DfaRunners.size() +
-         StridedRunners.size();
+  for (const Group &G : Groups)
+    std::visit(
+        [&](const auto &E) {
+          using T = std::decay_t<decltype(E)>;
+          if constexpr (std::is_same_v<T, Dfa>)
+            DfaEngine(E).run(Input, Recorder);
+          else if constexpr (std::is_same_v<T, StridedDfa>)
+            StridedDfaEngine(E).run(Input, Recorder);
+          else
+            E.run(Input, Recorder);
+        },
+        G);
 }
 
 } // namespace mfsa

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bridges the planner's decision (analysis/Planner.h) to the five concrete
+/// Bridges the planner's decision (analysis/Planner.h) to the four concrete
 /// engines: PlannedEngineSet builds whichever engine an EnginePlan chose and
 /// exposes one uniform run() with ImfantEngine's (rule, end offset) match
 /// semantics, so `imfant_run --engine auto`, the planner ablation bench, and
@@ -28,12 +28,10 @@
 #include "engine/InputParallel.h"
 #include "engine/MultiStride.h"
 #include "engine/Prefilter.h"
-#include "engine/SparseImfant.h"
 #include "support/Result.h"
 
-#include <memory>
-#include <optional>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 namespace mfsa {
@@ -66,31 +64,28 @@ public:
   /// as a match set. Each dense, DFA or stride-2 group runs through
   /// InputParallelRun, and the prefilter through
   /// PrefilterEngine::runInputParallel, all on one pool when
-  /// \p Options.UseThreadPool is set. Sparse iMFAnt has no input-parallel
-  /// executor and falls back to the sequential run(). \p Stats, when
-  /// non-null, accumulates across groups: counters add up, peaks take the
-  /// maximum, and per-chunk phase-1 seconds add element-wise (chunk i of
-  /// every group is charged to notional thread i).
+  /// \p Options.UseThreadPool is set. \p Stats, when non-null, accumulates
+  /// across groups: counters add up, peaks take the maximum, and per-chunk
+  /// phase-1 seconds add element-wise (chunk i of every group is charged to
+  /// notional thread i).
   void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
                         const InputParallelOptions &Options,
                         InputParallelStats *Stats = nullptr) const;
 
   Engine engine() const { return Choice; }
-  size_t numGroups() const;
+  /// Merged groups scanned one after another; the prefilter covers the
+  /// whole ruleset as one group.
+  size_t numGroups() const { return Groups.size(); }
 
 private:
+  /// One group's engine. The DFA family stores its automaton: DfaEngine and
+  /// StridedDfaEngine only borrow one, so they are built per scan.
+  using Group = std::variant<ImfantEngine, Dfa, StridedDfa, PrefilterEngine>;
+
   PlannedEngineSet() = default;
 
   Engine Choice = Engine::ImfantDense;
-  std::vector<ImfantEngine> Dense;
-  std::vector<SparseImfantEngine> Sparse;
-  /// DfaEngine/StridedDfaEngine borrow their automata; unique_ptr keeps the
-  /// referents address-stable across vector growth.
-  std::vector<std::unique_ptr<Dfa>> Dfas;
-  std::vector<DfaEngine> DfaRunners;
-  std::vector<std::unique_ptr<StridedDfa>> Strided;
-  std::vector<StridedDfaEngine> StridedRunners;
-  std::optional<PrefilterEngine> Pre;
+  std::vector<Group> Groups;
 };
 
 } // namespace mfsa

@@ -30,6 +30,7 @@
 #include "support/Timer.h"
 
 #include <cassert>
+#include <numeric>
 #include <queue>
 #include <unordered_map>
 
@@ -362,6 +363,17 @@ std::vector<Mfsa> mfsa::mergeInGroups(const std::vector<Nfa> &Fsas,
                                       uint32_t MergingFactor,
                                       const MergeOptions &Options,
                                       MergeReport *Report) {
+  std::vector<uint32_t> Ids(Fsas.size());
+  std::iota(Ids.begin(), Ids.end(), 0u);
+  return mergeInGroups(Fsas, Ids, MergingFactor, Options, Report);
+}
+
+std::vector<Mfsa> mfsa::mergeInGroups(const std::vector<Nfa> &Fsas,
+                                      const std::vector<uint32_t> &GlobalIds,
+                                      uint32_t MergingFactor,
+                                      const MergeOptions &Options,
+                                      MergeReport *Report) {
+  assert(GlobalIds.size() == Fsas.size() && "one global id per FSA");
   const uint32_t N = static_cast<uint32_t>(Fsas.size());
   if (MergingFactor == 0 || MergingFactor > N)
     MergingFactor = N;
@@ -370,10 +382,8 @@ std::vector<Mfsa> mfsa::mergeInGroups(const std::vector<Nfa> &Fsas,
   for (uint32_t Begin = 0; Begin < N; Begin += MergingFactor) {
     uint32_t End = std::min(Begin + MergingFactor, N);
     std::vector<Nfa> Group(Fsas.begin() + Begin, Fsas.begin() + End);
-    std::vector<uint32_t> Ids;
-    Ids.reserve(End - Begin);
-    for (uint32_t I = Begin; I < End; ++I)
-      Ids.push_back(I);
+    std::vector<uint32_t> Ids(GlobalIds.begin() + Begin,
+                              GlobalIds.begin() + End);
     Result.push_back(mergeFsas(Group, Ids, Options, Report));
   }
   return Result;

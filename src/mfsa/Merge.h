@@ -109,8 +109,18 @@ Result<Mfsa> mergeFsasWithBudget(const std::vector<Nfa> &Fsas,
 
 /// Partitions \p Fsas into ⌈N/M⌉ sequential groups of size \p MergingFactor
 /// (paper §VI: "sampling the input M REs sequentially from the dataset") and
-/// merges each group. MergingFactor == 0 means "all" (one group).
+/// merges each group. MergingFactor == 0 means "all" (one group). The rules'
+/// global ids are their indices into \p Fsas.
 std::vector<Mfsa> mergeInGroups(const std::vector<Nfa> &Fsas,
+                                uint32_t MergingFactor,
+                                const MergeOptions &Options = {},
+                                MergeReport *Report = nullptr);
+
+/// mergeInGroups with explicit global ids: \p GlobalIds parallels \p Fsas
+/// (e.g. dataset rule ids surviving quarantine), and each group's rules keep
+/// their ids.
+std::vector<Mfsa> mergeInGroups(const std::vector<Nfa> &Fsas,
+                                const std::vector<uint32_t> &GlobalIds,
                                 uint32_t MergingFactor,
                                 const MergeOptions &Options = {},
                                 MergeReport *Report = nullptr);

@@ -547,14 +547,21 @@ TEST(LintCost, JsonReportIsGolden) {
 //===----------------------------------------------------------------------===//
 
 TEST(Planner, EngineNamesRoundTrip) {
-  for (Engine E : {Engine::Auto, Engine::ImfantDense, Engine::ImfantSparse,
-                   Engine::Dfa, Engine::StridedDfa, Engine::Prefilter}) {
+  for (Engine E : {Engine::Auto, Engine::ImfantDense, Engine::Dfa,
+                   Engine::StridedDfa, Engine::Prefilter}) {
     Engine Parsed;
     ASSERT_TRUE(engineFromName(engineName(E), Parsed)) << engineName(E);
     EXPECT_EQ(Parsed, E);
   }
   Engine Parsed;
   EXPECT_FALSE(engineFromName("hyperscan", Parsed));
+  EXPECT_FALSE(engineFromName("sparse", Parsed));
+  // The analysis.cost.chosen_engine gauge exports these values.
+  EXPECT_EQ(static_cast<int>(Engine::Auto), 0);
+  EXPECT_EQ(static_cast<int>(Engine::ImfantDense), 1);
+  EXPECT_EQ(static_cast<int>(Engine::Dfa), 3);
+  EXPECT_EQ(static_cast<int>(Engine::StridedDfa), 4);
+  EXPECT_EQ(static_cast<int>(Engine::Prefilter), 5);
 }
 
 TEST(Planner, ForcedEnginePinsChoiceButKeepsTrace) {
@@ -562,46 +569,37 @@ TEST(Planner, ForcedEnginePinsChoiceButKeepsTrace) {
   std::vector<Mfsa> Mfsas;
   Mfsas.push_back(mergePatterns(Patterns));
   PlannerOptions Options;
-  Options.Force = Engine::ImfantSparse;
+  Options.Force = Engine::Dfa;
   EnginePlan Plan = planMfsas(Mfsas, Patterns, 0, Options);
-  EXPECT_EQ(Plan.Choice, Engine::ImfantSparse);
+  EXPECT_EQ(Plan.Choice, Engine::Dfa);
   ASSERT_NE(Plan.chosen(), nullptr);
   // The trace still evaluates every engine so --explain-plan can show what
   // Auto would have picked.
-  EXPECT_EQ(Plan.chosen()->Engines.size(), 5u);
+  EXPECT_EQ(Plan.chosen()->Engines.size(), 4u);
   EXPECT_NE(Plan.explainJson().find("\"candidates\""), std::string::npos);
 }
 
 TEST(Planner, InputParallelAcceptedBehindRuntimeGuards) {
-  // A one-macrostate width budget leaves the bound budgeted (inexact).
-  // Dense iMFAnt and the prefilter are still accepted — their executors'
+  // Dense iMFAnt and the prefilter are accepted — their executors'
   // death-probe window and re-scan fallback bound the worst case at run
-  // time — while sparse iMFAnt (no executor) and a single input thread
-  // decline.
+  // time — while a single input thread declines.
   std::vector<std::string> Patterns = {"foobar", "bazqux", "[ab]+c",
                                        "(a|b)*abb"};
   std::vector<Mfsa> Mfsas;
   Mfsas.push_back(mergePatterns(Patterns));
   auto PlanWith = [&](Engine Force, unsigned InputThreads) {
     PlannerOptions Options;
-    Options.Cost.Width.MaxMacrostates = 1;
     Options.Force = Force;
     Options.InputThreads = InputThreads;
     return planMfsas(Mfsas, Patterns, 0, Options);
   };
   for (Engine E : {Engine::ImfantDense, Engine::Prefilter}) {
     const EnginePlan Plan = PlanWith(E, 4);
-    ASSERT_NE(Plan.chosen(), nullptr);
-    ASSERT_FALSE(Plan.chosen()->Groups.empty());
-    EXPECT_FALSE(Plan.chosen()->Groups.front().Width.Exact) << engineName(E);
     EXPECT_TRUE(Plan.ParallelInput) << engineName(E);
     EXPECT_EQ(Plan.InputThreads, 4u);
     EXPECT_NE(Plan.explainJson().find("\"enabled\": true"), std::string::npos)
         << Plan.explainJson();
   }
-  const EnginePlan Sparse = PlanWith(Engine::ImfantSparse, 4);
-  EXPECT_FALSE(Sparse.ParallelInput);
-  EXPECT_EQ(Sparse.ParallelInputWhy, "engine has no input-parallel executor");
   for (Engine E : {Engine::ImfantDense, Engine::Prefilter}) {
     const EnginePlan Single = PlanWith(E, 1);
     EXPECT_FALSE(Single.ParallelInput) << engineName(E);

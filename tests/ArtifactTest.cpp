@@ -26,7 +26,6 @@
 #include "engine/Imfant.h"
 #include "engine/MultiStride.h"
 #include "engine/Prefilter.h"
-#include "engine/SparseImfant.h"
 #include "fsa/Determinize.h"
 #include "obs/Metrics.h"
 #include "support/Checksum.h"
@@ -230,8 +229,9 @@ TEST(ArtifactRoundTrip, SerializationIsByteStable) {
 }
 
 //===--------------------------------------------------------------------===//
-// Differential: all five engines built from the artifact agree with the
-// AST oracle at every SIMD dispatch level.
+// Differential: every engine built from the artifact (dense iMFAnt, union
+// DFA, stride-2 DFA, prefilter) agrees with the AST oracle at every SIMD
+// dispatch level.
 //===--------------------------------------------------------------------===//
 
 struct SimdLevelGuard {
@@ -279,17 +279,6 @@ TEST(ArtifactDifferential, FiveEnginesFromArtifactMatchOracle) {
           "input=\"" + Input + "\" simd=" + simd::levelName(Lvl);
 
       EXPECT_EQ(imfantEnds(Mfsas, Input), Expected) << "engine=imfant " << Tag;
-      {
-        RuleEnds All;
-        for (const Mfsa &Z : Mfsas) {
-          SparseImfantEngine Engine(Z);
-          MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-          Engine.run(Input, Recorder);
-          for (const auto &[Rule, End] : Recorder.matches())
-            All[Rule].insert(static_cast<size_t>(End));
-        }
-        EXPECT_EQ(All, Expected) << "engine=sparse " << Tag;
-      }
       {
         DfaEngine Engine(*UnionDfa);
         MatchRecorder Recorder(MatchRecorder::Mode::Collect);

@@ -3,8 +3,8 @@
 // Part of the mfsa project. MIT License.
 //
 // Runs the same seeded rulesets and inputs through every execution engine the
-// library ships — dense iMFAnt, state-major sparse iMFAnt, the union
-// DFA, the stride-2 DFA, and the literal prefilter — plus the brute-force AST
+// library ships — dense iMFAnt, the union DFA, the stride-2 DFA, and the
+// literal prefilter — plus the brute-force AST
 // oracle, and asserts identical per-rule match-end sets. Everything derives
 // from one deterministic RNG seed, so any failure reproduces from the
 // (ruleset, input, seed) triple printed in the assertion message.
@@ -13,20 +13,20 @@
 // blow past its state budget and stride pairing past its table budget. The
 // harness then skips those two engines for that ruleset and still
 // cross-checks the rest — a silent skip of *all* engines is impossible since
-// the iMFAnt pair and the oracle always run.
+// dense iMFAnt, the prefilter and the oracle always run.
 //
 // The static cost analyzer rides along on every case: the Engine::Auto plan
-// is built and run like a sixth engine (same oracle assertion), and the
+// is built and run like a fifth engine (same oracle assertion), and the
 // analyzer's activation-width bound is asserted to dominate the dense
 // engine's observed peak active rules and frontier on every input at every
 // SIMD level — an end-to-end soundness check of boundActivationWidth.
 //
-// A seventh leg runs the input-parallel executor (engine/InputParallel.h)
+// A sixth leg runs the input-parallel executor (engine/InputParallel.h)
 // over the dense engine on every case, asserting both the oracle match set
 // and that the per-chunk speculative frontiers stay within the static
 // width bound — the soundness fact the executor's speculation relies on.
 //
-// An eighth leg runs PlannedEngineSet::runInputParallel on the Auto plan
+// A seventh leg runs PlannedEngineSet::runInputParallel on the Auto plan
 // (T=3, 1-byte minimum chunks), so whichever engine the planner picks —
 // the prefilter included — is also checked under input-parallel chunking.
 //
@@ -40,7 +40,6 @@
 #include "engine/MultiStride.h"
 #include "engine/PlannedEngine.h"
 #include "engine/Prefilter.h"
-#include "engine/SparseImfant.h"
 #include "fsa/Determinize.h"
 #include "mfsa/Merge.h"
 #include "support/SimdDispatch.h"
@@ -93,7 +92,6 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
   ASSERT_EQ(Merged.verify(), "") << formatPatterns(Patterns);
 
   ImfantEngine Imfant(Merged);
-  SparseImfantEngine Sparse(Merged);
 
   // Static analyzer cross-checks (analysis/CostModel.h): the sound
   // activation-width bound must dominate what the dense engine actually
@@ -149,11 +147,6 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
             << "width rules bound " << Tag;
         EXPECT_GE(Width.MaxActiveStates, Stats.MaxFrontier)
             << "width states bound " << Tag;
-      }
-      {
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Sparse.run(Input, Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=sparse " << Tag;
       }
       if (UnionDfa.ok()) {
         DfaEngine Engine(*UnionDfa);

@@ -6,7 +6,6 @@
 
 #include "engine/Imfant.h"
 #include "engine/Parallel.h"
-#include "engine/SparseImfant.h"
 
 #include "fsa/Passes.h"
 #include "fsa/Reference.h"
@@ -363,8 +362,8 @@ TEST(Parallel, GenerousDeadlineChunkedRunMatchesUnbounded) {
 // Hand-built MFSAs: propagation (Eq. 6) and injection (Eq. 4) run over
 // separate index structures and match reporting (Eq. 5) runs after the step,
 // so these cases put both paths on one state, one destination and one final
-// byte, and check the (rule, offset) set against the per-rule NFA oracle and
-// the sparse engine at every SIMD level.
+// byte, and check the (rule, offset) set against the per-rule NFA oracle at
+// every SIMD level.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -482,11 +481,10 @@ struct SimdLevelReset {
 };
 
 /// The equivalence check every hand-built case runs: whole-input run(),
-/// 1-byte feeds, and startAt(Base) feeds against the oracle, plus run()
-/// against the sparse engine, at every available SIMD level.
+/// 1-byte feeds, and startAt(Base) feeds against the oracle, at every
+/// available SIMD level.
 void checkHandMfsa(const Mfsa &Z, const std::vector<std::string> &Inputs) {
   ImfantEngine Engine(Z);
-  SparseImfantEngine Sparse(Z);
   SimdLevelReset Reset;
   for (simd::Level Lvl : simd::availableLevels()) {
     ASSERT_TRUE(simd::setLevel(Lvl));
@@ -499,10 +497,6 @@ void checkHandMfsa(const Mfsa &Z, const std::vector<std::string> &Inputs) {
       MatchRecorder Whole(MatchRecorder::Mode::Collect);
       Engine.run(Input, Whole);
       EXPECT_EQ(groupEnds(Whole, Tag), Expected) << Tag << " run()";
-
-      MatchRecorder SparseRec(MatchRecorder::Mode::Collect);
-      Sparse.run(Input, SparseRec);
-      EXPECT_EQ(groupEnds(SparseRec, Tag), Expected) << Tag << " sparse";
 
       EXPECT_EQ(scanEnds(Engine, Input, 0, 1, Tag), Expected)
           << Tag << " 1-byte feeds";

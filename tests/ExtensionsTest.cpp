@@ -1,4 +1,4 @@
-//===- ExtensionsTest.cpp - alphabet atoms, DFA, clustering, sparse engine ---===//
+//===- ExtensionsTest.cpp - alphabet atoms, DFA, clustering ------------------===//
 //
 // Part of the mfsa project. MIT License.
 //
@@ -6,7 +6,6 @@
 
 #include "compiler/Pipeline.h"
 #include "engine/DfaEngine.h"
-#include "engine/SparseImfant.h"
 #include "fsa/AlphabetPartition.h"
 #include "fsa/Determinize.h"
 #include "fsa/Reference.h"
@@ -334,52 +333,3 @@ TEST(Clustering, ClusteredCompressionBeatsRandom) {
   EXPECT_LT(Clustered, Random);
 }
 
-//===----------------------------------------------------------------------===//
-// Sparse (state-major) engine variant
-//===----------------------------------------------------------------------===//
-
-TEST(SparseEngine, MatchesDenseEngineOnWorkedExamples) {
-  std::vector<std::string> Patterns = {"(ad|cb)ab", "a(b|c)"};
-  std::vector<Nfa> Fsas = compileAll(Patterns);
-  Mfsa Z = mergeFsas(Fsas, iota(Patterns.size()));
-  ImfantEngine Dense(Z);
-  SparseImfantEngine Sparse(Z);
-  for (const char *Input : {"acbab", "degh", "bcdef", ""})
-    EXPECT_EQ(collect([&](MatchRecorder &R) { Dense.run(Input, R); }),
-              collect([&](MatchRecorder &R) { Sparse.run(Input, R); }))
-        << Input;
-}
-
-class SparseEngineAgreement : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SparseEngineAgreement, RandomRulesets) {
-  Rng Random(GetParam());
-  std::vector<std::string> Patterns;
-  unsigned Count = 2 + Random.nextBelow(4);
-  for (unsigned I = 0; I < Count; ++I)
-    Patterns.push_back(randomPattern(Random));
-  std::vector<Nfa> Fsas = compileAll(Patterns);
-  Mfsa Z = mergeFsas(Fsas, iota(Patterns.size()));
-  ImfantEngine Dense(Z);
-  SparseImfantEngine Sparse(Z);
-  for (int Trial = 0; Trial < 8; ++Trial) {
-    std::string Input = randomInput(Random, 24);
-    EXPECT_EQ(collect([&](MatchRecorder &R) { Dense.run(Input, R); }),
-              collect([&](MatchRecorder &R) { Sparse.run(Input, R); }))
-        << Input;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SparseEngineAgreement,
-                         ::testing::Values(301, 307, 311, 313, 317, 331));
-
-TEST(SparseEngine, AnchoredRules) {
-  std::vector<std::string> Patterns = {"^ab", "ab$", "ab"};
-  std::vector<Nfa> Fsas = compileAll(Patterns);
-  Mfsa Z = mergeFsas(Fsas, iota(Patterns.size()));
-  SparseImfantEngine Engine(Z);
-  auto Ends = collect([&](MatchRecorder &R) { Engine.run("abxab", R); });
-  EXPECT_EQ(Ends[0], (std::set<size_t>{2}));
-  EXPECT_EQ(Ends[1], (std::set<size_t>{5}));
-  EXPECT_EQ(Ends[2], (std::set<size_t>{2, 5}));
-}

@@ -4,8 +4,8 @@
 //
 // Crosses the whole stack at realistic scale: standard-dataset subsets are
 // compiled, merged at several factors, serialized through ANML, executed by
-// all three engines, and checked for mutual agreement and against the NFA
-// simulation oracle.
+// dense iMFAnt, the union DFA and the literal prefilter, and checked for
+// mutual agreement and against the NFA simulation oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,7 @@
 #include "engine/DfaEngine.h"
 #include "engine/Imfant.h"
 #include "engine/Parallel.h"
-#include "engine/SparseImfant.h"
+#include "engine/Prefilter.h"
 #include "fsa/Determinize.h"
 #include "fsa/Reference.h"
 #include "workload/Datasets.h"
@@ -109,14 +109,12 @@ TEST_P(DatasetIntegration, AllEnginesAgree) {
   ImfantEngine Dense(Z);
   auto FromDense = runEngine(Dense, Stream);
 
-  // Sparse iMFAnt.
-  SparseImfantEngine Sparse(Z);
-  MatchRecorder SparseRecorder(MatchRecorder::Mode::Collect);
-  Sparse.run(Stream, SparseRecorder);
-  std::map<uint32_t, std::set<size_t>> FromSparse;
-  for (const auto &[Rule, End] : SparseRecorder.matches())
-    FromSparse[Rule].insert(static_cast<size_t>(End));
-  EXPECT_EQ(FromDense, FromSparse);
+  // Literal prefilter over the source patterns.
+  Result<PrefilterEngine> Prefilter = PrefilterEngine::create(Rules);
+  ASSERT_TRUE(Prefilter.ok()) << Prefilter.diag().render();
+  MatchRecorder PrefilterRecorder(MatchRecorder::Mode::Collect);
+  Prefilter->run(Stream, PrefilterRecorder);
+  EXPECT_EQ(FromDense, recorderEnds(PrefilterRecorder));
 
   // Union DFA.
   std::vector<uint32_t> Ids(Rules.size());

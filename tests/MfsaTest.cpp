@@ -7,6 +7,7 @@
 #include "mfsa/Merge.h"
 #include "mfsa/Mfsa.h"
 
+#include "anml/Anml.h"
 #include "fsa/Passes.h"
 #include "fsa/Reference.h"
 #include "regex/Parser.h"
@@ -238,6 +239,30 @@ TEST(MergeGroups, FactorZeroMeansAll) {
   std::vector<Mfsa> Groups = mergeInGroups(Fsas, 0);
   ASSERT_EQ(Groups.size(), 1u);
   EXPECT_EQ(Groups[0].numRules(), 3u);
+}
+
+TEST(MergeGroups, ExplicitGlobalIdsArePreserved) {
+  std::vector<Nfa> Fsas;
+  for (const char *P : {"ab", "cd", "ef", "gh", "ij"})
+    Fsas.push_back(compileOptimized(P));
+  const std::vector<uint32_t> GlobalIds = {40, 7, 12, 3, 99};
+  std::vector<Mfsa> Groups = mergeInGroups(Fsas, GlobalIds, 2);
+  ASSERT_EQ(Groups.size(), 3u); // 2 + 2 + 1
+  std::vector<uint32_t> Seen;
+  for (const Mfsa &Z : Groups)
+    for (RuleId R = 0; R < Z.numRules(); ++R)
+      Seen.push_back(Z.rule(R).GlobalId);
+  EXPECT_EQ(Seen, GlobalIds);
+
+  // With the ids 0..N-1 the overload builds what the index version builds.
+  for (uint32_t M : {0u, 1u, 2u, 5u, 9u}) {
+    std::vector<Mfsa> ByIndex = mergeInGroups(Fsas, M);
+    std::vector<Mfsa> ById = mergeInGroups(Fsas, {0, 1, 2, 3, 4}, M);
+    ASSERT_EQ(ById.size(), ByIndex.size()) << "M=" << M;
+    for (size_t G = 0; G < ById.size(); ++G)
+      EXPECT_EQ(writeAnml(ById[G], "z"), writeAnml(ByIndex[G], "z"))
+          << "M=" << M << " group " << G;
+  }
 }
 
 TEST(MergeGroups, LargerMNeverIncreasesTotalStates) {

@@ -235,24 +235,17 @@ TEST(CostTelemetry, ExportIsGoldenModuloTimings) {
   unsigned Masked = 0;
   EXPECT_EQ(maskTimings(Registry.toJson(), &Masked),
             "{\n"
-            "  \"counters\": {\n"
-            "    \"analysis.cost.width_macrostates\": 9\n"
-            "  },\n"
+            "  \"counters\": {},\n"
             "  \"gauges\": {\n"
             "    \"analysis.cost.dfa_probe_completed\": 1,\n"
             "    \"analysis.cost.dfa_probe_states\": 9,\n"
             "    \"analysis.cost.dfa_probe_wall_ms\": \"T\",\n"
             "    \"analysis.cost.distinct_first_bytes\": 1,\n"
-            "    \"analysis.cost.prefilterable_rules\": 1,\n"
-            "    \"analysis.cost.width_antichain_peak\": 7,\n"
-            "    \"analysis.cost.width_exact\": 1,\n"
-            "    \"analysis.cost.width_rules_bound\": 3,\n"
-            "    \"analysis.cost.width_states_bound\": 3,\n"
-            "    \"analysis.cost.width_wall_ms\": \"T\"\n"
+            "    \"analysis.cost.prefilterable_rules\": 1\n"
             "  },\n"
             "  \"histograms\": {}\n"
             "}\n");
-  EXPECT_EQ(Masked, 2u) << "the width search's and the DFA probe's wall_ms";
+  EXPECT_EQ(Masked, 1u) << "the DFA probe's wall_ms";
 }
 
 //===----------------------------------------------------------------------===//

@@ -70,6 +70,8 @@ check "mfsac: no arguments"            2 "$MFSAC"
 check "mfsac: unknown flag"            2 "$MFSAC" --no-such-flag bro.rules
 check "imfant_run: no arguments"       2 "$IMFANT"
 check "imfant_run: unknown flag"       2 "$IMFANT" --bogus s.bin a.anml
+check "mfsac: unknown engine"          2 "$MFSAC" --plan --engine sparse bro.rules
+check "imfant_run: unknown engine"     2 "$IMFANT" --engine sparse s.bin a.anml
 check "dataset_gen: no dataset"        2 "$DATAGEN"
 check "dataset_gen: unknown dataset"   2 "$DATAGEN" NOPE
 

@@ -75,7 +75,7 @@ def check_timing(path, name, value):
     return 0
 
 
-ENGINE_NAMES = {"auto", "dense", "sparse", "dfa", "stride2", "prefilter"}
+ENGINE_NAMES = {"auto", "dense", "dfa", "stride2", "prefilter"}
 
 
 def check_plan(path, key, plan):
@@ -101,7 +101,7 @@ def check_plan(path, key, plan):
         return errors + fail(path, f"plan {key}: empty candidates list")
     for cand in plan["candidates"]:
         for field in ("merging_factor", "num_groups", "analyzed_groups",
-                      "width", "dfa", "table", "literals", "engines", "best",
+                      "dfa", "table", "literals", "engines", "best",
                       "best_ns_per_byte"):
             if field not in cand:
                 errors += fail(
