@@ -70,7 +70,7 @@ struct WidthOptions {
 /// Sound upper bound on worst-case simultaneous activation width.
 struct WidthBound {
   /// Max simultaneously active states any input can reach (bounds the
-  /// engine's frontier |NextTouched|, RunStats::MaxFrontier).
+  /// engine's frontier, RunStats::MaxFrontier).
   uint32_t MaxActiveStates = 0;
   /// Max simultaneously active rules |∪ J(q)| (Table II's peak,
   /// RunStats::MaxActiveRules).

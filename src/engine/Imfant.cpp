@@ -7,6 +7,7 @@
 #include "engine/Imfant.h"
 
 #include "analysis/Verifier.h"
+#include "fsa/AlphabetPartition.h"
 #include "obs/Metrics.h"
 #include "support/SimdDispatch.h"
 
@@ -14,16 +15,17 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 
 using namespace mfsa;
 
 namespace {
 
-/// Hash for a Words-wide bitset block, used to deduplicate belonging sets.
+/// Hash for a block of words, used to deduplicate belonging sets and class
+/// rows.
 struct BlockHash {
-  size_t operator()(const std::vector<uint64_t> &Block) const {
+  template <typename WordT>
+  size_t operator()(const std::vector<WordT> &Block) const {
     uint64_t H = 0x9e3779b97f4a7c15ULL;
     for (uint64_t W : Block) {
       H ^= W + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
@@ -65,8 +67,8 @@ ImfantEngine::ImfantEngine(const Mfsa &Z)
     }
 #endif
 
-  // Deduplicate belonging sets and labels into pools; MFSAs built from
-  // similar rules reuse few distinct sets, so the pools stay small.
+  // Deduplicate belonging sets into a pool; MFSAs built from similar rules
+  // reuse few distinct sets, so the pool stays small.
   std::unordered_map<std::vector<uint64_t>, uint32_t, BlockHash> BelIndex;
   auto InternBel = [&](const DynamicBitset &Bel) -> uint32_t {
     std::vector<uint64_t> Block(Words, 0);
@@ -77,31 +79,90 @@ ImfantEngine::ImfantEngine(const Mfsa &Z)
       BelPool.insert(BelPool.end(), Block.begin(), Block.end());
     return It->second;
   };
-  std::unordered_map<SymbolSet, uint32_t, SymbolSetHash> LabelIndex;
-  auto InternLabel = [&](const SymbolSet &Label) -> uint32_t {
-    auto [It, Fresh] =
-        LabelIndex.emplace(Label, static_cast<uint32_t>(LabelIndex.size()));
-    if (Fresh)
-      LabelPool.insert(LabelPool.end(), Label.words().begin(),
-                       Label.words().end());
-    return It->second;
-  };
 
-  // CSR adjacency by source state (propagation, Eq. 6). Empty-labelled
-  // transitions never fire and are dropped.
-  std::vector<uint32_t> Counts(NumStates + 1, 0);
-  for (const MfsaTransition &T : Z.transitions())
-    if (!T.Label.empty())
-      ++Counts[T.From + 1];
-  EdgeOffsets.assign(NumStates + 1, 0);
+  // Byte classes: the alphabet partition the labels induce, so every label
+  // is a union of classes. Each distinct label keeps the list of classes it
+  // covers; an edge is stored once per class of its label.
+  std::unordered_map<SymbolSet, uint32_t, SymbolSetHash> LabelIndex;
+  std::vector<SymbolSet> Labels;
+  std::vector<uint32_t> LabelOf(Z.transitions().size(), UINT32_MAX);
+  for (size_t T = 0; T < Z.transitions().size(); ++T) {
+    const SymbolSet &Label = Z.transitions()[T].Label;
+    if (Label.empty())
+      continue;
+    auto [It, Fresh] =
+        LabelIndex.emplace(Label, static_cast<uint32_t>(Labels.size()));
+    if (Fresh)
+      Labels.push_back(Label);
+    LabelOf[T] = It->second;
+  }
+  const std::vector<SymbolSet> Atoms = computeAlphabetAtoms(Labels);
+  const uint32_t NumClasses = static_cast<uint32_t>(Atoms.size());
+  ClassOfByte.assign(SymbolSet::NumSymbols, 0);
+  for (uint32_t K = 0; K < NumClasses; ++K)
+    Atoms[K].forEach(
+        [&](unsigned char C) { ClassOfByte[C] = static_cast<uint8_t>(K); });
+  std::vector<uint32_t> ClassListBegin(Labels.size() + 1, 0);
+  std::vector<uint8_t> ClassList;
+  for (size_t L = 0; L < Labels.size(); ++L) {
+    for (uint32_t K = 0; K < NumClasses; ++K)
+      if (Labels[L].intersects(Atoms[K]))
+        ClassList.push_back(static_cast<uint8_t>(K));
+    ClassListBegin[L + 1] = static_cast<uint32_t>(ClassList.size());
+  }
+
+  // Class-indexed adjacency (propagation, Eq. 6). Per source state, count
+  // its edges per class into a row of offsets, intern the row, then place
+  // each edge in every class of its label.
+  std::vector<uint32_t> OutBegin(NumStates + 1, 0);
+  size_t NumEdges = 0;
+  for (size_t T = 0; T < LabelOf.size(); ++T)
+    if (const uint32_t L = LabelOf[T]; L != UINT32_MAX) {
+      ++OutBegin[Z.transitions()[T].From + 1];
+      NumEdges += ClassListBegin[L + 1] - ClassListBegin[L];
+    }
   for (uint32_t S = 0; S < NumStates; ++S)
-    EdgeOffsets[S + 1] = EdgeOffsets[S] + Counts[S + 1];
-  Edges.resize(EdgeOffsets[NumStates]);
-  std::vector<uint32_t> Fill(EdgeOffsets.begin(), EdgeOffsets.end() - 1);
-  for (const MfsaTransition &T : Z.transitions())
-    if (!T.Label.empty())
-      Edges[Fill[T.From]++] =
-          OutEdge{T.To, InternBel(T.Bel), InternLabel(T.Label)};
+    OutBegin[S + 1] += OutBegin[S];
+  std::vector<uint32_t> OutList(OutBegin[NumStates]);
+  {
+    std::vector<uint32_t> Fill(OutBegin.begin(), OutBegin.end() - 1);
+    for (size_t T = 0; T < LabelOf.size(); ++T)
+      if (LabelOf[T] != UINT32_MAX)
+        OutList[Fill[Z.transitions()[T].From]++] = static_cast<uint32_t>(T);
+  }
+  std::unordered_map<std::vector<uint32_t>, uint32_t, BlockHash> RowIndex;
+  std::vector<uint32_t> Row(NumClasses + 1);
+  Edges.resize(NumEdges);
+  StateIndex.resize(NumStates);
+  uint32_t Base = 0;
+  for (uint32_t S = 0; S < NumStates; ++S) {
+    std::fill(Row.begin(), Row.end(), 0);
+    for (uint32_t I = OutBegin[S]; I < OutBegin[S + 1]; ++I) {
+      const uint32_t L = LabelOf[OutList[I]];
+      for (uint32_t C = ClassListBegin[L]; C < ClassListBegin[L + 1]; ++C)
+        ++Row[ClassList[C] + 1];
+    }
+    for (uint32_t K = 0; K < NumClasses; ++K)
+      Row[K + 1] += Row[K];
+    for (uint32_t I = OutBegin[S]; I < OutBegin[S + 1]; ++I) {
+      const MfsaTransition &T = Z.transitions()[OutList[I]];
+      const OutEdge Edge{T.To, InternBel(T.Bel)};
+      const uint32_t L = LabelOf[OutList[I]];
+      // Row[K] doubles as class K's fill cursor; the shift is undone below.
+      for (uint32_t C = ClassListBegin[L]; C < ClassListBegin[L + 1]; ++C)
+        Edges[Base + Row[ClassList[C]]++] = Edge;
+    }
+    std::copy_backward(Row.begin(), Row.end() - 1, Row.end());
+    Row[0] = 0;
+    auto It = RowIndex.find(Row);
+    if (It == RowIndex.end()) {
+      It = RowIndex.emplace(Row, static_cast<uint32_t>(ClassRows.size()))
+               .first;
+      ClassRows.insert(ClassRows.end(), Row.begin(), Row.end());
+    }
+    StateIndex[S] = StateEdges{Base, It->second};
+    Base += Row[NumClasses];
+  }
 
   // Per-state activation metadata; the initial-rule blocks and the start
   // anchor mask only feed the injection lists below.
@@ -204,6 +265,7 @@ void ImfantEngine::setMetrics(obs::MetricsRegistry *Registry) {
 }
 
 std::vector<uint64_t> ImfantEngine::possibleRulesByState() const {
+  // An edge stored under several classes ORs the same bits again.
   std::vector<uint64_t> Out(static_cast<size_t>(NumStates) * Words, 0);
   for (const OutEdge &Edge : Edges) {
     uint64_t *Dst = &Out[static_cast<size_t>(Edge.To) * Words];
@@ -215,9 +277,9 @@ std::vector<uint64_t> ImfantEngine::possibleRulesByState() const {
 }
 
 size_t ImfantEngine::footprintBytes() const {
-  return Edges.size() * sizeof(OutEdge) + EdgeOffsets.size() * 4 +
-         (LabelPool.size() + BelPool.size() + FinalRules.size() +
-          NotAnchoredEndMask.size()) *
+  return ClassOfByte.size() + Edges.size() * sizeof(OutEdge) +
+         StateIndex.size() * sizeof(StateEdges) + ClassRows.size() * 4 +
+         (BelPool.size() + FinalRules.size() + NotAnchoredEndMask.size()) *
              8 +
          Inject.bytes() + InjectAtStart.bytes() + FinalAny.size() +
          GlobalIds.size() * 4;
@@ -235,18 +297,16 @@ void ImfantEngine::run(std::string_view Input, MatchRecorder &Recorder,
 //===----------------------------------------------------------------------===//
 
 ImfantEngine::Scanner::Scanner(const ImfantEngine &Engine)
-    : Engine(Engine), CurActive(Engine.NumStates, 0),
-      NextActive(Engine.NumStates, 0),
-      CurJ(static_cast<size_t>(Engine.NumStates) * Engine.Words, 0),
-      NextJ(static_cast<size_t>(Engine.NumStates) * Engine.Words, 0),
-      MatchedThisStep(Engine.Words, 0), ActivationScratch(Engine.Words, 0),
-      PendingAtEnd(Engine.Words, 0) {
-  CurTouched.reserve(64);
-  NextTouched.reserve(64);
-}
+    : Engine(Engine),
+      CurJ(static_cast<size_t>(Engine.NumStates) * Engine.Words),
+      NextJ(static_cast<size_t>(Engine.NumStates) * Engine.Words),
+      Stamp(Engine.NumStates, 0), CurFrontier(Engine.NumStates),
+      NextFrontier(Engine.NumStates), FinalArrivals(Engine.NumStates),
+      PendingAtEnd(Engine.Words, 0), MatchedThisStep(Engine.Words, 0),
+      ActivationScratch(Engine.Words, 0) {}
 
 void ImfantEngine::Scanner::startAt(uint64_t Offset) {
-  assert(!Finished && AbsoluteOffset == 0 && CurTouched.empty() &&
+  assert(!Finished && AbsoluteOffset == 0 && CurSize == 0 &&
          "startAt() on a scanner that already consumed input");
   AbsoluteOffset = Offset;
 }
@@ -262,15 +322,16 @@ void ImfantEngine::Scanner::seedActivation(const ActivationSet &Config) {
     const StateId S = Config.States[I];
     assert(S < Engine.NumStates && "activation state out of range");
     const uint64_t *Src = Config.block(I);
-    bool Any = false;
+    if (std::all_of(Src, Src + W, [](uint64_t X) { return X == 0; }))
+      continue;
     uint64_t *Dst = &CurJ[static_cast<size_t>(S) * W];
-    for (uint32_t Wd = 0; Wd < W; ++Wd) {
-      Dst[Wd] |= Src[Wd];
-      Any = Any || Src[Wd] != 0;
-    }
-    if (Any && !CurActive[S]) {
-      CurActive[S] = 1;
-      CurTouched.push_back(S);
+    if (Stamp[S] == Gen) {
+      for (uint32_t Wd = 0; Wd < W; ++Wd)
+        Dst[Wd] |= Src[Wd];
+    } else {
+      std::copy(Src, Src + W, Dst);
+      Stamp[S] = Gen;
+      CurFrontier[CurSize++] = S;
     }
   }
 }
@@ -279,12 +340,10 @@ ActivationSet ImfantEngine::Scanner::captureActivation() const {
   ActivationSet Out;
   const uint32_t W = Engine.Words;
   Out.Words = W;
-  for (StateId S : CurTouched) {
+  for (uint32_t I = 0; I < CurSize; ++I) {
+    const StateId S = CurFrontier[I];
     const uint64_t *J = &CurJ[static_cast<size_t>(S) * W];
-    bool Any = false;
-    for (uint32_t Wd = 0; Wd < W; ++Wd)
-      Any = Any || J[Wd] != 0;
-    if (!Any)
+    if (std::all_of(J, J + W, [](uint64_t X) { return X == 0; }))
       continue;
     Out.States.push_back(S);
     Out.RuleBlocks.insert(Out.RuleBlocks.end(), J, J + W);
@@ -295,7 +354,7 @@ ActivationSet ImfantEngine::Scanner::captureActivation() const {
 void ImfantEngine::Scanner::feed(std::string_view Chunk,
                                  MatchRecorder &Recorder, RunStats *Stats) {
   assert(!Finished && "feed() after finish()");
-  if (!InjectionEnabled && CurTouched.empty())
+  if (!InjectionEnabled && CurSize == 0)
     return; // A dead frontier with injection off can never revive.
 #if MFSA_METRICS_ENABLED
   const uint64_t MatchesBefore = Recorder.total();
@@ -327,17 +386,36 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
   assert(W == E.Words && "dispatch mismatch");
   const simd::KernelTable &K = simd::ops();
   const bool Inject = InjectionEnabled;
+  // Tables, buffers and scan state live in locals for the whole chunk: the
+  // loop's 64-bit stores could otherwise alias the members they come from.
+  const uint8_t *ClassOf = E.ClassOfByte.data();
   const OutEdge *Edges = E.Edges.data();
-  const uint32_t *EdgeOffsets = E.EdgeOffsets.data();
-  const uint64_t *Labels = E.LabelPool.data();
+  const StateEdges *Index = E.StateIndex.data();
+  const uint32_t *Rows = E.ClassRows.data();
   const uint64_t *Bels = E.BelPool.data();
+  const uint8_t *FinalAny = E.FinalAny.data();
+  const uint64_t *FinalRules = E.FinalRules.data();
+  const uint64_t *NotEnd = E.NotAnchoredEndMask.data();
+  const uint32_t *GlobalIds = E.GlobalIds.data();
+  uint64_t *Stamps = Stamp.data();
+  uint64_t *CurJs = CurJ.data(), *NextJs = NextJ.data();
+  StateId *CurF = CurFrontier.data(), *NextF = NextFrontier.data();
+  StateId *Finals = FinalArrivals.data();
   uint64_t *A = ActivationScratch.data();
+  uint32_t CurCount = CurSize;
+  uint64_t Generation = Gen;
+  uint64_t Offset = AbsoluteOffset;
+  // SingleWord keeps the `$` rules pending at the last offset in a
+  // register; the wide path parks them in PendingAtEnd directly.
+  uint64_t Pending = PendingAtEnd[0];
   size_t Consumed = Chunk.size();
 
   uint64_t ActiveRuleSum = 0;
   uint32_t ActiveRuleMax = 0;
   uint32_t FrontierMax = 0;
   uint64_t TransitionsEvaluated = 0;
+  uint64_t ActiveStateSum = 0;
+  uint64_t FinalProbeSum = 0;
   std::vector<uint64_t> UnionJ;
   if (Stats)
     UnionJ.assign(W, 0);
@@ -353,54 +431,82 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
     MetricsUnionScratch.assign(W, 0);
 #endif
 
-  // Arrival: marks \p To active for the next step and returns its J.
-  auto Arrive = [&](StateId To) -> uint64_t * {
-    if (!NextActive[To]) {
-      NextActive[To] = 1;
-      NextTouched.push_back(To);
-    }
-    return &NextJ[static_cast<size_t>(To) * W];
+  // Per-step arrival bookkeeping. The first arrival at a state in a step
+  // stamps it and appends it to the next frontier, and to the final
+  // arrivals when it is final; its caller then overwrites the state's
+  // stale J slot instead of ORing into it.
+  uint64_t NextGen = 0;
+  uint32_t NextCount = 0, FinalCount = 0;
+  auto Claim = [&](StateId To) {
+    Stamps[To] = NextGen;
+    NextF[NextCount++] = To;
+    if (FinalAny[To])
+      Finals[FinalCount++] = To;
   };
   // Applies one symbol's precomputed injections; returns the entry count.
   auto ApplyInjections = [&](const InjectionList &List, unsigned char C) {
     const uint32_t Begin = List.Offsets[C], End = List.Offsets[C + 1];
     for (uint32_t I = Begin; I < End; ++I) {
-      uint64_t *DstJ = Arrive(List.To[I]);
+      const StateId To = List.To[I];
       const uint64_t *Mask = &List.Masks[static_cast<size_t>(I) * W];
-      if constexpr (SingleWord)
+      uint64_t *DstJ = &NextJs[static_cast<size_t>(To) * W];
+      if (Stamps[To] != NextGen) {
+        Claim(To);
+        std::copy(Mask, Mask + W, DstJ);
+      } else if constexpr (SingleWord) {
         DstJ[0] |= Mask[0];
-      else
+      } else {
         K.OrWords(DstJ, Mask, W);
+      }
     }
     return End - Begin;
   };
 
   for (size_t Pos = 0; Pos < Chunk.size(); ++Pos) {
     const unsigned char C = static_cast<unsigned char>(Chunk[Pos]);
-    const bool AtStart = (AbsoluteOffset == 0);
-    ++AbsoluteOffset;
-    const unsigned LabelWord = C >> 6, LabelBit = C & 63;
+    const bool AtStart = (Offset == 0);
+    ++Offset;
+    NextGen = Generation + 1;
+    NextCount = 0;
+    FinalCount = 0;
     uint64_t Examined = 0;
 
     // Propagation (Eq. 6): every active state sends J ∩ bel across each
-    // out-edge whose label holds this symbol.
-    for (StateId S : CurTouched) {
-      const uint64_t *SrcJ = &CurJ[static_cast<size_t>(S) * W];
-      const uint32_t Begin = EdgeOffsets[S], End = EdgeOffsets[S + 1];
-      Examined += End - Begin;
-      for (uint32_t EIdx = Begin; EIdx < End; ++EIdx) {
-        const OutEdge &Edge = Edges[EIdx];
-        if (!((Labels[static_cast<size_t>(Edge.LabelIdx) * 4 + LabelWord] >>
-               LabelBit) &
-              1))
-          continue;
-        const uint64_t *Bel = &Bels[static_cast<size_t>(Edge.BelIdx) * W];
-        if constexpr (SingleWord) {
-          const uint64_t Crossing = SrcJ[0] & Bel[0];
-          if (Crossing)
-            Arrive(Edge.To)[0] |= Crossing;
-        } else if (K.AndInto(A, SrcJ, Bel, W)) {
-          K.OrWords(Arrive(Edge.To), A, W);
+    // out-edge of this symbol's class.
+    const uint32_t *RowsAtClass = Rows + ClassOf[C];
+    for (uint32_t I = 0; I < CurCount; ++I) {
+      const StateId S = CurF[I];
+      const StateEdges Where = Index[S];
+      const uint32_t *Row = RowsAtClass + Where.RowBase;
+      const OutEdge *Edge = Edges + Where.EdgeBase + Row[0];
+      const OutEdge *End = Edges + Where.EdgeBase + Row[1];
+      Examined += static_cast<uint64_t>(End - Edge);
+      if constexpr (SingleWord) {
+        const uint64_t SrcJ = CurJs[S];
+        for (; Edge != End; ++Edge) {
+          const uint64_t Crossing = SrcJ & Bels[Edge->BelIdx];
+          if (!Crossing)
+            continue;
+          const StateId To = Edge->To;
+          if (Stamps[To] != NextGen) {
+            Claim(To);
+            NextJs[To] = Crossing;
+          } else {
+            NextJs[To] |= Crossing;
+          }
+        }
+      } else {
+        const uint64_t *SrcJ = &CurJs[static_cast<size_t>(S) * W];
+        for (; Edge != End; ++Edge) {
+          const uint64_t *Bel = &Bels[static_cast<size_t>(Edge->BelIdx) * W];
+          const StateId To = Edge->To;
+          uint64_t *DstJ = &NextJs[static_cast<size_t>(To) * W];
+          if (Stamps[To] != NextGen) {
+            if (K.AndInto(DstJ, SrcJ, Bel, W))
+              Claim(To);
+          } else if (K.AndInto(A, SrcJ, Bel, W)) {
+            K.OrWords(DstJ, A, W);
+          }
         }
       }
     }
@@ -412,47 +518,69 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
     if (Inject && AtStart && !E.InjectAtStart.To.empty())
       Examined += ApplyInjections(E.InjectAtStart, C);
 
-    // Match reporting (Eq. 5) over the states this step reached: active
-    // rules for which the state is final. Unanchored-end rules report
-    // immediately (once per rule and offset); `$`-anchored ones park in
-    // PendingAtEnd, which only survives if this symbol is the stream's last.
-    std::fill(PendingAtEnd.begin(), PendingAtEnd.end(), 0);
-    for (StateId S : NextTouched) {
-      if (!E.FinalAny[S])
-        continue;
-      const uint64_t *J = &NextJ[static_cast<size_t>(S) * W];
-      const uint64_t *Fin = &E.FinalRules[static_cast<size_t>(S) * W];
-      for (uint32_t I = 0; I < W; ++I) {
-        const uint64_t Arrived = J[I] & Fin[I];
-        if (!Arrived)
-          continue;
-        PendingAtEnd[I] |= Arrived & ~E.NotAnchoredEndMask[I];
-        uint64_t Hits =
-            Arrived & E.NotAnchoredEndMask[I] & ~MatchedThisStep[I];
-        if (!Hits)
-          continue;
-        if (!MatchedThisStep[I])
-          MatchedDirtyWords.push_back(I);
-        MatchedThisStep[I] |= Hits;
+    // Match reporting (Eq. 5) over the final states this step reached:
+    // active rules for which the state is final. Unanchored-end rules
+    // report immediately (once per rule and offset); `$`-anchored ones are
+    // parked as pending, which only survives if this symbol is the
+    // stream's last.
+    if constexpr (SingleWord) {
+      const uint64_t NotEndMask = NotEnd[0];
+      uint64_t Matched = 0;
+      Pending = 0;
+      for (uint32_t I = 0; I < FinalCount; ++I) {
+        const StateId S = Finals[I];
+        const uint64_t Arrived = NextJs[S] & FinalRules[S];
+        Pending |= Arrived & ~NotEndMask;
+        uint64_t Hits = Arrived & NotEndMask & ~Matched;
+        Matched |= Hits;
         while (Hits) {
           unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Hits));
           Hits &= Hits - 1;
-          Recorder.onMatch(E.GlobalIds[I * 64 + Bit], AbsoluteOffset);
+          Recorder.onMatch(GlobalIds[Bit], Offset);
         }
       }
+    } else {
+      std::fill(PendingAtEnd.begin(), PendingAtEnd.end(), 0);
+      for (uint32_t F = 0; F < FinalCount; ++F) {
+        const StateId S = Finals[F];
+        const uint64_t *J = &NextJs[static_cast<size_t>(S) * W];
+        const uint64_t *Fin = &FinalRules[static_cast<size_t>(S) * W];
+        for (uint32_t I = 0; I < W; ++I) {
+          const uint64_t Arrived = J[I] & Fin[I];
+          if (!Arrived)
+            continue;
+          PendingAtEnd[I] |= Arrived & ~NotEnd[I];
+          uint64_t Hits = Arrived & NotEnd[I] & ~MatchedThisStep[I];
+          if (!Hits)
+            continue;
+          if (!MatchedThisStep[I])
+            MatchedDirtyWords.push_back(I);
+          MatchedThisStep[I] |= Hits;
+          while (Hits) {
+            unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Hits));
+            Hits &= Hits - 1;
+            Recorder.onMatch(GlobalIds[I * 64 + Bit], Offset);
+          }
+        }
+      }
+      for (uint32_t I : MatchedDirtyWords)
+        MatchedThisStep[I] = 0;
+      MatchedDirtyWords.clear();
     }
 
     if (Stats) {
       TransitionsEvaluated += Examined;
+      ActiveStateSum += CurCount;
+      FinalProbeSum += FinalCount;
       std::fill(UnionJ.begin(), UnionJ.end(), 0);
-      for (StateId S : NextTouched)
-        K.OrWords(UnionJ.data(), &NextJ[static_cast<size_t>(S) * W], W);
+      for (uint32_t I = 0; I < NextCount; ++I)
+        K.OrWords(UnionJ.data(), &NextJs[static_cast<size_t>(NextF[I]) * W],
+                  W);
       uint32_t ActiveRules =
           static_cast<uint32_t>(K.CountWords(UnionJ.data(), W));
       ActiveRuleSum += ActiveRules;
       ActiveRuleMax = std::max(ActiveRuleMax, ActiveRules);
-      FrontierMax =
-          std::max(FrontierMax, static_cast<uint32_t>(NextTouched.size()));
+      FrontierMax = std::max(FrontierMax, NextCount);
     }
 
 #if MFSA_METRICS_ENABLED
@@ -460,40 +588,43 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
       ChunkTransitions += Examined;
       if (++MetricsTick >= SampleEvery) {
         MetricsTick = 0;
-        E.Metrics.Frontier->observe(NextTouched.size());
+        E.Metrics.Frontier->observe(NextCount);
         E.Metrics.TransitionsPerByte->observe(Examined);
         // Active-set occupancy |∪ J(q)| — the paper's Table II quantity.
         std::fill(MetricsUnionScratch.begin(), MetricsUnionScratch.end(), 0);
-        for (StateId S : NextTouched)
+        for (uint32_t I = 0; I < NextCount; ++I)
           K.OrWords(MetricsUnionScratch.data(),
-                    &NextJ[static_cast<size_t>(S) * W], W);
+                    &NextJs[static_cast<size_t>(NextF[I]) * W], W);
         E.Metrics.ActiveRules->observe(
             K.CountWords(MetricsUnionScratch.data(), W));
       }
     }
 #endif
 
-    // Swap buffers; scrub only what the finished step touched.
-    for (StateId S : CurTouched) {
-      CurActive[S] = 0;
-      std::memset(&CurJ[static_cast<size_t>(S) * W], 0, W * 8);
-    }
-    CurTouched.clear();
-    std::swap(CurActive, NextActive);
-    std::swap(CurJ, NextJ);
-    std::swap(CurTouched, NextTouched);
-    for (uint32_t I : MatchedDirtyWords)
-      MatchedThisStep[I] = 0;
-    MatchedDirtyWords.clear();
+    // The next frontier becomes current; nothing needs scrubbing.
+    std::swap(CurJs, NextJs);
+    std::swap(CurF, NextF);
+    CurCount = NextCount;
+    Generation = NextGen;
 
     // Pure-propagation mode: once the frontier dies nothing revives it, so
-    // stop consuming (PendingAtEnd is necessarily empty — no arrivals
-    // happened this step). offset() reports the death position.
-    if (!Inject && CurTouched.empty()) {
+    // stop consuming (nothing is pending — no arrivals happened this step).
+    // offset() reports the death position.
+    if (!Inject && CurCount == 0) {
       Consumed = Pos + 1;
       break;
     }
   }
+
+  if (CurJs != CurJ.data()) {
+    CurJ.swap(NextJ);
+    CurFrontier.swap(NextFrontier);
+  }
+  CurSize = CurCount;
+  Gen = Generation;
+  AbsoluteOffset = Offset;
+  if constexpr (SingleWord)
+    PendingAtEnd[0] = Pending;
 
 #if MFSA_METRICS_ENABLED
   if (Observed)
@@ -503,6 +634,8 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
   if (Stats) {
     Stats->Steps += Consumed;
     Stats->TransitionsEvaluated += TransitionsEvaluated;
+    Stats->ActiveStates += ActiveStateSum;
+    Stats->FinalProbes += FinalProbeSum;
     Stats->MaxActiveRules = std::max(Stats->MaxActiveRules, ActiveRuleMax);
     Stats->MaxFrontier = std::max(Stats->MaxFrontier, FrontierMax);
     // Fold this chunk's mean into the running mean by weight.

@@ -24,17 +24,30 @@
 /// transitions it enables"), because per byte only a small share of that
 /// table's row leaves an active or initial state:
 ///
-///   - Propagation (6) is state-major: each step walks the active states and
-///     their out-edges (CSR adjacency), label-tests each edge against the
-///     byte, and ORs J ∩ bel into the destination. Labels and belonging
-///     sets are interned in pools, so an edge is three 32-bit indices.
+///   - Propagation (6) is state-major and class-indexed, the per-state
+///     symbol-grouped layout of Mata's `SymbolPost` lists: bytes map to the
+///     classes of the alphabet partition the labels induce
+///     (computeAlphabetAtoms), and each state's out-edges are stored grouped
+///     by class, an edge copied into every class its label covers. A step
+///     maps its byte to a class once and walks, for each active state, just
+///     the edges that class enables — no label test — ORing J ∩ bel into
+///     each destination. An edge is {To, BelIdx}; belonging sets are
+///     interned, and states with the same per-class edge counts share one
+///     row of class offsets.
 ///   - Injection (4) stays symbol-indexed but is precomputed: for every byte
 ///     a list of (destination, mask) pairs, each mask the union of
 ///     initial-rules ∩ bel over the transitions out of initial states that
 ///     the byte enables, with `^` rules masked out; a second list adds the
 ///     `^` rules at offset 0. Injecting costs one OR per entry.
-///   - Match reporting (5) runs after the step over the states it reached,
-///     as J(q) ∩ final-rules(q), deduplicated per (rule, offset).
+///   - Match reporting (5) runs after the step over the final states it
+///     reached, as J(q) ∩ final-rules(q), deduplicated per (rule, offset).
+///
+/// The frontier is stamped rather than scrubbed: each state carries the
+/// generation (step number) at which it last joined the frontier, so a
+/// step's first arrival at a state overwrites its rule bitset and appends it
+/// to the next frontier (and, when the state is final, to the final
+/// arrivals), and no per-step clearing pass exists. A 64-bit stamp cannot
+/// wrap.
 ///
 /// The reported (rule, end offset) set is exactly iNFAnt's; the order of matches within one end offset is unspecified (it follows
 /// the order in which the step reached final states). Running a single-rule
@@ -119,15 +132,19 @@ struct RunStats {
   double AvgActiveRules = 0.0;  ///< Mean |∪ J(q)| over steps.
   uint32_t MaxActiveRules = 0;  ///< Peak |∪ J(q)| over steps.
   uint32_t MaxFrontier = 0;     ///< Peak simultaneously-active states.
-  /// Entries examined: out-edges of active states label-tested against the
-  /// byte, plus per-symbol injection entries applied.
+  /// Entries examined: the out-edges of active states that the byte enables
+  /// (a step visits no others), plus per-symbol injection entries applied.
   uint64_t TransitionsEvaluated = 0;
+  /// Active states walked: the frontier size summed over steps.
+  uint64_t ActiveStates = 0;
+  /// Final states reached and probed for matches (Eq. 5), summed over steps.
+  uint64_t FinalProbes = 0;
 };
 
 /// The iMFAnt engine. Construction performs the algorithm's pre-processing
-/// (out-edge adjacency, label and belonging pools, per-symbol injection
-/// lists, per-state final metadata); run() is const and allocates only
-/// per-run scratch, so one engine may be shared across threads.
+/// (byte classes, class-indexed out-edges, belonging pool, per-symbol
+/// injection lists, per-state final metadata); run() is const and allocates
+/// only per-run scratch, so one engine may be shared across threads.
 class ImfantEngine {
 public:
   explicit ImfantEngine(const Mfsa &Z);
@@ -189,7 +206,7 @@ public:
 
     /// True when no state is active. With injection disabled this is
     /// permanent: propagation can only shrink the frontier.
-    bool frontierEmpty() const { return CurTouched.empty(); }
+    bool frontierEmpty() const { return CurSize == 0; }
 
   private:
     /// The scan loop, compiled twice: SingleWord folds the per-rule-bitset
@@ -204,14 +221,19 @@ public:
     bool Finished = false;
     bool InjectionEnabled = true;
 
-    // Double-buffered state vector plus per-step scratch (see Imfant.cpp).
-    std::vector<uint8_t> CurActive, NextActive;
+    // Double-buffered rule bitsets and frontier lists. Stamp[s] == Gen iff
+    // s is in the current frontier CurFrontier[0, CurSize); J slots of
+    // states outside it are stale and never read. Lists hold NumStates.
     std::vector<uint64_t> CurJ, NextJ;
-    std::vector<StateId> CurTouched, NextTouched;
+    std::vector<uint64_t> Stamp;
+    uint64_t Gen = 1;
+    std::vector<StateId> CurFrontier, NextFrontier, FinalArrivals;
+    uint32_t CurSize = 0;
+    std::vector<uint64_t> PendingAtEnd; ///< `$` rules matched at offset().
+    // Per-step scratch of the multi-word loop.
     std::vector<uint64_t> MatchedThisStep;
     std::vector<uint32_t> MatchedDirtyWords;
     std::vector<uint64_t> ActivationScratch;
-    std::vector<uint64_t> PendingAtEnd; ///< `$` rules matched at offset().
 
     // Scan-instrumentation state (only touched when the engine has metrics
     // attached and MFSA_METRICS_ENABLED builds the hooks in).
@@ -245,9 +267,9 @@ public:
   /// against concurrent run() calls: attach before sharing the engine.
   void setMetrics(obs::MetricsRegistry *Registry);
 
-  /// Bytes of the pre-processed matching structure (adjacency, pools,
-  /// injection lists and activation metadata), a memory-footprint proxy for
-  /// the benches.
+  /// Bytes of the pre-processed matching structure (class map, class-indexed
+  /// adjacency, belonging pool, injection lists and activation metadata), a
+  /// memory-footprint proxy for the benches.
   size_t footprintBytes() const;
 
 private:
@@ -265,11 +287,18 @@ private:
     obs::Histogram *TransitionsPerByte = nullptr;
   };
 
-  /// One out-edge of the CSR adjacency: a transition minus its source.
+  /// One class-indexed out-edge: a transition minus its source and label.
   struct OutEdge {
     StateId To;
-    uint32_t BelIdx;   ///< Index into BelPool (words offset = BelIdx * Words).
-    uint32_t LabelIdx; ///< Index into LabelPool (4 words per label).
+    uint32_t BelIdx; ///< Index into BelPool (words offset = BelIdx * Words).
+  };
+
+  /// Where a state's out-edges live: the edges of class k span
+  /// Edges[EdgeBase + Row[k], EdgeBase + Row[k+1]), Row being the class
+  /// offsets at ClassRows[RowBase] (one per class, then the end).
+  struct StateEdges {
+    uint32_t EdgeBase;
+    uint32_t RowBase;
   };
 
   /// Precomputed Eq. 4 injections: symbol c's entries span
@@ -289,13 +318,16 @@ private:
   uint32_t NumRules = 0;
   uint32_t Words = 0; ///< 64-bit words per rule bitset.
 
-  /// Out-edges of state s span [EdgeOffsets[s], EdgeOffsets[s+1]). Edges
-  /// with an empty label can never fire and are not stored.
-  std::vector<OutEdge> Edges;
-  std::vector<uint32_t> EdgeOffsets; ///< NumStates + 1 entries.
+  /// Byte -> class of the alphabet partition the labels induce.
+  std::vector<uint8_t> ClassOfByte;
 
-  std::vector<uint64_t> LabelPool; ///< Deduplicated 256-bit labels.
-  std::vector<uint64_t> BelPool;   ///< Deduplicated belonging bitsets.
+  /// Class-indexed adjacency (propagation, Eq. 6). Edges with an empty
+  /// label can never fire and are not stored.
+  std::vector<OutEdge> Edges;
+  std::vector<StateEdges> StateIndex; ///< One per state.
+  std::vector<uint32_t> ClassRows;    ///< Interned rows of class offsets.
+
+  std::vector<uint64_t> BelPool; ///< Deduplicated belonging bitsets.
 
   /// Injection at every offset (start-anchored rules excluded), and the
   /// start-anchored rules' extra injections, applied only at offset 0.
@@ -304,7 +336,7 @@ private:
 
   /// Per-state match metadata, flat Words-wide blocks.
   std::vector<uint64_t> FinalRules; ///< Rules for which q is final.
-  std::vector<uint8_t> FinalAny;
+  std::vector<uint8_t> FinalAny;    ///< Whether q is final for some rule.
 
   /// Mask excluding `$`-anchored rules away from the stream's end.
   std::vector<uint64_t> NotAnchoredEndMask;

@@ -7,59 +7,66 @@
 #include "fsa/AlphabetPartition.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
 
 using namespace mfsa;
 
 std::vector<SymbolSet>
-mfsa::computeAlphabetAtoms(const std::vector<Nfa> &Fsas) {
-  // Two symbols are equivalent iff they appear in exactly the same set of
-  // labels. Assign each symbol a signature: the sorted list of distinct
-  // labels containing it — compactly, refine a partition label by label.
-  //
-  // Partition refinement over 256 symbols: represent each symbol's class by
-  // an integer; each label splits every class into in-label / out-of-label
-  // halves.
-  std::vector<uint16_t> ClassOf(SymbolSet::NumSymbols, 0);
-  uint16_t NextClass = 1;
+mfsa::computeAlphabetAtoms(const std::vector<SymbolSet> &Labels) {
+  // Two symbols are equivalent iff they appear in exactly the same labels.
+  // Partition refinement: each label splits every class it cuts into its
+  // in-label and out-of-label halves. Classes stay non-empty, so there are
+  // never more than 256 of them and the ids stay dense.
+  std::array<uint16_t, SymbolSet::NumSymbols> ClassOf{}, Size{}, Inside{},
+      SplitTo, Touched;
+  Size[0] = SymbolSet::NumSymbols;
+  unsigned NumClasses = 1;
+  for (const SymbolSet &Label : Labels) {
+    unsigned NumTouched = 0;
+    Label.forEach([&](unsigned char C) {
+      if (Inside[ClassOf[C]]++ == 0)
+        Touched[NumTouched++] = ClassOf[C];
+    });
+    for (unsigned I = 0; I < NumTouched; ++I) {
+      const uint16_t K = Touched[I];
+      SplitTo[K] = K;
+      if (Inside[K] < Size[K]) {
+        SplitTo[K] = static_cast<uint16_t>(NumClasses);
+        Size[NumClasses++] = Inside[K];
+        Size[K] -= Inside[K];
+      }
+      Inside[K] = 0;
+    }
+    Label.forEach([&](unsigned char C) { ClassOf[C] = SplitTo[ClassOf[C]]; });
+  }
 
-  // Deduplicate labels first; refinement is order-independent.
+  // Number atoms by first appearance, which orders them by smallest symbol.
+  std::array<int, SymbolSet::NumSymbols> AtomOfClass;
+  AtomOfClass.fill(-1);
+  std::vector<SymbolSet> Atoms;
+  Atoms.reserve(NumClasses);
+  for (unsigned C = 0; C < SymbolSet::NumSymbols; ++C) {
+    int &Atom = AtomOfClass[ClassOf[C]];
+    if (Atom < 0) {
+      Atom = static_cast<int>(Atoms.size());
+      Atoms.emplace_back();
+    }
+    Atoms[Atom].insert(static_cast<unsigned char>(C));
+  }
+  return Atoms;
+}
+
+std::vector<SymbolSet>
+mfsa::computeAlphabetAtoms(const std::vector<Nfa> &Fsas) {
+  // Refining by a label twice is a no-op; deduplicate first.
   std::vector<SymbolSet> Labels;
   for (const Nfa &A : Fsas)
     for (const Transition &T : A.transitions())
-      if (!T.Label.empty())
-        Labels.push_back(T.Label);
+      Labels.push_back(T.Label);
   std::sort(Labels.begin(), Labels.end());
   Labels.erase(std::unique(Labels.begin(), Labels.end()), Labels.end());
-
-  for (const SymbolSet &Label : Labels) {
-    // Map old class -> new class for the in-label members.
-    std::map<uint16_t, uint16_t> SplitClass;
-    for (unsigned C = 0; C < SymbolSet::NumSymbols; ++C) {
-      if (!Label.contains(static_cast<unsigned char>(C)))
-        continue;
-      uint16_t Old = ClassOf[C];
-      auto [It, Inserted] = SplitClass.emplace(Old, NextClass);
-      if (Inserted)
-        ++NextClass;
-      ClassOf[C] = It->second;
-    }
-  }
-
-  // Collect classes into atoms, ordered by their smallest symbol.
-  std::map<uint16_t, SymbolSet> AtomOf;
-  for (unsigned C = 0; C < SymbolSet::NumSymbols; ++C)
-    AtomOf[ClassOf[C]].insert(static_cast<unsigned char>(C));
-  std::vector<SymbolSet> Atoms;
-  Atoms.reserve(AtomOf.size());
-  for (auto &[Class, Atom] : AtomOf)
-    Atoms.push_back(Atom);
-  std::sort(Atoms.begin(), Atoms.end(),
-            [](const SymbolSet &A, const SymbolSet &B) {
-              return A.min() < B.min();
-            });
-  return Atoms;
+  return computeAlphabetAtoms(Labels);
 }
 
 Nfa mfsa::splitByAtoms(const Nfa &A, const std::vector<SymbolSet> &Atoms) {

@@ -35,10 +35,14 @@
 
 namespace mfsa {
 
-/// Computes the coarsest partition of the alphabet such that every
-/// transition label of every automaton in \p Fsas is a union of atoms.
-/// Symbols not used by any label are grouped into one residual atom (or
-/// dropped if none). Atoms are returned in deterministic order.
+/// Computes the coarsest partition of the alphabet such that every label in
+/// \p Labels is a union of atoms. Symbols in no label are grouped into one
+/// residual atom (or dropped if none). Atoms are returned ordered by their
+/// smallest symbol; there are at most 256 of them.
+std::vector<SymbolSet>
+computeAlphabetAtoms(const std::vector<SymbolSet> &Labels);
+
+/// The partition over every transition label of every automaton in \p Fsas.
 std::vector<SymbolSet> computeAlphabetAtoms(const std::vector<Nfa> &Fsas);
 
 /// Splits every transition of \p A into one parallel transition per atom it

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 using namespace mfsa;
 using namespace mfsa::test;
@@ -382,10 +383,15 @@ public:
 
   void edge(StateId From, StateId To, const std::string &Symbols,
             std::initializer_list<uint32_t> Logical) {
+    edge(From, To, SymbolSet::of(Symbols), Logical);
+  }
+
+  void edge(StateId From, StateId To, const SymbolSet &Label,
+            std::initializer_list<uint32_t> Logical) {
     DynamicBitset Bel(Z.numRules());
     for (uint32_t K : Logical)
       Bel.set(Ids[K]);
-    Z.addTransition(From, To, SymbolSet::of(Symbols), Bel);
+    Z.addTransition(From, To, Label, Bel);
   }
 
   void rule(uint32_t Logical, StateId Initial, std::vector<StateId> Finals,
@@ -620,6 +626,118 @@ TEST(ImfantSplit, InjectionOffStopsAtFrontierDeath) {
       Scan.finish(Recorder);
       EXPECT_EQ(groupEnds(Recorder, "seeded"), (RuleEnds{{Ids[1], {13}}}));
     }
+  }
+}
+
+namespace {
+
+/// Byte classes at their edges: labels whose bounds sit on 0x00, 0x3F|0x40,
+/// 0x7F|0x80, 0xBF|0xC0 and 0xFF (the SymbolSet word boundaries), labels
+/// straddling those boundaries, the partially overlapping `[a-c]` and
+/// `[b-d]`, and a wide `[^\n]`. Rules 0-2 share I -> P -> {Q, F1} with
+/// per-rule belonging; rules 3 and 4 start at J, whose overlapping edges
+/// both enter L; L carries a `[^\n]` self-loop (rules 3, 4), so once L is
+/// live, a byte in `a`-`d` reaches it both by its own loop and by injection
+/// in the same step. Rule 5 is a lone `[^\n]` byte.
+Mfsa byteClassCase(bool Wide) {
+  HandMfsa H(Wide ? 80 : 6, caseIds(Wide, 6));
+  StateId I = H.state(), P = H.state(), Q = H.state(), F1 = H.state(),
+          F2 = H.state(), F3 = H.state(), J = H.state(), L = H.state(),
+          F4 = H.state(), K = H.state(), F5 = H.state();
+  const SymbolSet NotNewline = SymbolSet::singleton('\n').complement();
+  H.edge(I, P, SymbolSet::range(0x00, 0x3F), {0, 1});
+  H.edge(I, P, SymbolSet::range(0x80, 0xBF), {2});
+  H.edge(P, F1, SymbolSet::range(0x40, 0x7F), {0});
+  H.edge(P, F1, SymbolSet::range(0xC0, 0xFF), {1, 2});
+  H.edge(P, Q, SymbolSet::range(0x3F, 0x40), {0, 1, 2});
+  H.edge(Q, F2, SymbolSet::range(0x7F, 0x80), {1});
+  H.edge(Q, F2, SymbolSet::range(0xBF, 0xC0), {2});
+  H.edge(Q, F3, SymbolSet::singleton(0x00), {0});
+  H.edge(Q, F3, SymbolSet::singleton(0xFF), {0, 1, 2});
+  H.edge(J, L, SymbolSet::range('a', 'c'), {3});
+  H.edge(J, L, SymbolSet::range('b', 'd'), {4});
+  H.edge(L, L, NotNewline, {3, 4});
+  H.edge(L, F4, SymbolSet::range(0x00, 0x3F), {3});
+  H.edge(L, F4, SymbolSet::singleton(0xFF), {4});
+  H.edge(K, F5, NotNewline, {5});
+  H.rule(0, I, {F1, F3});
+  H.rule(1, I, {F1, F2, F3});
+  H.rule(2, I, {F1, F2, F3});
+  H.rule(3, J, {F4});
+  H.rule(4, J, {F4});
+  H.rule(5, K, {F5});
+  return H.take();
+}
+
+/// Streams \p Input in the chunks \p Cuts describe, handing the activation
+/// to a fresh scanner at every cut through captureActivation() and
+/// seedActivation() (startAt() keeps offsets absolute).
+RuleEnds roundTripEnds(const ImfantEngine &Engine, std::string_view Input,
+                       const std::vector<uint64_t> &Cuts,
+                       const std::string &Tag) {
+  MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+  auto Scan = std::make_unique<ImfantEngine::Scanner>(Engine);
+  for (std::string_view Chunk : chunksFromCuts(Input, Cuts)) {
+    Scan->feed(Chunk, Recorder);
+    const ActivationSet Carried = Scan->captureActivation();
+    const uint64_t Offset = Scan->offset();
+    Scan = std::make_unique<ImfantEngine::Scanner>(Engine);
+    if (Offset > 0)
+      Scan->startAt(Offset);
+    Scan->seedActivation(Carried);
+    EXPECT_EQ(Scan->frontierEmpty(), Carried.empty()) << Tag;
+  }
+  Scan->finish(Recorder);
+  return groupEnds(Recorder, Tag);
+}
+
+} // namespace
+
+TEST(ImfantClasses, AllBytesShuffledAcrossClassBoundaries) {
+  std::string Bytes(256, '\0');
+  for (unsigned C = 0; C < 256; ++C)
+    Bytes[C] = static_cast<char>(C);
+  Rng Random(0xC1A55);
+  std::vector<std::string> Inputs;
+  for (int Round = 0; Round < 3; ++Round) {
+    std::string Input = Bytes;
+    for (size_t I = Input.size() - 1; I > 0; --I)
+      std::swap(Input[I], Input[Random.nextBelow(I + 1)]);
+    Inputs.push_back(Input);
+  }
+  Inputs.push_back(Inputs[0] + Inputs[1]);
+
+  for (bool Wide : {false, true}) {
+    const Mfsa Z = byteClassCase(Wide);
+    const ImfantEngine Engine(Z);
+    std::set<uint32_t> MatchedRules;
+    SimdLevelReset Reset;
+    for (simd::Level Lvl : simd::availableLevels()) {
+      ASSERT_TRUE(simd::setLevel(Lvl));
+      for (size_t In = 0; In < Inputs.size(); ++In) {
+        const std::string &Input = Inputs[In];
+        const std::string Tag = std::string("simd=") + simd::levelName(Lvl) +
+                                " rules=" + std::to_string(Z.numRules()) +
+                                " input#" + std::to_string(In);
+        const RuleEnds Expected = oracleMfsaEnds(Z, Input);
+        for (const auto &Entry : Expected)
+          MatchedRules.insert(Entry.first);
+
+        MatchRecorder Whole(MatchRecorder::Mode::Collect);
+        Engine.run(Input, Whole);
+        EXPECT_EQ(groupEnds(Whole, Tag), Expected) << Tag << " run()";
+        for (const std::vector<uint64_t> &Cuts :
+             adversarialCuts(Random, Input, Expected))
+          EXPECT_EQ(roundTripEnds(Engine, Input, Cuts, Tag), Expected)
+              << Tag << " round trip at " << Cuts.size() << " cuts";
+        for (uint64_t Base : {1u, 7u})
+          EXPECT_EQ(scanEnds(Engine, Input, Base, 1, Tag),
+                    oracleMfsaEnds(Z, Input, Base))
+              << Tag << " startAt(" << Base << ")";
+      }
+    }
+    for (RuleId Id : caseIds(Wide, 6))
+      EXPECT_TRUE(MatchedRules.count(Id)) << "rule " << Id << " never matched";
   }
 }
 

@@ -9,21 +9,24 @@
 // PlannerOptions and InputThreads = 4, then compare explainJson() — minus
 // its wall-clock "plan_wall_ms" line — byte for byte against
 // tests/golden/plans/<DS>.json. The trace holds every cost-model fact the
-// planner used (width bounds, DFA probe verdicts, literal profile, per-engine
-// estimates), so any change to the analyses' results shows up here even when
-// the final choice happens to survive it.
+// planner used (DFA probe verdicts, literal profile, per-engine estimates),
+// so any change to the analyses' results shows up here even when the final
+// choice happens to survive it.
 //
 // After an intended planner change, regenerate the files with
 //   MFSA_UPDATE_PLAN_GOLDENS=1 build/tests/test_plan_golden
 // and review the diff.
 //
 // Scan work. At the plan's merging factor, the dense iMFAnt engine scans a
-// 64 KiB prefix of the dataset's stream and counts the entries it examines
-// (RunStats::TransitionsEvaluated: label-tested out-edges of active states
-// plus injection entries). The count is deterministic, so it is compared
-// exactly against tests/golden/work/<DS>.json, and it must stay strictly
-// below the symbol-major table's row sum over the same bytes (what iNFAnt's
-// per-symbol walk visits). After an intended engine change, regenerate with
+// 64 KiB prefix of the dataset's stream and counts its work: the entries it
+// examines (RunStats::TransitionsEvaluated: the out-edges the byte enables
+// on active states plus injection entries), the active states it walks
+// (RunStats::ActiveStates) and the final-state arrivals it probes
+// (RunStats::FinalProbes). The counts are deterministic, so they are
+// compared exactly against tests/golden/work/<DS>.json, and the entries
+// examined must stay strictly below the symbol-major table's row sum over
+// the same bytes (what iNFAnt's per-symbol walk visits). After an intended
+// engine change, regenerate with
 //   MFSA_UPDATE_WORK_GOLDENS=1 build/tests/test_plan_golden
 //
 //===----------------------------------------------------------------------===//
@@ -138,13 +141,15 @@ TEST_P(WorkGolden, ExaminedEntriesMatchCommittedCount) {
   for (unsigned char C : Stream)
     ++ByteCounts[C];
 
-  uint64_t Examined = 0, SymbolMajor = 0;
+  uint64_t Examined = 0, ActiveStates = 0, FinalProbes = 0, SymbolMajor = 0;
   for (const Mfsa &Z : Compiled->Mfsas) {
     ImfantEngine Engine(Z);
     MatchRecorder Recorder;
     RunStats Stats;
     Engine.run(Stream, Recorder, &Stats);
     Examined += Stats.TransitionsEvaluated;
+    ActiveStates += Stats.ActiveStates;
+    FinalProbes += Stats.FinalProbes;
     // iNFAnt's symbol-major walk visits every transition the byte enables.
     for (const MfsaTransition &T : Z.transitions())
       T.Label.forEach([&](unsigned char C) { SymbolMajor += ByteCounts[C]; });
@@ -160,6 +165,8 @@ TEST_P(WorkGolden, ExaminedEntriesMatchCommittedCount) {
       std::to_string(Compiled->Mfsas.size()) + ", \"bytes\": " +
       std::to_string(Stream.size()) + ", \"examined\": " +
       std::to_string(Examined) + ", \"examined_per_byte\": " + PerByte +
+      ", \"active_states\": " + std::to_string(ActiveStates) +
+      ", \"final_probes\": " + std::to_string(FinalProbes) +
       ", \"symbol_major\": " + std::to_string(SymbolMajor) + "}\n";
 
   const std::string Path = workGoldenPath(GetParam());

@@ -225,6 +225,10 @@ TEST(Scanner, StatsAccumulateAcrossFeeds) {
   Scan.finish(R2);
   EXPECT_EQ(Split.Steps, Whole.Steps);
   EXPECT_EQ(Split.TransitionsEvaluated, Whole.TransitionsEvaluated);
+  EXPECT_EQ(Split.ActiveStates, Whole.ActiveStates);
+  EXPECT_EQ(Split.FinalProbes, Whole.FinalProbes);
+  EXPECT_GT(Whole.ActiveStates, 0u);
+  EXPECT_GT(Whole.FinalProbes, 0u);
   EXPECT_EQ(Split.MaxActiveRules, Whole.MaxActiveRules);
   EXPECT_NEAR(Split.AvgActiveRules, Whole.AvgActiveRules, 1e-9);
   EXPECT_EQ(R1.total(), R2.total());
