@@ -214,7 +214,6 @@ int main(int argc, char **argv) {
     } else {
       InputParallelOptions ParOpts;
       ParOpts.Threads = InputThreads;
-      ParOpts.UseThreadPool = true;
       MatchRecorder Recorder(Verbose ? MatchRecorder::Mode::Collect
                                      : MatchRecorder::Mode::CountOnly);
       InputParallelStats ParStats;

@@ -242,11 +242,12 @@ void choose(EnginePlan &Plan, const PlannerOptions &Options) {
 /// ParallelInput) for the already-chosen engine. Every engine with an
 /// input-parallel executor is accepted, because each executor carries a
 /// run-time guard that caps its worst case at about sequential cost: the
-/// DFA family's state maps give up past MaxMapClasses live classes, and
-/// dense iMFAnt's death probe is bounded by MaxSpecWindowBytes, after which
-/// the join re-scans the chunk sequentially. The prefilter's residual rules
-/// go through the same iMFAnt executor, and its literal scan and confirm
-/// windows split across chunks without speculation.
+/// DFA family's state maps give up past 64 live classes, and dense
+/// iMFAnt's death probe is bounded by a 64 KiB overlap window, after which
+/// the join re-scans the chunk sequentially (engine/InputParallel.cpp).
+/// The prefilter's residual rules go through the same iMFAnt executor, and
+/// its literal scan and confirm windows split across chunks without
+/// speculation.
 void decideParallelInput(EnginePlan &Plan, const PlannerOptions &Options) {
   Plan.InputThreads = std::max(1u, Options.InputThreads);
   Plan.ParallelInput = false;

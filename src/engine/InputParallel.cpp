@@ -9,7 +9,6 @@
 #include "obs/Metrics.h"
 #include "support/SimdDispatch.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -22,6 +21,20 @@ using namespace mfsa;
 namespace {
 
 using Match = std::pair<uint32_t, uint64_t>; ///< (global rule, end offset).
+
+/// iMFAnt speculation: how many bytes the union-frontier death probe may
+/// consume before the chunk counts as speculation-hostile — the widest
+/// boundary overlap the join re-scans when the probe dies.
+constexpr size_t SpecWindowBytes = 1 << 16;
+/// iMFAnt speculation: per-start outcome tables are recorded only when the
+/// speculative frontier has at most this many start states — each costs
+/// one full chunk propagation in phase 1.
+constexpr size_t SpecStartStateCap = 8;
+/// DFA state-map guard: a map still holding more than MapClassCap live
+/// classes after MapGuardBytes is abandoned (the join re-scans the chunk);
+/// collapse normally reaches one class within bytes.
+constexpr uint32_t MapClassCap = 64;
+constexpr size_t MapGuardBytes = 4096;
 
 /// Sorts \p Matches into sequential emission order — nondecreasing end
 /// offset, rule id within an offset — drops duplicate (rule, end) pairs
@@ -72,13 +85,6 @@ ActivationSet unionActivations(const ActivationSet &A,
 
 } // namespace
 
-double InputParallelStats::modeledWallSeconds() const {
-  double Slowest = 0.0;
-  for (double S : ChunkPhase1Seconds)
-    Slowest = std::max(Slowest, S);
-  return Slowest + JoinSeconds;
-}
-
 void mfsa::recordInputParallelStats(const InputParallelStats &Stats,
                                     obs::MetricsRegistry &Registry) {
   Registry.counter("parallel.input.runs").add(1);
@@ -99,8 +105,6 @@ void mfsa::recordInputParallelStats(const InputParallelStats &Stats,
       .set(static_cast<int64_t>(Stats.MaxSpecFrontier));
   Registry.gauge("parallel.input.max_alive_classes")
       .set(static_cast<int64_t>(Stats.MaxAliveClasses));
-  Registry.gauge("parallel.input.join_us")
-      .set(static_cast<int64_t>(Stats.JoinSeconds * 1e6));
 }
 
 //===----------------------------------------------------------------------===//
@@ -112,20 +116,13 @@ InputParallelRun::InputParallelRun(const ImfantEngine &Engine,
     : Kind(Backend::Imfant), Opts(std::move(Options)), Imfant(&Engine) {
   const uint32_t W = Engine.ruleWords();
   const std::vector<uint64_t> Poss = Engine.possibleRulesByState();
-  // The width bound's reachable-state set (when supplied and computed over
-  // the same Mfsa) soundly prunes states that no mid-stream frontier can
-  // contain; a budgeted bound has every bit set, so the pruning degrades
-  // gracefully to "every state with a nonempty possible-rule mask".
-  const WidthBound *Width = Opts.Width;
-  const bool UseReach =
-      Width && Width->ReachableStates.size() == Engine.numStates();
   SpecSeed.Words = W;
   for (StateId S = 0; S < Engine.numStates(); ++S) {
     const uint64_t *Blk = &Poss[static_cast<size_t>(S) * W];
     bool Any = false;
     for (uint32_t Wd = 0; Wd < W; ++Wd)
       Any = Any || Blk[Wd] != 0;
-    if (!Any || (UseReach && !Width->ReachableStates.test(S)))
+    if (!Any)
       continue;
     SpecSeed.States.push_back(S);
     SpecSeed.RuleBlocks.insert(SpecSeed.RuleBlocks.end(), Blk, Blk + W);
@@ -237,7 +234,6 @@ void InputParallelRun::runImfant(std::string_view Input,
   // the union-frontier death probe, and (when the fan-out allows) the
   // per-start outcome tables.
   forEachChunk(Pool, NumChunks, [&](size_t I) {
-    Timer Clock;
     ImfChunkWork &W = Work[I];
     const uint64_t Base = Bounds[I];
     const std::string_view Chunk =
@@ -272,15 +268,11 @@ void InputParallelRun::runImfant(std::string_view Input,
       Probe.setInjection(false);
       Probe.seedActivation(SpecSeed);
       MatchRecorder Devnull(MatchRecorder::Mode::CountOnly);
-      const size_t Window =
-          Opts.MaxSpecWindowBytes
-              ? std::min(Chunk.size(), Opts.MaxSpecWindowBytes)
-              : Chunk.size();
-      Probe.feed(Chunk.substr(0, Window), Devnull);
+      Probe.feed(Chunk.substr(0, SpecWindowBytes), Devnull);
       if (Probe.frontierEmpty()) {
         W.M = ImfChunkWork::Mode::Dead;
         W.DeathBytes = static_cast<size_t>(Probe.offset() - Base);
-      } else if (SpecSeed.size() <= Opts.MaxSpecStartStates) {
+      } else if (SpecSeed.size() <= SpecStartStateCap) {
         // Record one outcome per speculative start state: the join masks
         // these against the real carried activation. Each costs a full
         // chunk propagation, hence the fan-out cap.
@@ -314,13 +306,10 @@ void InputParallelRun::runImfant(std::string_view Input,
         W.M = ImfChunkWork::Mode::Rescan;
       }
     }
-    if (Stats)
-      Stats->ChunkPhase1Seconds[I] = Clock.elapsedMs() / 1e3;
   });
 
   // Phase 2 — sequential join: thread the real boundary frontier through
   // the chunks, resolving each boundary by the mode phase 1 established.
-  Timer JoinClock;
   const uint32_t W = Engine.ruleWords();
   {
     std::vector<Match> Lead = std::move(Work[0].IsoMatches);
@@ -451,8 +440,6 @@ void InputParallelRun::runImfant(std::string_view Input,
 
     Carry = unionActivations(Wk.IsoExit, CarryExit);
   }
-  if (Stats)
-    Stats->JoinSeconds = JoinClock.elapsedMs() / 1e3;
 }
 
 //===----------------------------------------------------------------------===//
@@ -587,9 +574,9 @@ struct ChunkStateMap {
 
 template <class Policy>
 void buildChunkStateMap(const Policy &P, std::string_view Chunk,
-                        uint64_t Base, uint64_t StreamEnd, uint32_t ClassCap,
-                        size_t GuardBytes, ChunkStateMap &M) {
+                        uint64_t Base, uint64_t StreamEnd, ChunkStateMap &M) {
   const uint32_t N = P.numStates();
+  const size_t GuardBytes = std::min(Chunk.size(), MapGuardBytes);
   M.Classes.assign(N, {});
   std::vector<uint32_t> Cur(N), Alive(N), NewAlive;
   std::iota(Cur.begin(), Cur.end(), 0u);
@@ -606,7 +593,7 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
     // Collapse-to-one fast path: a single surviving class is a known DFA
     // state, so the rest of the chunk is the ordinary sequential scan —
     // this is what makes the map's amortized cost approach the sequential
-    // engine's and the modeled speedup approach T (bench/fig_input_parallel).
+    // engine's and the speedup approach T (bench/fig_input_parallel).
     if (Alive.size() == 1) {
       const uint32_t C = Alive[0];
       Cur[C] = scanChunkFrom(P, Cur[C], Chunk.substr(Pos), Base + Pos,
@@ -648,7 +635,7 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
     // Collapse guard: past the overlap window a still-wide map costs more
     // than the sequential re-scan it replaces. Alive only shrinks, so one
     // live comparison suffices.
-    if (Pos >= GuardBytes && Alive.size() > ClassCap) {
+    if (Pos >= GuardBytes && Alive.size() > MapClassCap) {
       M.Ok = false;
       return;
     }
@@ -672,7 +659,6 @@ void InputParallelRun::run(std::string_view Input, MatchRecorder &Recorder,
   if (Stats) {
     Stats->Threads = static_cast<unsigned>(Bounds.size() - 1);
     Stats->Chunks = Bounds.size() - 1;
-    Stats->ChunkPhase1Seconds.assign(Bounds.size() - 1, 0.0);
   }
   std::unique_ptr<ThreadPool> OwnPool;
   if (!Pool) {
@@ -710,7 +696,6 @@ void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
   uint32_t LeadExit = 0;
   std::vector<ChunkStateMap> Maps(NumChunks);
   forEachChunk(Pool, NumChunks, [&](size_t I) {
-    Timer Clock;
     const uint64_t Base = Bounds[I];
     const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
     if (I == 0) {
@@ -719,20 +704,12 @@ void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
                                  LeadMatches.emplace_back(Rule, End);
                                });
     } else {
-      const size_t Guard =
-          Opts.MaxSpecWindowBytes
-              ? std::min(Chunk.size(), Opts.MaxSpecWindowBytes)
-              : Chunk.size();
-      buildChunkStateMap(P, Chunk, Base, StreamEnd, Opts.MaxMapClasses,
-                         std::min<size_t>(Guard, 4096), Maps[I]);
+      buildChunkStateMap(P, Chunk, Base, StreamEnd, Maps[I]);
     }
-    if (Stats)
-      Stats->ChunkPhase1Seconds[I] = Clock.elapsedMs() / 1e3;
   });
 
   // Phase 2: thread the single live DFA state through the maps, emitting
   // each chunk's log chain — exactly the sequential match sequence.
-  Timer JoinClock;
   for (const Match &M : LeadMatches)
     Recorder.onMatch(M.first, M.second);
   if (Stats)
@@ -781,6 +758,4 @@ void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
       }
     }
   }
-  if (Stats)
-    Stats->JoinSeconds = JoinClock.elapsedMs() / 1e3;
 }

@@ -11,7 +11,7 @@
 /// the cut points so the output is byte-identical to a sequential scan.
 /// PaREM and *Simultaneous Finite Automata* (PAPERS.md) are the lineage;
 /// the MFSA twist is that the speculative start set of a non-initial chunk
-/// is an activation-set object the CostModel already bounds.
+/// is an activation set: every state with a nonempty possible-rule mask.
 ///
 /// The stitching problem: a chunk i > 0 starts mid-stream, so the scanner
 /// state at its first byte — the *boundary frontier* — is only known once
@@ -26,11 +26,11 @@
 ///    — plus (b) the propagation of the incoming boundary frontier with
 ///    injection off. Phase 1 runs (a) per chunk in parallel, and bounds (b)
 ///    speculatively: a *death probe* propagates the union frontier (every
-///    CostModel-reachable state seeded with its possible-rule mask) through
-///    an overlap window; if it dies at offset D, monotonicity guarantees
-///    any real carry dies by D, so the join only re-scans ≤ D boundary
-///    bytes. If the probe survives and the fan-out is small, phase 1
-///    records *per-start-state outcome tables* (matches + exit activation
+///    state seeded with its possible-rule mask) through a bounded overlap
+///    window; if it dies at offset D, monotonicity guarantees any real
+///    carry dies by D, so the join only re-scans ≤ D boundary bytes. If
+///    the probe survives and the fan-out is small, phase 1 records
+///    *per-start-state outcome tables* (matches + exit activation
 ///    per speculative start state, exact per rule by the affine argument),
 ///    making the join a masked table lookup. Otherwise the join falls back
 ///    to a sequential carry re-scan of that chunk — always correct, no
@@ -52,12 +52,15 @@
 /// at the true stream end — hence byte-identical output, which
 /// tests/InputParallelTest.cpp asserts under adversarial chunkings.
 ///
+/// Speedups are measured by wall clock on the pool
+/// (bench/fig_input_parallel, docs/performance.md); the stats below count
+/// work, not time.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MFSA_ENGINE_INPUTPARALLEL_H
 #define MFSA_ENGINE_INPUTPARALLEL_H
 
-#include "analysis/CostModel.h"
 #include "engine/Imfant.h"
 #include "engine/MultiStride.h"
 #include "fsa/Determinize.h"
@@ -85,37 +88,15 @@ struct InputParallelOptions {
   /// Inputs shorter than Threads × MinChunkBytes use fewer chunks: below
   /// this size the per-boundary stitching overhead outweighs the split.
   size_t MinChunkBytes = 1 << 12;
-  /// iMFAnt speculation: how many bytes the union-frontier death probe may
-  /// consume before the chunk is declared speculation-hostile (0 = the
-  /// whole chunk). This is the maximum boundary overlap window the join
-  /// will re-scan when the probe dies.
-  size_t MaxSpecWindowBytes = 1 << 16;
-  /// iMFAnt speculation: per-start outcome tables are recorded only when
-  /// the speculative frontier has at most this many start states — each
-  /// start state costs one full chunk propagation in phase 1, so a large
-  /// fan-out is priced out.
-  uint32_t MaxSpecStartStates = 8;
-  /// DFA state-map guard: abandon a chunk's map (join re-scans it
-  /// sequentially) if the live class count still exceeds this after the
-  /// overlap window — collapse normally reaches ~1 class within bytes.
-  uint32_t MaxMapClasses = 64;
   /// Test hook: explicit interior cut offsets (ascending, duplicates give
   /// empty chunks). Overrides Threads/MinChunkBytes chunking when set.
   std::vector<uint64_t> CutOverride;
-  /// Optional static width facts for the engine's source Mfsa (iMFAnt
-  /// backend only): restricts the speculative frontier to the
-  /// antichain-reachable states and lets callers assert observed
-  /// speculative frontiers against the bound. Must outlive the run.
-  const WidthBound *Width = nullptr;
-  /// Run phase 1 on a ThreadPool of Threads workers. Off by default: the
-  /// scaling bench times each chunk in isolation on one core and reports
-  /// the modeled (critical-path) wall, which is deterministic on any
-  /// machine (docs/performance.md).
-  bool UseThreadPool = false;
+  /// Run phase 1 on a ThreadPool of Threads workers; off runs the chunks
+  /// one after another on the calling thread (same output, no speedup).
+  bool UseThreadPool = true;
 };
 
-/// Per-run observability for the `parallel.input.*` metrics and the
-/// scaling bench's modeled-speedup computation.
+/// Per-run work counters for the `parallel.input.*` metrics.
 struct InputParallelStats {
   unsigned Threads = 0; ///< Chunk count actually used.
   uint64_t Chunks = 0;
@@ -132,14 +113,6 @@ struct InputParallelStats {
   uint32_t MaxAliveClasses = 0; ///< Peak DFA state-map classes.
   uint64_t IsoMatches = 0;   ///< Matches found by in-chunk scans.
   uint64_t CarryMatches = 0; ///< Matches contributed by boundary carries.
-  /// Per-chunk phase-1 seconds (index = chunk). With UseThreadPool off the
-  /// chunks run serially but are timed independently, so
-  /// max + JoinSeconds models the T-thread critical path.
-  std::vector<double> ChunkPhase1Seconds;
-  double JoinSeconds = 0.0; ///< Sequential stitching time.
-
-  /// Critical-path wall model: slowest chunk plus the sequential join.
-  double modeledWallSeconds() const;
 };
 
 /// Publishes \p Stats as `parallel.input.*` counters/gauges.
@@ -208,9 +181,9 @@ private:
 
   // iMFAnt backend.
   const ImfantEngine *Imfant = nullptr;
-  /// Speculative union frontier: every state the CostModel says can be
-  /// active mid-stream, seeded with its possible-rule mask (a sound
-  /// superset of any real boundary activation).
+  /// Speculative union frontier: every state with a nonempty possible-rule
+  /// mask, seeded with that mask (a sound superset of any real boundary
+  /// activation).
   ActivationSet SpecSeed;
   /// Dataset global id -> engine-local rule, for masking per-start outcome
   /// tables (recorded in global ids) against local activation bitsets.

@@ -78,10 +78,8 @@ Result<PlannedEngineSet> PlannedEngineSet::createFromRuleset(
 
 namespace {
 
-/// Accumulates one group's input-parallel stats into the caller's. Chunk i
-/// of every group runs on (notional) thread i, so per-chunk seconds add
-/// element-wise and modeledWallSeconds() stays the critical-path model for
-/// the whole group-sequential scan.
+/// Accumulates one group's input-parallel stats into the caller's: counters
+/// add up, peaks take the maximum.
 void accumulateStats(InputParallelStats &Into,
                      const InputParallelStats &Group) {
   Into.Threads = std::max(Into.Threads, Group.Threads);
@@ -96,11 +94,6 @@ void accumulateStats(InputParallelStats &Into,
       std::max(Into.MaxAliveClasses, Group.MaxAliveClasses);
   Into.IsoMatches += Group.IsoMatches;
   Into.CarryMatches += Group.CarryMatches;
-  if (Into.ChunkPhase1Seconds.size() < Group.ChunkPhase1Seconds.size())
-    Into.ChunkPhase1Seconds.resize(Group.ChunkPhase1Seconds.size(), 0.0);
-  for (size_t I = 0; I < Group.ChunkPhase1Seconds.size(); ++I)
-    Into.ChunkPhase1Seconds[I] += Group.ChunkPhase1Seconds[I];
-  Into.JoinSeconds += Group.JoinSeconds;
 }
 
 } // namespace

@@ -65,9 +65,8 @@ public:
   /// InputParallelRun, and the prefilter through
   /// PrefilterEngine::runInputParallel, all on one pool when
   /// \p Options.UseThreadPool is set. \p Stats, when non-null, accumulates
-  /// across groups: counters add up, peaks take the maximum, and per-chunk
-  /// phase-1 seconds add element-wise (chunk i of every group is charged to
-  /// notional thread i).
+  /// across groups: counters add up (Chunks is numGroups() times the chunk
+  /// count) and peaks take the maximum.
   void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
                         const InputParallelOptions &Options,
                         InputParallelStats *Stats = nullptr) const;

@@ -13,7 +13,6 @@
 #include "obs/Metrics.h"
 #include "regex/Parser.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <limits>
@@ -207,12 +206,7 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
   } else if (Stats) {
     Stats->Threads = static_cast<unsigned>(NumSlices);
     Stats->Chunks = NumSlices;
-    Stats->ChunkPhase1Seconds.assign(NumSlices, 0.0);
   }
-  auto AddChunkSeconds = [Stats](size_t I, const Timer &Clock) {
-    if (Stats)
-      Stats->ChunkPhase1Seconds[I] += Clock.elapsedMs() / 1e3;
-  };
 
   // Phase 2: the literal scan, one slice per chunk. A slice starts
   // Lmax - 1 bytes early so it sees every literal ending inside its chunk,
@@ -222,7 +216,6 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
   if (Literals) {
     const size_t Lead = Literals->maxLiteralLength() - 1;
     forEachChunk(Pool, NumSlices, [&](size_t I) {
-      Timer Clock;
       const size_t Lo = Bounds[I];
       const size_t Hi = Bounds[I + 1];
       const size_t From = Lo > Lead ? Lo - Lead : 0;
@@ -234,13 +227,11 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
                          if (From + EndOffset > Lo)
                            Hits[RuleIdx].push_back(From + EndOffset);
                        });
-      AddChunkSeconds(I, Clock);
     });
   }
 
   // Slices ascend and each keeps its hits sorted, so concatenating them in
   // slice order gives exactly the sequential per-rule hit lists.
-  Timer JoinClock;
   std::vector<std::vector<size_t>> Hits(PrefilteredRules.size());
   for (std::vector<std::vector<size_t>> &Slice : SliceHits)
     for (size_t RuleIdx = 0; RuleIdx < Slice.size(); ++RuleIdx)
@@ -267,7 +258,6 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
     while (Next < NumSlices && Acc * NumSlices >= TotalCost * Next)
       RunBegin[Next++] = W + 1;
   }
-  double JoinSeconds = JoinClock.elapsedMs() / 1e3;
 
   struct ConfirmRun {
     std::vector<Match> Matches;
@@ -275,23 +265,17 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
   };
   std::vector<ConfirmRun> Runs(NumSlices);
   forEachChunk(Pool, NumSlices, [&](size_t I) {
-    Timer Clock;
     for (size_t W = RunBegin[I]; W < RunBegin[I + 1]; ++W)
       Runs[I].Confirmed += confirm(Windows[W], Input, Runs[I].Matches);
-    AddChunkSeconds(I, Clock);
   });
 
   // Replay in run order, which is run()'s rule and window order.
-  JoinClock.reset();
   uint64_t Confirmed = 0;
   for (const ConfirmRun &Run : Runs) {
     Confirmed += Run.Confirmed;
     for (const Match &M : Run.Matches)
       Recorder.onMatch(M.first, M.second);
   }
-  JoinSeconds += JoinClock.elapsedMs() / 1e3;
-  if (Stats)
-    Stats->JoinSeconds += JoinSeconds;
   recordScan(Input.size(), Hits, Windows, Confirmed,
              Recorder.total() - MatchesBefore);
 }

@@ -64,10 +64,8 @@ public:
   ///     worker's matches are replayed into \p Recorder in run()'s rule and
   ///     window order.
   /// \p Stats, when non-null, receives the residual executor's chunk
-  /// counters; per-chunk phase-1 seconds also include slice i's literal
-  /// scan and worker i's confirm time, and the window coalescing and replay
-  /// count as join time. \p Pool, when non-null, is used instead of a pool
-  /// of the call's own.
+  /// counters (or just the chunk count when every rule is prefiltered).
+  /// \p Pool, when non-null, is used instead of a pool of the call's own.
   void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
                         const InputParallelOptions &Options,
                         InputParallelStats *Stats = nullptr,

@@ -122,7 +122,6 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
   InputParallelOptions ParOpts;
   ParOpts.Threads = 3;
   ParOpts.MinChunkBytes = 1;
-  ParOpts.Width = &Width;
   InputParallelRun Par(Imfant, ParOpts);
   InputParallelOptions PlannedParOpts;
   PlannedParOpts.Threads = 3;

@@ -91,7 +91,6 @@ void checkInputParallel(uint64_t Seed,
     Opts.Threads = Threads;
     Opts.MinChunkBytes = 1; // Test inputs are tiny: always really split.
     Opts.CutOverride = std::move(Cuts);
-    Opts.Width = &Width;
     return Opts;
   };
 
@@ -125,9 +124,8 @@ void checkInputParallel(uint64_t Seed,
           Par.run(Input, Recorder, &Stats);
           EXPECT_EQ(recorderEnds(Recorder), Expected)
               << "backend=imfant " << Tag;
-          // Speculative scans start inside CostModel-reachable
-          // configurations, so the static width bound dominates their
-          // observed frontiers too.
+          // Speculative scans start inside reachable configurations, so
+          // the static width bound dominates their observed frontiers too.
           EXPECT_GE(Width.MaxActiveStates, Stats.MaxSpecFrontier)
               << "spec frontier bound " << Tag;
         }
@@ -413,7 +411,6 @@ void checkPrefilterInputParallel(uint64_t Seed,
           EXPECT_EQ(recorderEnds(Par), Expected) << Tag;
           const size_t Chunks = inputChunkBounds(Opts, Input.size()).size() - 1;
           EXPECT_EQ(Stats.Chunks, Chunks) << Tag;
-          EXPECT_EQ(Stats.ChunkPhase1Seconds.size(), Chunks) << Tag;
         }
     }
   }

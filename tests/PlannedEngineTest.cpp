@@ -7,12 +7,14 @@
 // (fsa/Reference.h): run(), and runInputParallel() under the adversarial cut
 // sets of TestHelpers.h plus even splits, with and without a thread pool, at
 // every available SIMD level. The group count must be K = ceil(N/M), or 1
-// for the prefilter, which covers the whole ruleset.
+// for the prefilter, which covers the whole ruleset. runInputParallel()'s
+// stats must add up the per-group executor stats.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Planner.h"
 #include "engine/PlannedEngine.h"
+#include "mfsa/Merge.h"
 #include "support/SimdDispatch.h"
 
 #include "TestHelpers.h"
@@ -107,6 +109,62 @@ TEST_P(PlannedEngineSetTest, RunAndInputParallelMatchOracle) {
       }
     }
   }
+}
+
+/// runInputParallel()'s stats are the per-group stats added up: each group
+/// is scanned alone as a one-group set, and the whole set's counters must
+/// be the sums, with Chunks = numGroups() x the chunk count.
+TEST(PlannedEngineSetStats, InputParallelStatsSumOverGroups) {
+  const std::vector<std::string> &Patterns = ruleset();
+  std::vector<Nfa> Fsas;
+  for (const std::string &P : Patterns)
+    Fsas.push_back(compileOptimized(P));
+  std::vector<uint32_t> Ids(Fsas.size());
+  std::iota(Ids.begin(), Ids.end(), 0u);
+  Rng Random(0x57a75);
+  std::string Input = randomInput(Random, 2048);
+  InputParallelOptions Opts;
+  Opts.Threads = 4;
+  Opts.MinChunkBytes = 1;
+  const std::vector<uint64_t> Bounds = inputChunkBounds(Opts, Input.size());
+  const size_t Chunks = Bounds.size() - 1;
+  ASSERT_EQ(Chunks, 4u);
+  // An "abc" across every cut gives each boundary a carry to resolve.
+  for (size_t I = 1; I < Chunks; ++I)
+    Input.replace(Bounds[I] - 1, 3, "abc");
+
+  for (Engine Choice : {Engine::ImfantDense, Engine::Dfa, Engine::StridedDfa})
+    for (uint32_t M : {1u, 3u}) {
+      const std::string Tag =
+          std::string(engineName(Choice)) + " M=" + std::to_string(M);
+      const std::vector<Mfsa> Groups = mergeInGroups(Fsas, Ids, M);
+      Result<PlannedEngineSet> Set =
+          PlannedEngineSet::create(Choice, Groups, Patterns);
+      ASSERT_TRUE(Set.ok()) << Set.diag().render() << " " << Tag;
+      ASSERT_EQ(Set->numGroups(), Groups.size()) << Tag;
+      MatchRecorder Whole(MatchRecorder::Mode::CountOnly);
+      InputParallelStats Total;
+      Set->runInputParallel(Input, Whole, Opts, &Total);
+
+      InputParallelStats Sum;
+      for (const Mfsa &Z : Groups) {
+        Result<PlannedEngineSet> One =
+            PlannedEngineSet::create(Choice, {Z}, Patterns);
+        ASSERT_TRUE(One.ok()) << One.diag().render() << " " << Tag;
+        MatchRecorder Part(MatchRecorder::Mode::CountOnly);
+        InputParallelStats Stats;
+        One->runInputParallel(Input, Part, Opts, &Stats);
+        EXPECT_EQ(Stats.Chunks, Chunks) << Tag;
+        Sum.RescanFallbackChunks += Stats.RescanFallbackChunks;
+        Sum.OverlapBytes += Stats.OverlapBytes;
+        Sum.CarryMatches += Stats.CarryMatches;
+      }
+      EXPECT_EQ(Total.Chunks, Set->numGroups() * Chunks) << Tag;
+      EXPECT_EQ(Total.RescanFallbackChunks, Sum.RescanFallbackChunks) << Tag;
+      EXPECT_EQ(Total.OverlapBytes, Sum.OverlapBytes) << Tag;
+      EXPECT_EQ(Total.CarryMatches, Sum.CarryMatches) << Tag;
+      EXPECT_GT(Sum.CarryMatches, 0u) << Tag;
+    }
 }
 
 std::string paramName(const ::testing::TestParamInfo<Param> &Info) {
