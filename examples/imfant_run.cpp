@@ -187,7 +187,6 @@ int main(int argc, char **argv) {
     EnginePlan Plan;
     if (EngineChoice == Engine::Auto) {
       PlannerOptions PO;
-      PO.AllowPrefilter = !RulePatterns.empty();
       PO.InputThreads = InputThreads;
       Plan = planMfsas(Mfsas, RulePatterns, 0, PO);
       if (ExplainPlan)

@@ -7,7 +7,6 @@
 #include "analysis/CostModel.h"
 
 #include "fsa/Determinize.h"
-#include "fsa/LiteralAnalysis.h"
 #include "obs/Metrics.h"
 #include "regex/Parser.h"
 #include "support/SymbolSet.h"
@@ -362,14 +361,13 @@ DfaEstimate probeDfaBlowup(const Mfsa &Z, const DfaProbeOptions &Options) {
 }
 
 LiteralProfile profileLiterals(const Mfsa &Z,
-                               const std::vector<std::string> &Patterns,
-                               uint32_t MinLiteralLength) {
+                               const std::vector<std::string> &Patterns) {
   LiteralProfile Profile;
   Profile.TotalRules = Z.numRules();
   if (Patterns.empty() || Z.numRules() == 0)
     return Profile;
 
-  Profile.RulePrefilterable.assign(Z.numRules(), 0);
+  Profile.Rules.resize(Z.numRules());
   double LiteralLengthSum = 0.0;
   bool FirstByteSeen[256] = {};
   for (RuleId R = 0; R < Z.numRules(); ++R) {
@@ -379,11 +377,10 @@ LiteralProfile profileLiterals(const Mfsa &Z,
     Result<Regex> Re = parseRegex(Patterns[GlobalId]);
     if (!Re)
       continue;
-    PrefilterInfo Info =
-        analyzeForPrefilter(*Re, Z.extractRule(R), MinLiteralLength);
+    PrefilterInfo &Info = Profile.Rules[R];
+    Info = analyzeForPrefilter(*Re, Z.extractRule(R));
     if (!Info.Prefilterable)
       continue;
-    Profile.RulePrefilterable[R] = 1;
     ++Profile.PrefilterableRules;
     LiteralLengthSum += static_cast<double>(Info.Literal.size());
     FirstByteSeen[static_cast<unsigned char>(Info.Literal[0])] = true;
@@ -433,7 +430,7 @@ CostReport analyzeCost(const Mfsa &Z, const std::vector<std::string> &Patterns,
   CostReport Report;
   Report.Shape = computeShape(Z);
   Report.Dfa = probeDfaBlowup(Z, Options.Probe);
-  Report.Literals = profileLiterals(Z, Patterns, Options.MinLiteralLength);
+  Report.Literals = profileLiterals(Z, Patterns);
   return Report;
 }
 

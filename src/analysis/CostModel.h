@@ -47,6 +47,7 @@
 #ifndef MFSA_ANALYSIS_COSTMODEL_H
 #define MFSA_ANALYSIS_COSTMODEL_H
 
+#include "fsa/LiteralAnalysis.h"
 #include "mfsa/Mfsa.h"
 
 #include <cstdint>
@@ -132,18 +133,20 @@ struct LiteralProfile {
   /// root-skip SIMD scan on its narrow byte-set fast path.
   uint32_t DistinctFirstBytes = 0;
   bool RootSkipViable = false;
-  /// Per-rule verdicts indexed like Z's local rules (empty when no
-  /// patterns were supplied).
-  std::vector<uint8_t> RulePrefilterable;
+  /// Per-rule decisions indexed like Z's local rules (empty when no
+  /// patterns were supplied). A rule whose GlobalId has no parseable
+  /// pattern is not prefilterable. PrefilterEngine splits its rules by
+  /// exactly these decisions.
+  std::vector<PrefilterInfo> Rules;
 };
 
 /// Scores the AC-prefilter path for \p Z. \p Patterns is the original
 /// dataset ruleset, indexed by the rules' GlobalIds; when empty (e.g. an
 /// ANML-only load) the profile reports zero density and the planner
-/// disables the prefilter candidate.
+/// disables the prefilter candidate. Window bounds are measured on the
+/// rules' automata extracted from \p Z.
 LiteralProfile profileLiterals(const Mfsa &Z,
-                               const std::vector<std::string> &Patterns,
-                               uint32_t MinLiteralLength = 3);
+                               const std::vector<std::string> &Patterns);
 
 /// Structural size facts the cost formulas consume directly.
 struct MfsaShape {
@@ -162,7 +165,6 @@ MfsaShape computeShape(const Mfsa &Z);
 /// Knobs for the combined analysis.
 struct CostOptions {
   DfaProbeOptions Probe;
-  uint32_t MinLiteralLength = 3;
 };
 
 /// The combined static-analysis report for one Mfsa.

@@ -733,18 +733,17 @@ void mfsa::lintCost(const Mfsa &Z, const std::vector<std::string> &Patterns,
   // forces the residual full-scan path on the whole input. Only meaningful
   // when the original patterns are available.
   if (!Patterns.empty()) {
-    const LiteralProfile L =
-        profileLiterals(Z, Patterns, Options.CostMinLiteralLength);
+    const LiteralProfile L = profileLiterals(Z, Patterns);
     if (L.TotalRules >= 4 && L.PrefilterableFraction >= 0.5 &&
         L.PrefilterableRules < L.TotalRules) {
       for (RuleId I = 0; I < R; ++I) {
-        if (I < L.RulePrefilterable.size() && L.RulePrefilterable[I])
+        if (I < L.Rules.size() && L.Rules[I].Prefilterable)
           continue;
         Finding F;
         F.Sev = Severity::Note;
         F.CheckId = "lint.cost.prefilter-defeated";
         F.Message = "rule has no required literal of length >= " +
-                    std::to_string(Options.CostMinLiteralLength) +
+                    std::to_string(MinPrefilterLiteralLength) +
                     " in a literal-heavy ruleset (" +
                     std::to_string(L.PrefilterableRules) + "/" +
                     std::to_string(L.TotalRules) +

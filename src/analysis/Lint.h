@@ -148,8 +148,6 @@ struct LintOptions {
   uint64_t CostWidthMaxMacrostates = 1u << 12;
   /// State cap for the subset-construction blowup probe.
   uint32_t CostDfaProbeMaxStates = 1u << 14;
-  /// Minimum extractable-literal length for the prefilterability profile.
-  uint32_t CostMinLiteralLength = 3;
 };
 
 /// Per-ruleset lint summary.

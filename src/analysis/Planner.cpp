@@ -58,7 +58,7 @@ double spillFactor(double Bytes, const CostCoefficients &C) {
 /// merged groups). Costs are summed over groups because execution is
 /// group-sequential: each group's engine scans the whole input.
 void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
-                     bool AllowPrefilter, const CostCoefficients &C) {
+                     bool HavePatterns, const CostCoefficients &C) {
   double DenseNs = 0.0, DfaNs = 0.0, Stride2Ns = 0.0;
   double DenseBytes = 0.0, DfaBytes = 0.0, Stride2Bytes = 0.0, RowSum = 0.0;
   bool DfaOk = true, Stride2Ok = true;
@@ -120,7 +120,7 @@ void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
         DfaOk ? "stride-2 table exceeds its entry cap"
               : "blowup before budget: DFA probe exceeded its state cap");
 
-  if (!AllowPrefilter || Literals.TotalRules == 0) {
+  if (!HavePatterns || Literals.TotalRules == 0) {
     Add(Engine::Prefilter, 0.0, false, "source patterns unavailable");
   } else if (Literals.PrefilterableRules == 0) {
     Add(Engine::Prefilter, 0.0, false, "no rule has a usable mandatory "
@@ -193,9 +193,7 @@ CandidatePlan evaluateGroups(const std::vector<Mfsa> &Groups,
         LiteralLenSum / static_cast<double>(Aggregate.PrefilterableRules);
   Aggregate.RootSkipViable = Aggregate.DistinctFirstBytes >= 1 &&
                              Aggregate.DistinctFirstBytes <= 8;
-  const bool HavePatterns = !Patterns.empty();
-  estimateEngines(Cand, Aggregate, Options.AllowPrefilter && HavePatterns,
-                  Options.Coefficients);
+  estimateEngines(Cand, Aggregate, !Patterns.empty(), Options.Coefficients);
   return Cand;
 }
 

@@ -171,9 +171,6 @@ struct PlannerOptions {
   /// (the explain trace shows what it would have picked) but the plan's
   /// Choice is pinned. Auto means "actually choose".
   Engine Force = Engine::Auto;
-  /// Prefilter needs the source patterns at engine-construction time;
-  /// callers without them (ANML-only loads) disable the candidate.
-  bool AllowPrefilter = true;
   /// Requested input-parallel chunk count (imfant_run --input-threads).
   /// 1 disables the dimension; above 1 the planner enables it whenever
   /// the chosen engine has an input-parallel executor (see

@@ -52,16 +52,12 @@ PlannedEngineSet::create(Engine Choice, const std::vector<Mfsa> &Mfsas,
       Set.Groups.emplace_back(std::move(*S));
     }
     return Set;
-  case Engine::Prefilter: {
+  case Engine::Prefilter:
     if (Patterns.empty())
       return Result<PlannedEngineSet>::error(
           "prefilter engine needs the source patterns");
-    Result<PrefilterEngine> P = PrefilterEngine::create(Patterns);
-    if (!P)
-      return P.takeDiag();
-    Set.Groups.emplace_back(std::move(*P));
+    Set.Groups.emplace_back(PrefilterEngine::create(Mfsas, Patterns));
     return Set;
-  }
   }
   return Result<PlannedEngineSet>::error("unknown engine choice");
 }

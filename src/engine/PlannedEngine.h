@@ -12,10 +12,11 @@
 /// the differential harness can execute any plan through a single driver.
 ///
 /// Construction can fail the way the underlying builders fail (DFA blowup,
-/// stride-2 table cap, malformed prefilter patterns); callers get the
-/// builder's diagnostic and typically fall back to the always-feasible dense
-/// engine — the planner only proposes candidates its probes found feasible,
-/// so a failure here means the probe budget and the real budget disagreed.
+/// stride-2 table cap) or when the prefilter has no rule texts; callers get
+/// the builder's diagnostic and typically fall back to the always-feasible
+/// dense engine — the planner only proposes candidates its probes found
+/// feasible, so a failure here means the probe budget and the real budget
+/// disagreed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,10 +40,12 @@ namespace mfsa {
 /// The engines realizing one plan over one merged ruleset.
 class PlannedEngineSet {
 public:
-  /// Builds \p Choice over the merged \p Mfsas. \p Patterns (the original
-  /// dataset ruleset indexed by GlobalIds) is required only by
-  /// Engine::Prefilter; Engine::Auto is not a buildable choice — resolve
-  /// through the planner first.
+  /// Builds \p Choice over the merged \p Mfsas; every engine, the
+  /// prefilter included, scans the rules these automata hold. \p Patterns
+  /// (the original dataset ruleset indexed by GlobalIds) is required only by
+  /// Engine::Prefilter, which reads each rule's mandatory literal from it.
+  /// Engine::Auto is not a buildable choice — resolve through the planner
+  /// first.
   static Result<PlannedEngineSet>
   create(Engine Choice, const std::vector<Mfsa> &Mfsas,
          const std::vector<std::string> &Patterns = {});

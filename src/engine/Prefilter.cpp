@@ -6,12 +6,9 @@
 
 #include "engine/Prefilter.h"
 
-#include "fsa/Builder.h"
-#include "fsa/LiteralAnalysis.h"
-#include "fsa/Passes.h"
+#include "analysis/CostModel.h"
 #include "mfsa/Merge.h"
 #include "obs/Metrics.h"
-#include "regex/Parser.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -19,47 +16,36 @@
 
 using namespace mfsa;
 
-Result<PrefilterEngine>
-PrefilterEngine::create(const std::vector<std::string> &Patterns,
-                        uint32_t MinLiteralLength) {
+PrefilterEngine
+PrefilterEngine::create(const std::vector<Mfsa> &Mfsas,
+                        const std::vector<std::string> &Patterns) {
   PrefilterEngine Engine;
-
   std::vector<std::string> LiteralList;
   std::vector<Nfa> ResidualFsas;
   std::vector<uint32_t> ResidualIds;
-
-  for (size_t I = 0; I < Patterns.size(); ++I) {
-    Result<Regex> Re = parseRegex(Patterns[I]);
-    if (!Re)
-      return Diag("rule " + std::to_string(I) + ": " + Re.diag().Message,
-                  Re.diag().Offset);
-    Result<Nfa> Built = buildNfa(*Re);
-    if (!Built)
-      return Diag("rule " + std::to_string(I) + ": " + Built.diag().Message,
-                  Built.diag().Offset);
-    Nfa Optimized = optimizeForMerging(*Built);
-
-    PrefilterInfo Info = analyzeForPrefilter(*Re, Optimized,
-                                             MinLiteralLength);
-    if (!Info.Prefilterable) {
-      ResidualFsas.push_back(std::move(Optimized));
-      ResidualIds.push_back(static_cast<uint32_t>(I));
-      continue;
+  for (const Mfsa &Z : Mfsas) {
+    LiteralProfile Profile = profileLiterals(Z, Patterns);
+    for (RuleId R = 0; R < Z.numRules(); ++R) {
+      const uint32_t GlobalId = Z.rule(R).GlobalId;
+      if (Profile.Rules.empty() || !Profile.Rules[R].Prefilterable) {
+        ResidualFsas.push_back(Z.extractRule(R));
+        ResidualIds.push_back(GlobalId);
+        continue;
+      }
+      PrefilteredRule Rule;
+      Rule.MaxMatchLength = Profile.Rules[R].MaxMatchLength;
+      Rule.Confirm = std::make_unique<ImfantEngine>(
+          mergeFsas({Z.extractRule(R)}, {GlobalId}));
+      Engine.PrefilteredRules.push_back(std::move(Rule));
+      LiteralList.push_back(std::move(Profile.Rules[R].Literal));
     }
-
-    PrefilteredRule Rule;
-    Rule.MaxMatchLength = Info.MaxMatchLength;
-    Mfsa Single = mergeFsas({Optimized}, {static_cast<uint32_t>(I)});
-    Rule.Confirm = std::make_unique<ImfantEngine>(Single);
-    Engine.PrefilteredRules.push_back(std::move(Rule));
-    LiteralList.push_back(Info.Literal);
   }
 
   if (!LiteralList.empty())
     Engine.Literals = std::make_unique<AhoCorasick>(LiteralList);
   if (!ResidualFsas.empty()) {
-    Mfsa Merged = mergeFsas(ResidualFsas, ResidualIds);
-    Engine.Residual = std::make_unique<ImfantEngine>(Merged);
+    Engine.Residual = std::make_unique<ImfantEngine>(
+        mergeFsas(ResidualFsas, ResidualIds));
     Engine.NumResidualRules = ResidualFsas.size();
   }
   return Engine;

@@ -13,6 +13,13 @@
 /// analysis cannot prefilter (anchored, literal-poor, or unbounded) fall
 /// back to one merged MFSA scanned in full.
 ///
+/// The engine is built from compiled MFSAs, the same ones every other engine
+/// scans (in memory or loaded from an artifact). Each rule's automaton is
+/// extracted from its group; the rule texts are read only for their
+/// mandatory literals. The prefiltered/residual split is the planner's own
+/// (profileLiterals, analysis/CostModel.h), so the partition it prices is
+/// the partition that runs.
+///
 /// Match output is identical to running every rule everywhere: every match
 /// of a prefiltered rule contains its mandatory literal, every literal
 /// occurrence spawns a window wide enough (± MaxMatchLength) to contain all
@@ -27,7 +34,6 @@
 #include "engine/AhoCorasick.h"
 #include "engine/Imfant.h"
 #include "engine/InputParallel.h"
-#include "support/Result.h"
 
 #include <memory>
 #include <string>
@@ -39,12 +45,11 @@ namespace mfsa {
 /// Ruleset matcher combining literal prefiltering with MFSA fallback.
 class PrefilterEngine {
 public:
-  /// Compiles \p Patterns (global ids = indices). Fails on malformed rules.
-  /// \p MinLiteralLength tunes the analysis (shorter literals hit more
-  /// often, widening the slow path).
-  static Result<PrefilterEngine>
-  create(const std::vector<std::string> &Patterns,
-         uint32_t MinLiteralLength = 3);
+  /// Builds the engine over the rules of \p Mfsas. \p Patterns is the
+  /// dataset ruleset indexed by the rules' GlobalIds; a rule without a
+  /// parseable pattern there joins the residual.
+  static PrefilterEngine create(const std::vector<Mfsa> &Mfsas,
+                                const std::vector<std::string> &Patterns);
 
   /// Scans \p Input with the same (rule, end offset) semantics as
   /// ImfantEngine over the full ruleset.

@@ -176,13 +176,12 @@ uint32_t mfsa::boundedMatchLength(const Nfa &A) {
 }
 
 PrefilterInfo mfsa::analyzeForPrefilter(const Regex &Re,
-                                        const Nfa &OptimizedFsa,
-                                        uint32_t MinLiteralLength) {
+                                        const Nfa &OptimizedFsa) {
   PrefilterInfo Info;
   if (Re.AnchoredStart || Re.AnchoredEnd)
     return Info; // windowed rescanning would break anchor semantics
   Info.Literal = mandatoryLiteral(*Re.Root);
-  if (Info.Literal.size() < MinLiteralLength)
+  if (Info.Literal.size() < MinPrefilterLiteralLength)
     return Info;
   Info.MaxMatchLength = boundedMatchLength(OptimizedFsa);
   if (Info.MaxMatchLength == 0)

@@ -39,6 +39,10 @@ std::string mandatoryLiteral(const AstNode &Node);
 /// automaton.
 uint32_t boundedMatchLength(const Nfa &A);
 
+/// Shortest mandatory literal worth gating a rule on: shorter literals hit
+/// too often for the confirm windows to stay rare.
+inline constexpr uint32_t MinPrefilterLiteralLength = 3;
+
 /// The per-rule prefilter decision.
 struct PrefilterInfo {
   bool Prefilterable = false;
@@ -47,10 +51,9 @@ struct PrefilterInfo {
 };
 
 /// Decides whether a rule can be literal-prefiltered: it must be unanchored,
-/// have a mandatory literal of at least \p MinLiteralLength bytes, and a
-/// bounded match length.
-PrefilterInfo analyzeForPrefilter(const Regex &Re, const Nfa &OptimizedFsa,
-                                  uint32_t MinLiteralLength = 3);
+/// have a mandatory literal of at least MinPrefilterLiteralLength bytes, and
+/// a bounded match length.
+PrefilterInfo analyzeForPrefilter(const Regex &Re, const Nfa &OptimizedFsa);
 
 } // namespace mfsa
 

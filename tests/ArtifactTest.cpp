@@ -260,10 +260,10 @@ TEST(ArtifactDifferential, FiveEnginesFromArtifactMatchOracle) {
   Result<StridedDfa> Stride2 = makeStride2(*UnionDfa);
   ASSERT_TRUE(Stride2.ok()) << Stride2.diag().render();
 
-  // Prefilter from the embedded pattern text.
-  Result<PrefilterEngine> Prefilter =
-      PrefilterEngine::create(Loaded->patterns());
-  ASSERT_TRUE(Prefilter.ok());
+  // Prefilter from the artifact MFSAs, with literals from the embedded
+  // pattern text.
+  const PrefilterEngine Prefilter =
+      PrefilterEngine::create(Mfsas, Loaded->patterns());
 
   Rng Random(20260808);
   std::vector<std::string> Inputs = {"", "abcabc"};
@@ -294,7 +294,7 @@ TEST(ArtifactDifferential, FiveEnginesFromArtifactMatchOracle) {
       }
       {
         MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Prefilter->run(Input, Recorder);
+        Prefilter.run(Input, Recorder);
         EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=prefilter "
                                                     << Tag;
       }

@@ -113,8 +113,8 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
       Stride2.emplace(std::move(*S2));
   }
 
-  Result<PrefilterEngine> Prefilter = PrefilterEngine::create(Patterns);
-  ASSERT_TRUE(Prefilter.ok()) << formatPatterns(Patterns);
+  const PrefilterEngine Prefilter =
+      PrefilterEngine::create(MergedVec, Patterns);
 
   // Input-parallel leg: the chunked executor over the dense engine must
   // reproduce the sequential match set, and its speculative per-chunk
@@ -162,7 +162,7 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
       }
       {
         MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Prefilter->run(Input, Recorder);
+        Prefilter.run(Input, Recorder);
         EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=prefilter "
                                                     << Tag;
       }

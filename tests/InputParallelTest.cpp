@@ -362,12 +362,13 @@ literalCuts(const std::vector<std::string> &Patterns,
 /// every input, under the default split at several thread counts, the
 /// shared adversarial cuts and literalCuts, at every SIMD level, with and
 /// without a thread pool: identical sorted (rule, end) lists, total() and
-/// perRule().
+/// perRule(). The engine is built over one group per rule, as from an M=1
+/// artifact.
 void checkPrefilterInputParallel(uint64_t Seed,
                                  const std::vector<std::string> &Patterns,
                                  const std::vector<std::string> &Inputs) {
-  Result<PrefilterEngine> Pre = PrefilterEngine::create(Patterns);
-  ASSERT_TRUE(Pre.ok()) << formatPatterns(Patterns);
+  const PrefilterEngine Pre =
+      PrefilterEngine::create(compileMerged(Patterns, 1), Patterns);
 
   Rng Random(Seed ^ 0x51ed270b4c3a9f1dull);
   SimdLevelGuard Guard;
@@ -384,7 +385,7 @@ void checkPrefilterInputParallel(uint64_t Seed,
     for (simd::Level Lvl : simd::availableLevels()) {
       ASSERT_TRUE(simd::setLevel(Lvl));
       MatchRecorder Seq(MatchRecorder::Mode::Collect);
-      Pre->run(Input, Seq);
+      Pre.run(Input, Seq);
       const std::string CaseTag = "seed=" + std::to_string(Seed) +
                                   " ruleset=" + formatPatterns(Patterns) +
                                   " input=\"" + Input + "\" simd=" +
@@ -404,7 +405,7 @@ void checkPrefilterInputParallel(uint64_t Seed,
           Opts.UseThreadPool = Pooled;
           MatchRecorder Par(MatchRecorder::Mode::Collect);
           InputParallelStats Stats;
-          Pre->runInputParallel(Input, Par, Opts, &Stats);
+          Pre.runInputParallel(Input, Par, Opts, &Stats);
           EXPECT_EQ(sortedMatches(Par), Want) << Tag;
           EXPECT_EQ(Par.total(), Seq.total()) << Tag;
           EXPECT_EQ(Par.perRule(), Seq.perRule()) << Tag;
@@ -430,10 +431,10 @@ const std::vector<std::string> &mixedRuleset() {
 } // namespace
 
 TEST(InputParallelPrefilter, MixedRulesetUnderAdversarialCuts) {
-  Result<PrefilterEngine> Pre = PrefilterEngine::create(mixedRuleset());
-  ASSERT_TRUE(Pre.ok());
-  ASSERT_GT(Pre->numPrefiltered(), 0u);
-  ASSERT_GT(Pre->numResidual(), 0u);
+  const PrefilterEngine Pre =
+      PrefilterEngine::create(compileMerged(mixedRuleset(), 1), mixedRuleset());
+  ASSERT_GT(Pre.numPrefiltered(), 0u);
+  ASSERT_GT(Pre.numResidual(), 0u);
 
   Rng Random(4401);
   std::vector<std::string> Inputs = {
@@ -504,10 +505,12 @@ TEST(InputParallelPrefilter, PooledPhasesAreRaceFree) {
   while (Input.size() < (1u << 16))
     Input += Random.nextBool(0.2) ? mixedRuleset()[Random.nextBelow(4)]
                                   : randomInput(Random, 24);
-  Result<PrefilterEngine> Pre = PrefilterEngine::create(mixedRuleset());
-  ASSERT_TRUE(Pre.ok());
+  // Groups of three rules: confirm automata are extracted from multi-rule
+  // MFSAs.
+  const PrefilterEngine Pre =
+      PrefilterEngine::create(compileMerged(mixedRuleset(), 3), mixedRuleset());
   MatchRecorder Seq(MatchRecorder::Mode::Collect);
-  Pre->run(Input, Seq);
+  Pre.run(Input, Seq);
   ASSERT_GT(Seq.total(), 0u);
 
   InputParallelOptions Opts;
@@ -517,7 +520,7 @@ TEST(InputParallelPrefilter, PooledPhasesAreRaceFree) {
   for (int Rep = 0; Rep < 4; ++Rep) {
     MatchRecorder Par(MatchRecorder::Mode::Collect);
     InputParallelStats Stats;
-    Pre->runInputParallel(Input, Par, Opts, &Stats);
+    Pre.runInputParallel(Input, Par, Opts, &Stats);
     EXPECT_EQ(sortedMatches(Par), sortedMatches(Seq));
     EXPECT_EQ(Par.perRule(), Seq.perRule());
     EXPECT_EQ(Stats.Chunks, 4u);

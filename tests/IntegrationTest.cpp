@@ -109,11 +109,11 @@ TEST_P(DatasetIntegration, AllEnginesAgree) {
   ImfantEngine Dense(Z);
   auto FromDense = runEngine(Dense, Stream);
 
-  // Literal prefilter over the source patterns.
-  Result<PrefilterEngine> Prefilter = PrefilterEngine::create(Rules);
-  ASSERT_TRUE(Prefilter.ok()) << Prefilter.diag().render();
+  // Literal prefilter over the same MFSA, literals from the source patterns.
+  const PrefilterEngine Prefilter =
+      PrefilterEngine::create(Artifacts->Mfsas, Rules);
   MatchRecorder PrefilterRecorder(MatchRecorder::Mode::Collect);
-  Prefilter->run(Stream, PrefilterRecorder);
+  Prefilter.run(Stream, PrefilterRecorder);
   EXPECT_EQ(FromDense, recorderEnds(PrefilterRecorder));
 
   // Union DFA.

@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compiler/Pipeline.h"
 #include "engine/AhoCorasick.h"
+#include "engine/PlannedEngine.h"
 #include "engine/Prefilter.h"
 #include "fsa/LiteralAnalysis.h"
 #include "fsa/Reference.h"
@@ -212,48 +214,106 @@ TEST(PrefilterEngine, SplitsRulesAndMatchesOracle) {
       "exploit(42|77)",   // prefilterable
       "[ab][cd]",         // residual: no literal
   };
-  Result<PrefilterEngine> Engine = PrefilterEngine::create(Patterns);
-  ASSERT_TRUE(Engine.ok());
-  EXPECT_EQ(Engine->numPrefiltered(), 2u);
-  EXPECT_EQ(Engine->numResidual(), 3u);
-
   std::string Input =
       "session evil stuff payload attack17 exploit42 ac bd attack9";
-  EXPECT_EQ(prefilterEnds(*Engine, Input), oracleEnds(Patterns, Input));
+  // One rule per group, groups of two, and one group: the split and the
+  // matches must not depend on how the rules were merged.
+  for (uint32_t M : {1u, 2u, 0u}) {
+    PrefilterEngine Engine =
+        PrefilterEngine::create(compileMerged(Patterns, M), Patterns);
+    EXPECT_EQ(Engine.numPrefiltered(), 2u) << "M=" << M;
+    EXPECT_EQ(Engine.numResidual(), 3u) << "M=" << M;
+    EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input))
+        << "M=" << M;
+  }
 }
 
 TEST(PrefilterEngine, OverlappingHitsDoNotDuplicate) {
   // Repeated adjacent literals force window coalescing.
   std::vector<std::string> Patterns = {"abab[xy]?"};
-  Result<PrefilterEngine> Engine = PrefilterEngine::create(Patterns, 3);
-  ASSERT_TRUE(Engine.ok());
-  ASSERT_EQ(Engine->numPrefiltered(), 1u);
+  PrefilterEngine Engine =
+      PrefilterEngine::create(compileMerged(Patterns, 1), Patterns);
+  ASSERT_EQ(Engine.numPrefiltered(), 1u);
   std::string Input = "ababababababx";
-  EXPECT_EQ(prefilterEnds(*Engine, Input), oracleEnds(Patterns, Input));
+  EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input));
 }
 
 TEST(PrefilterEngine, AllResidualStillWorks) {
   std::vector<std::string> Patterns = {"a.*b", "^cd"};
-  Result<PrefilterEngine> Engine = PrefilterEngine::create(Patterns);
-  ASSERT_TRUE(Engine.ok());
-  EXPECT_EQ(Engine->numPrefiltered(), 0u);
+  PrefilterEngine Engine =
+      PrefilterEngine::create(compileMerged(Patterns, 0), Patterns);
+  EXPECT_EQ(Engine.numPrefiltered(), 0u);
   std::string Input = "cdaxxb";
-  EXPECT_EQ(prefilterEnds(*Engine, Input), oracleEnds(Patterns, Input));
+  EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input));
 }
 
 TEST(PrefilterEngine, AllPrefilteredNoResidual) {
   std::vector<std::string> Patterns = {"alpha", "beta[0-9]"};
-  Result<PrefilterEngine> Engine = PrefilterEngine::create(Patterns);
-  ASSERT_TRUE(Engine.ok());
-  EXPECT_EQ(Engine->numResidual(), 0u);
+  PrefilterEngine Engine =
+      PrefilterEngine::create(compileMerged(Patterns, 0), Patterns);
+  EXPECT_EQ(Engine.numResidual(), 0u);
   std::string Input = "xxalphayy beta7 alpha";
-  EXPECT_EQ(prefilterEnds(*Engine, Input), oracleEnds(Patterns, Input));
+  EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input));
 }
 
 TEST(PrefilterEngine, RejectsMalformedRules) {
-  Result<PrefilterEngine> Engine = PrefilterEngine::create({"ok", "bad("});
-  ASSERT_FALSE(Engine.ok());
-  EXPECT_NE(Engine.diag().Message.find("rule 1"), std::string::npos);
+  // The engine is built from compiled MFSAs, so a malformed rule is the
+  // compiler's diagnostic and never reaches it.
+  Result<CompileArtifacts> Compiled = compileRuleset({"ok", "bad("});
+  ASSERT_FALSE(Compiled.ok());
+  EXPECT_NE(Compiled.diag().Message.find("rule 1"), std::string::npos);
+}
+
+TEST(PrefilterEngine, RuleWithoutPatternTextJoinsResidual) {
+  // The texts only supply literals: a rule whose GlobalId has no text, or
+  // an unparseable one, is scanned by the residual and still matches.
+  const std::vector<std::string> Patterns = {"alpha[0-9]", "beta", "gamma"};
+  const std::vector<Mfsa> Groups = compileMerged(Patterns, 1);
+  const std::string Input = "alpha7 beta gamma betabeta";
+  const std::vector<std::vector<std::string>> Texts = {
+      {"alpha[0-9]", "beta"},          // too short: no text for rule 2
+      {"alpha[0-9]", "beta(", "gamma"} // rule 1's text does not parse
+  };
+  for (const std::vector<std::string> &T : Texts) {
+    PrefilterEngine Engine = PrefilterEngine::create(Groups, T);
+    EXPECT_EQ(Engine.numPrefiltered(), 2u);
+    EXPECT_EQ(Engine.numResidual(), 1u);
+    EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input));
+  }
+}
+
+TEST(PrefilterEngine, QuarantinedRuleStaysQuarantined) {
+  // Rule 1 exceeds the state budget and is quarantined at compile time.
+  // The prefilter reads the same MFSAs as dense, so it must not report it
+  // either (a prefilter recompiled from the texts reported (1,320)).
+  const std::vector<std::string> Patterns = {"abcdef", "hello[a-z]{300}world",
+                                             "zzz[0-9]+"};
+  CompileOptions Options;
+  Options.Policy = FailurePolicy::Isolate;
+  Options.Budget.MaxFsaStates = 100;
+  Options.MergingFactor = 1;
+  Options.EmitAnml = false;
+  Result<CompileArtifacts> Compiled = compileRuleset(Patterns, Options);
+  ASSERT_TRUE(Compiled.ok()) << Compiled.diag().render();
+  ASSERT_EQ(Compiled->Quarantined.size(), 1u);
+  ASSERT_EQ(Compiled->Quarantined[0].RuleIndex, 1u);
+
+  const std::string Input =
+      "xx abcdef hello" + std::string(300, 'q') + "world zzz12";
+  auto Ends = [&](Engine Choice) {
+    Result<PlannedEngineSet> Set =
+        PlannedEngineSet::create(Choice, Compiled->Mfsas, Patterns);
+    EXPECT_TRUE(Set.ok()) << engineName(Choice);
+    MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+    if (Set.ok())
+      Set->run(Input, Recorder);
+    return recorderEnds(Recorder);
+  };
+  std::map<uint32_t, std::set<size_t>> Expected = oracleEnds(Patterns, Input);
+  ASSERT_EQ(Expected.erase(1), 1u); // the input does match the dropped rule
+  const std::map<uint32_t, std::set<size_t>> Dense = Ends(Engine::ImfantDense);
+  EXPECT_EQ(Dense, Expected);
+  EXPECT_EQ(Ends(Engine::Prefilter), Dense);
 }
 
 TEST(PrefilterEngine, DatasetSliceAgainstFullScan) {
@@ -264,7 +324,7 @@ TEST(PrefilterEngine, DatasetSliceAgainstFullScan) {
   Rules.resize(30);
   std::string Stream = generateStream(Spec, Rules, 8192);
 
-  Result<PrefilterEngine> Engine = PrefilterEngine::create(Rules);
-  ASSERT_TRUE(Engine.ok());
-  EXPECT_EQ(prefilterEnds(*Engine, Stream), oracleEnds(Rules, Stream));
+  PrefilterEngine Engine =
+      PrefilterEngine::create(compileMerged(Rules, 1), Rules);
+  EXPECT_EQ(prefilterEnds(Engine, Stream), oracleEnds(Rules, Stream));
 }

@@ -18,6 +18,7 @@
 #include "fsa/Builder.h"
 #include "fsa/Passes.h"
 #include "fsa/Reference.h"
+#include "mfsa/Merge.h"
 #include "regex/Parser.h"
 #include "support/Rng.h"
 
@@ -97,6 +98,16 @@ inline Nfa compileOptimized(const std::string &Pattern) {
   Result<Nfa> Built = buildNfa(*Re);
   EXPECT_TRUE(Built.ok()) << Pattern;
   return optimizeForMerging(*Built);
+}
+
+/// Compiles \p Patterns (global ids = indices) and merges them in
+/// sequential groups of \p MergingFactor rules (0 = all).
+inline std::vector<Mfsa> compileMerged(const std::vector<std::string> &Patterns,
+                                       uint32_t MergingFactor) {
+  std::vector<Nfa> Fsas;
+  for (const std::string &Pattern : Patterns)
+    Fsas.push_back(compileOptimized(Pattern));
+  return mergeInGroups(Fsas, MergingFactor);
 }
 
 /// Formats a set of offsets for failure messages.

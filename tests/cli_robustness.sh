@@ -11,7 +11,7 @@
 #
 # plus one-line "error: ..." diagnostics on stderr and the end-to-end
 # artifact round trip (emit -> load -> identical match totals, corrupted ->
-# diagnosed fallback).
+# diagnosed fallback, quarantined rule -> prefilter agrees with dense).
 #
 # Usage: cli_robustness.sh <mfsac> <imfant_run> <dataset_gen>
 #
@@ -102,6 +102,30 @@ if [ "$ARTIFACT_MATCHES" != "$ANML_MATCHES" ] || [ -z "$ARTIFACT_MATCHES" ]; the
   FAILURES=$((FAILURES + 1))
 else
   echo "ok   round trip: $ARTIFACT_MATCHES both ways"
+fi
+
+# --- Prefilter over an artifact with a quarantined rule ---------------------
+# The prefilter is built from the artifact's MFSAs. A malformed rule that
+# `mfsac --isolate` quarantined is absent from them, so the engine must build
+# (no fallback to dense) and report dense's total.
+{ head -n 1 bro.rules; echo 'bad('; tail -n +2 bro.rules; } > isolate.rules
+check "mfsac: --isolate artifact"      0 "$MFSAC" --isolate --no-anml \
+                                         --emit-artifact isolate.mfsa isolate.rules
+check "imfant_run: dense, quarantine"  0 "$IMFANT" --engine dense \
+                                         --load-artifact isolate.mfsa bro.stream
+ISOLATE_DENSE=$(grep '^total matches:' stdout.txt)
+check "imfant_run: prefilter, quarantine" 0 "$IMFANT" --engine prefilter \
+                                         --load-artifact isolate.mfsa bro.stream
+ISOLATE_PREFILTER=$(grep '^total matches:' stdout.txt)
+if grep -q 'falling back to dense' stderr.txt; then
+  echo "FAIL prefilter on isolated artifact fell back to dense:"
+  sed 's/^/    stderr: /' stderr.txt
+  FAILURES=$((FAILURES + 1))
+elif [ -z "$ISOLATE_DENSE" ] || [ "$ISOLATE_PREFILTER" != "$ISOLATE_DENSE" ]; then
+  echo "FAIL prefilter '$ISOLATE_PREFILTER' != dense '$ISOLATE_DENSE'"
+  FAILURES=$((FAILURES + 1))
+else
+  echo "ok   prefilter on isolated artifact: $ISOLATE_PREFILTER"
 fi
 
 # --- Rejected artifacts (exit 5 / diagnosed fallback) -----------------------
