@@ -350,13 +350,19 @@ DfaEstimate probeDfaBlowup(const Mfsa &Z, const DfaProbeOptions &Options) {
     Est.Stride2Feasible =
         Est.NumAtoms > 0 && Est.Stride2Entries <= Options.MaxStride2Entries;
   } else {
-    // The proven blowup-before-budget fact: the real DFA has at least
-    // MaxStates states.
-    Est.Completed = false;
-    Est.DfaStates = Options.MaxStates;
-    Est.Stride2Feasible = false;
+    Est = blowupEstimate(Options);
   }
   Est.WallMs = Clock.elapsedMs();
+  return Est;
+}
+
+DfaEstimate blowupEstimate(const DfaProbeOptions &Options) {
+  // The proven blowup-before-budget fact: the real DFA has at least
+  // MaxStates states.
+  DfaEstimate Est;
+  Est.Completed = false;
+  Est.DfaStates = Options.MaxStates;
+  Est.Stride2Feasible = false;
   return Est;
 }
 
@@ -419,19 +425,11 @@ void CostReport::recordTo(obs::MetricsRegistry &Registry) const {
                                                                         : 0);
   Registry.gauge("analysis.cost.dfa_probe_wall_ms")
       .set(static_cast<int64_t>(Dfa.WallMs));
+  Registry.gauge("analysis.cost.dfa_probe_implied").set(Dfa.Implied ? 1 : 0);
   Registry.gauge("analysis.cost.prefilterable_rules")
       .set(static_cast<int64_t>(Literals.PrefilterableRules));
   Registry.gauge("analysis.cost.distinct_first_bytes")
       .set(static_cast<int64_t>(Literals.DistinctFirstBytes));
-}
-
-CostReport analyzeCost(const Mfsa &Z, const std::vector<std::string> &Patterns,
-                       const CostOptions &Options) {
-  CostReport Report;
-  Report.Shape = computeShape(Z);
-  Report.Dfa = probeDfaBlowup(Z, Options.Probe);
-  Report.Literals = profileLiterals(Z, Patterns);
-  return Report;
 }
 
 } // namespace mfsa

@@ -116,12 +116,22 @@ struct DfaEstimate {
   /// pair alphabet is never larger).
   uint64_t Stride2Entries = 0;
   bool Stride2Feasible = false;
+  /// True when the planner proved the blowup without probing: another
+  /// group holding a subset of these rules already blew the same budget,
+  /// and a rule set's scanning DFA is never smaller than a subset's. An
+  /// implied verdict costs no probe (WallMs stays 0) and otherwise equals
+  /// blowupEstimate(), the probe's own blowup verdict.
+  bool Implied = false;
   double WallMs = 0.0;
 };
 
 /// Probes DFA blowup for \p Z by determinizing its extracted per-rule
 /// automata under Options.MaxStates.
 DfaEstimate probeDfaBlowup(const Mfsa &Z, const DfaProbeOptions &Options = {});
+
+/// The estimate probeDfaBlowup returns when subset construction exceeds
+/// Options.MaxStates (WallMs aside).
+DfaEstimate blowupEstimate(const DfaProbeOptions &Options);
 
 /// Aggregate literal/prefilterability profile of a ruleset.
 struct LiteralProfile {
@@ -167,7 +177,9 @@ struct CostOptions {
   DfaProbeOptions Probe;
 };
 
-/// The combined static-analysis report for one Mfsa.
+/// The combined static-analysis report for one Mfsa: its computeShape,
+/// probeDfaBlowup and profileLiterals results (the planner's inputs, which
+/// it computes as separate tasks).
 struct CostReport {
   MfsaShape Shape;
   DfaEstimate Dfa;
@@ -176,11 +188,6 @@ struct CostReport {
   /// Publishes `analysis.cost.*` gauges/counters into \p Registry.
   void recordTo(obs::MetricsRegistry &Registry) const;
 };
-
-/// Computes \p Z's shape, DFA probe and literal profile (the planner's
-/// inputs; see the individual entry points).
-CostReport analyzeCost(const Mfsa &Z, const std::vector<std::string> &Patterns,
-                       const CostOptions &Options = {});
 
 } // namespace mfsa
 

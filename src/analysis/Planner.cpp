@@ -7,11 +7,16 @@
 #include "analysis/Planner.h"
 
 #include "obs/Metrics.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cassert>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <memory>
 
 namespace mfsa {
 
@@ -153,31 +158,26 @@ void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
     }
 }
 
-CandidatePlan evaluateGroups(const std::vector<Mfsa> &Groups,
-                             uint32_t MergingFactor,
-                             const std::vector<std::string> &Patterns,
-                             const PlannerOptions &Options) {
-  CandidatePlan Cand;
-  Cand.MergingFactor = MergingFactor;
-  Cand.NumGroups = static_cast<uint32_t>(Groups.size());
-  // A K=300 candidate would otherwise pay 300 DFA probes per plan: beyond
-  // the budget, analyze an evenly spaced sample and let estimateEngines
-  // extrapolate the summed cost terms.
-  std::vector<size_t> Sampled;
-  const size_t Limit =
-      Options.MaxAnalyzedGroups ? Options.MaxAnalyzedGroups : Groups.size();
-  if (Groups.size() <= Limit)
-    for (size_t I = 0; I < Groups.size(); ++I)
-      Sampled.push_back(I);
-  else
-    for (size_t I = 0; I < Limit; ++I)
-      Sampled.push_back(I * Groups.size() / Limit);
+/// Indices of the groups a candidate of \p NumGroups groups analyzes: all of
+/// them, or an evenly spaced sample of \p Limit (0 = no limit) beyond it. A
+/// K=300 candidate would otherwise pay 300 DFA probes per plan;
+/// estimateEngines extrapolates the sample's summed cost terms.
+std::vector<size_t> sampleGroups(size_t NumGroups, uint32_t Limit) {
+  const size_t N = Limit && Limit < NumGroups ? Limit : NumGroups;
+  std::vector<size_t> Sampled(N);
+  for (size_t I = 0; I < N; ++I)
+    Sampled[I] = I * NumGroups / N;
+  return Sampled;
+}
+
+/// Aggregates \p Cand's analyzed groups' literal profiles and prices its
+/// engines.
+void summarize(CandidatePlan &Cand, bool HavePatterns,
+               const CostCoefficients &C) {
   LiteralProfile Aggregate;
   double LiteralLenSum = 0.0;
-  for (size_t Idx : Sampled) {
-    const Mfsa &Z = Groups[Idx];
-    Cand.Groups.push_back(analyzeCost(Z, Patterns, Options.Cost));
-    const LiteralProfile &L = Cand.Groups.back().Literals;
+  for (const CostReport &G : Cand.Groups) {
+    const LiteralProfile &L = G.Literals;
     Aggregate.TotalRules += L.TotalRules;
     Aggregate.PrefilterableRules += L.PrefilterableRules;
     LiteralLenSum += L.AvgLiteralLength * L.PrefilterableRules;
@@ -193,8 +193,223 @@ CandidatePlan evaluateGroups(const std::vector<Mfsa> &Groups,
         LiteralLenSum / static_cast<double>(Aggregate.PrefilterableRules);
   Aggregate.RootSkipViable = Aggregate.DistinctFirstBytes >= 1 &&
                              Aggregate.DistinctFirstBytes <= 8;
-  estimateEngines(Cand, Aggregate, !Patterns.empty(), Options.Coefficients);
-  return Cand;
+  estimateEngines(Cand, Aggregate, HavePatterns, C);
+}
+
+/// One candidate merging factor while it is evaluated.
+struct CandidateWork {
+  uint32_t MergingFactor = 0;
+  uint32_t NumGroups = 0;
+  /// The groups: the caller's (planMfsas) or null until the trial merge
+  /// fills Merged (planRuleset).
+  const std::vector<Mfsa> *Groups = nullptr;
+  std::vector<Mfsa> Merged;
+  std::vector<size_t> Sampled;     ///< Indices of the analyzed groups.
+  std::vector<CostReport> Reports; ///< One per sampled group.
+  /// Each sampled group's sorted GlobalIds.
+  std::vector<std::vector<uint32_t>> RuleIds;
+};
+
+/// Evaluates candidates as tasks on a pool of min(InputThreads, tasks)
+/// workers, or on the calling thread when that is one: one task per trial
+/// merge, then per sampled group one for computeShape + profileLiterals and
+/// one for probeDfaBlowup.
+///
+/// Probes run in waves of candidates with equal group counts, in descending
+/// count, and a wave is released only after every earlier wave's probes
+/// finished. At release, a group that holds every rule of a group an
+/// earlier wave saw blow up is not probed: its DFA is at least as large
+/// (DfaEstimate::Implied), so it gets blowupEstimate(). Which probes run
+/// therefore never depends on thread timing, and the reports equal a
+/// sequential evaluation's.
+class CandidateEvaluator {
+public:
+  /// \p Fsas and \p GlobalIds feed the trial merges of the candidates whose
+  /// Groups is null. \p AllowImplied requires that equal GlobalIds mean
+  /// equal rules across the candidates.
+  CandidateEvaluator(std::vector<CandidateWork> &Work,
+                     const std::vector<Nfa> *Fsas,
+                     const std::vector<uint32_t> *GlobalIds,
+                     const std::vector<std::string> &Patterns,
+                     const PlannerOptions &Options, bool AllowImplied)
+      : Work(Work), Fsas(Fsas), GlobalIds(GlobalIds), Patterns(Patterns),
+        Options(Options), AllowImplied(AllowImplied) {}
+
+  /// Fills every candidate's Reports. \returns the number of threads used.
+  unsigned run() {
+    std::vector<uint32_t> Counts;
+    Counts.reserve(Work.size());
+    for (const CandidateWork &C : Work)
+      Counts.push_back(C.NumGroups);
+    std::sort(Counts.begin(), Counts.end(), std::greater<>());
+    Counts.erase(std::unique(Counts.begin(), Counts.end()), Counts.end());
+    Waves = std::vector<Wave>(Counts.size());
+    WaveOf.resize(Work.size());
+    size_t NumTasks = 0;
+    for (size_t I = 0; I < Work.size(); ++I) {
+      const size_t W = static_cast<size_t>(
+          std::find(Counts.begin(), Counts.end(), Work[I].NumGroups) -
+          Counts.begin());
+      WaveOf[I] = W;
+      Waves[W].Members.push_back(I);
+      Waves[W].Pending += Work[I].Groups ? 0 : 1;
+      NumTasks += (Work[I].Groups ? 0 : 1) + 2 * Work[I].Sampled.size();
+    }
+    // Each wave also waits for the previous wave's probes; the first waits
+    // for the start token arrive(0) hands in below.
+    for (Wave &W : Waves)
+      ++W.Pending;
+
+    const unsigned Workers = static_cast<unsigned>(std::max<size_t>(
+        1, std::min<size_t>(Options.InputThreads, NumTasks)));
+    if (Workers > 1)
+      Pool = std::make_unique<ThreadPool>(Workers);
+    // Fewest groups first: the largest merges are the longest tasks.
+    for (size_t W = Waves.size(); W-- > 0;)
+      for (size_t I : Waves[W].Members) {
+        if (Work[I].Groups) {
+          groupsReady(I);
+          continue;
+        }
+        submit([this, I] {
+          CandidateWork &C = Work[I];
+          C.Merged = mergeInGroups(*Fsas, *GlobalIds, C.MergingFactor,
+                                   Options.Merge);
+          assert(C.Merged.size() == C.NumGroups && "numMergeGroups drifted");
+          C.Groups = &C.Merged;
+          groupsReady(I);
+          arrive(WaveOf[I]);
+        });
+      }
+    if (!Waves.empty())
+      arrive(0);
+    if (Pool)
+      Pool->wait();
+    Pool.reset();
+    return Workers;
+  }
+
+private:
+  struct Wave {
+    std::vector<size_t> Members; ///< Indices into Work.
+    /// Unfinished trial merges plus one token for the previous wave.
+    std::atomic<size_t> Pending{0};
+    /// Unfinished probes plus one token for the releasing thread.
+    std::atomic<size_t> ProbesLeft{0};
+  };
+
+  /// Runs \p Task on the pool, or right away without one.
+  void submit(std::function<void()> Task) {
+    if (Pool)
+      Pool->submit(std::move(Task));
+    else
+      Task();
+  }
+
+  const Mfsa &group(size_t I, size_t J) const {
+    return (*Work[I].Groups)[Work[I].Sampled[J]];
+  }
+
+  void groupsReady(size_t I) {
+    CandidateWork &C = Work[I];
+    for (size_t J = 0; J < C.Sampled.size(); ++J) {
+      const Mfsa &Z = group(I, J);
+      std::vector<uint32_t> &Ids = C.RuleIds[J];
+      Ids.reserve(Z.numRules());
+      for (RuleId R = 0; R < Z.numRules(); ++R)
+        Ids.push_back(Z.rule(R).GlobalId);
+      std::sort(Ids.begin(), Ids.end());
+      submit([this, I, J] {
+        const Mfsa &Z = group(I, J);
+        CostReport &Report = Work[I].Reports[J];
+        Report.Shape = computeShape(Z);
+        Report.Literals = profileLiterals(Z, Patterns);
+      });
+    }
+  }
+
+  void arrive(size_t W) {
+    if (Waves[W].Pending.fetch_sub(1) == 1)
+      release(W);
+  }
+
+  void probeDone(size_t W) {
+    if (Waves[W].ProbesLeft.fetch_sub(1) == 1 && W + 1 < Waves.size())
+      arrive(W + 1);
+  }
+
+  /// Whether an earlier wave's blown group holds a subset of group (I, J)'s
+  /// rules.
+  bool implied(size_t W, size_t I, size_t J) const {
+    if (!AllowImplied)
+      return false;
+    const std::vector<uint32_t> &Ids = Work[I].RuleIds[J];
+    for (size_t V = 0; V < W; ++V)
+      for (size_t D : Waves[V].Members)
+        for (size_t K = 0; K < Work[D].Sampled.size(); ++K)
+          if (!Work[D].Reports[K].Dfa.Completed &&
+              std::includes(Ids.begin(), Ids.end(), Work[D].RuleIds[K].begin(),
+                            Work[D].RuleIds[K].end()))
+            return true;
+    return false;
+  }
+
+  void release(size_t W) {
+    std::vector<std::pair<size_t, size_t>> Probes;
+    for (size_t I : Waves[W].Members)
+      for (size_t J = 0; J < Work[I].Sampled.size(); ++J) {
+        if (!implied(W, I, J)) {
+          Probes.emplace_back(I, J);
+          continue;
+        }
+        DfaEstimate &Dfa = Work[I].Reports[J].Dfa;
+        Dfa = blowupEstimate(Options.Cost.Probe);
+        Dfa.Implied = true;
+      }
+    Waves[W].ProbesLeft = Probes.size() + 1;
+    for (const auto &[I, J] : Probes)
+      submit([this, W, I = I, J = J] {
+        Work[I].Reports[J].Dfa =
+            probeDfaBlowup(group(I, J), Options.Cost.Probe);
+        probeDone(W);
+      });
+    probeDone(W);
+  }
+
+  std::vector<CandidateWork> &Work;
+  const std::vector<Nfa> *Fsas;
+  const std::vector<uint32_t> *GlobalIds;
+  const std::vector<std::string> &Patterns;
+  const PlannerOptions &Options;
+  const bool AllowImplied;
+  std::vector<Wave> Waves;
+  std::vector<size_t> WaveOf; ///< Work index -> wave.
+  std::unique_ptr<ThreadPool> Pool; ///< Null when planning on one thread.
+};
+
+/// Sizes \p Work's sampled analyses, evaluates them and appends one
+/// CandidatePlan per candidate to \p Plan in \p Work's order.
+void evaluateCandidates(EnginePlan &Plan, std::vector<CandidateWork> &Work,
+                        const std::vector<Nfa> *Fsas,
+                        const std::vector<uint32_t> *GlobalIds,
+                        const std::vector<std::string> &Patterns,
+                        const PlannerOptions &Options, bool AllowImplied) {
+  for (CandidateWork &C : Work) {
+    C.Sampled = sampleGroups(C.NumGroups, Options.MaxAnalyzedGroups);
+    C.Reports.resize(C.Sampled.size());
+    C.RuleIds.resize(C.Sampled.size());
+  }
+  Plan.PlanWorkers = CandidateEvaluator(Work, Fsas, GlobalIds, Patterns,
+                                        Options, AllowImplied)
+                         .run();
+  for (CandidateWork &C : Work) {
+    CandidatePlan Cand;
+    Cand.MergingFactor = C.MergingFactor;
+    Cand.NumGroups = C.NumGroups;
+    Cand.Groups = std::move(C.Reports);
+    summarize(Cand, !Patterns.empty(), Options.Coefficients);
+    Plan.Candidates.push_back(std::move(Cand));
+  }
 }
 
 /// Picks the plan's (engine, K) from the evaluated candidates, honoring a
@@ -415,8 +630,12 @@ EnginePlan planMfsas(const std::vector<Mfsa> &Mfsas,
                      uint32_t MergingFactor, const PlannerOptions &Options) {
   Timer Clock;
   EnginePlan Plan;
-  Plan.Candidates.push_back(
-      evaluateGroups(Mfsas, MergingFactor, Patterns, Options));
+  std::vector<CandidateWork> Work(1);
+  Work[0].MergingFactor = MergingFactor;
+  Work[0].NumGroups = static_cast<uint32_t>(Mfsas.size());
+  Work[0].Groups = &Mfsas;
+  evaluateCandidates(Plan, Work, nullptr, nullptr, Patterns, Options,
+                     /*AllowImplied=*/false);
   choose(Plan, Options);
   decideParallelInput(Plan, Options);
   Plan.PlanWallMs = Clock.elapsedMs();
@@ -432,12 +651,20 @@ EnginePlan planRuleset(const std::vector<Nfa> &OptimizedFsas,
   std::vector<uint32_t> Factors = Options.CandidateFactors;
   std::sort(Factors.begin(), Factors.end());
   Factors.erase(std::unique(Factors.begin(), Factors.end()), Factors.end());
-  for (uint32_t M : Factors) {
-    // Trial-merge the candidate grouping, preserving dataset global ids.
-    const std::vector<Mfsa> Groups =
-        mergeInGroups(OptimizedFsas, GlobalIds, M, Options.Merge);
-    Plan.Candidates.push_back(evaluateGroups(Groups, M, Patterns, Options));
+  std::vector<CandidateWork> Work(Factors.size());
+  for (size_t I = 0; I < Factors.size(); ++I) {
+    Work[I].MergingFactor = Factors[I];
+    Work[I].NumGroups = numMergeGroups(
+        static_cast<uint32_t>(OptimizedFsas.size()), Factors[I]);
   }
+  // Trial merges keep the dataset's global ids, so a GlobalId names the same
+  // rule in every candidate unless the caller repeated one.
+  std::vector<uint32_t> Ids = GlobalIds;
+  std::sort(Ids.begin(), Ids.end());
+  const bool UniqueIds =
+      std::adjacent_find(Ids.begin(), Ids.end()) == Ids.end();
+  evaluateCandidates(Plan, Work, &OptimizedFsas, &GlobalIds, Patterns,
+                     Options, UniqueIds);
   choose(Plan, Options);
   decideParallelInput(Plan, Options);
   Plan.PlanWallMs = Clock.elapsedMs();

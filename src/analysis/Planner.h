@@ -133,6 +133,10 @@ struct EnginePlan {
   std::string ParallelInputWhy;
   std::vector<CandidatePlan> Candidates; ///< One per merging factor tried.
   double PlanWallMs = 0.0;
+  /// Threads the planner's own analyses ran on: its pool's workers, or 1
+  /// when they ran on the calling thread. Never above
+  /// PlannerOptions::InputThreads nor the number of analysis tasks.
+  unsigned PlanWorkers = 1;
 
   /// The winning candidate's evaluation (always present after planning).
   const CandidatePlan *chosen() const;
@@ -163,7 +167,9 @@ struct PlannerOptions {
   /// Cap on fully-analyzed groups per candidate: beyond it, an evenly
   /// spaced sample is analyzed and the summed cost terms are scaled by the
   /// real group count (a K=300 candidate would otherwise pay 300 DFA
-  /// probes per plan).
+  /// probes per plan). Each analyzed group costs two planner tasks (shape
+  /// and literal profile; DFA probe), and a probe is skipped when a blown
+  /// group of a candidate with more groups holds a subset of its rules.
   uint32_t MaxAnalyzedGroups = 8;
   /// Merge options for planRuleset's trial merges.
   MergeOptions Merge;
@@ -174,14 +180,18 @@ struct PlannerOptions {
   /// Requested input-parallel chunk count (imfant_run --input-threads).
   /// 1 disables the dimension; above 1 the planner enables it whenever
   /// the chosen engine has an input-parallel executor (see
-  /// EnginePlan::ParallelInput).
+  /// EnginePlan::ParallelInput). It is the caller's thread grant, so it
+  /// also sizes the planner's own pool: min(InputThreads, analysis tasks)
+  /// workers, none at 1 (EnginePlan::PlanWorkers). The plan and its trace
+  /// do not depend on it beyond the parallel_input decision.
   unsigned InputThreads = 1;
 };
 
 /// Plans engine + stride for an already-merged ruleset (fixed merging
 /// factor \p MergingFactor, purely descriptive). \p Patterns is the
 /// original dataset ruleset indexed by GlobalIds; may be empty (disables
-/// the prefilter candidate).
+/// the prefilter candidate). The sampled groups' analyses run on the
+/// planner's pool (PlannerOptions::InputThreads); every one is probed.
 EnginePlan planMfsas(const std::vector<Mfsa> &Mfsas,
                      const std::vector<std::string> &Patterns,
                      uint32_t MergingFactor,
@@ -190,6 +200,16 @@ EnginePlan planMfsas(const std::vector<Mfsa> &Mfsas,
 /// Full plan over merge-ready per-rule FSAs: trial-merges every candidate
 /// factor and picks (engine, K, stride). \p GlobalIds parallels
 /// \p OptimizedFsas (dataset rule ids, as in CompileArtifacts).
+///
+/// The trial merges and the sampled groups' analyses run on the planner's
+/// pool (PlannerOptions::InputThreads). DFA probes run in descending
+/// group count, one count at a time; a group that holds every GlobalId
+/// of a blown group of a candidate with more groups is not probed, since a
+/// rule set's scanning DFA is never smaller than a subset's: it gets the
+/// probe's blowup verdict with DfaEstimate::Implied set. Skips are decided
+/// only after those probes finished, so the plan and its trace equal a
+/// single-threaded run's. No group is skipped when \p GlobalIds repeats an
+/// id.
 EnginePlan planRuleset(const std::vector<Nfa> &OptimizedFsas,
                        const std::vector<uint32_t> &GlobalIds,
                        const std::vector<std::string> &Patterns,

@@ -368,6 +368,12 @@ std::vector<Mfsa> mfsa::mergeInGroups(const std::vector<Nfa> &Fsas,
   return mergeInGroups(Fsas, Ids, MergingFactor, Options, Report);
 }
 
+uint32_t mfsa::numMergeGroups(uint32_t NumFsas, uint32_t MergingFactor) {
+  if (MergingFactor == 0 || MergingFactor > NumFsas)
+    MergingFactor = NumFsas;
+  return NumFsas ? (NumFsas + MergingFactor - 1) / MergingFactor : 0;
+}
+
 std::vector<Mfsa> mfsa::mergeInGroups(const std::vector<Nfa> &Fsas,
                                       const std::vector<uint32_t> &GlobalIds,
                                       uint32_t MergingFactor,
@@ -379,6 +385,7 @@ std::vector<Mfsa> mfsa::mergeInGroups(const std::vector<Nfa> &Fsas,
     MergingFactor = N;
 
   std::vector<Mfsa> Result;
+  Result.reserve(numMergeGroups(N, MergingFactor));
   for (uint32_t Begin = 0; Begin < N; Begin += MergingFactor) {
     uint32_t End = std::min(Begin + MergingFactor, N);
     std::vector<Nfa> Group(Fsas.begin() + Begin, Fsas.begin() + End);

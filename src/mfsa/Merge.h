@@ -107,6 +107,10 @@ Result<Mfsa> mergeFsasWithBudget(const std::vector<Nfa> &Fsas,
                                  const MergeBudget &Budget,
                                  MergeReport *Report = nullptr);
 
+/// The number of groups mergeInGroups makes from \p NumFsas automata at
+/// \p MergingFactor: ⌈N/M⌉, one for M == 0 or M ≥ N, none when N == 0.
+uint32_t numMergeGroups(uint32_t NumFsas, uint32_t MergingFactor);
+
 /// Partitions \p Fsas into ⌈N/M⌉ sequential groups of size \p MergingFactor
 /// (paper §VI: "sampling the input M REs sequentially from the dataset") and
 /// merges each group. MergingFactor == 0 means "all" (one group). The rules'

@@ -12,7 +12,8 @@
 //   - Lint cost model: the lint.cost.* checks (analysis/CostModel.h) fire on
 //     crafted width-heavy / blowup-prone / literal-heavy rulesets with the
 //     right exact-vs-heuristic method tags, and their JSON is golden.
-//   - Planner: engine-name round trip and forced-engine pinning.
+//   - Planner: engine-name round trip, forced-engine pinning, and DFA
+//     verdicts implied by a blown smaller group instead of probed.
 //   - Exactness: determinize() and boundActivationWidth() against
 //     clarity-first oracles kept here (a std::map subset construction and a
 //     linear-scan antichain search): equal DFA tables and equal WidthBound
@@ -28,6 +29,7 @@
 #include "fsa/AlphabetPartition.h"
 #include "fsa/Determinize.h"
 #include "mfsa/Merge.h"
+#include "obs/Metrics.h"
 #include "support/Rng.h"
 #include "workload/Datasets.h"
 
@@ -615,6 +617,82 @@ TEST(Planner, WidthBoundDominatesTrivialCases) {
   EXPECT_TRUE(W.Exact);
   EXPECT_EQ(W.MaxActiveRules, 1u);
   EXPECT_GE(W.MaxActiveStates, 1u);
+}
+
+/// Plans \p Patterns at M = 2 and M = all under a 64-state DFA probe
+/// budget, so that a two-rule group can already blow it.
+struct PairsAndAllPlan {
+  std::vector<Nfa> Fsas;
+  std::vector<uint32_t> Ids;
+  PlannerOptions Options;
+  EnginePlan Plan;
+  const CandidatePlan *Pairs = nullptr;
+  const CandidatePlan *All = nullptr;
+
+  explicit PairsAndAllPlan(const std::vector<std::string> &Patterns) {
+    for (uint32_t I = 0; I < Patterns.size(); ++I) {
+      Fsas.push_back(compileOptimized(Patterns[I]));
+      Ids.push_back(I);
+    }
+    Options.Cost.Probe.MaxStates = 64;
+    Options.CandidateFactors = {2, 0};
+    Plan = planRuleset(Fsas, Ids, Patterns, Options);
+    for (const CandidatePlan &Cand : Plan.Candidates)
+      (Cand.MergingFactor == 2 ? Pairs : All) = &Cand;
+  }
+
+  /// A direct probe of the M = all group.
+  DfaEstimate probeAll() const {
+    return probeDfaBlowup(mergeInGroups(Fsas, Ids, 0).front(),
+                          Options.Cost.Probe);
+  }
+};
+
+void expectSameVerdict(const DfaEstimate &A, const DfaEstimate &B) {
+  EXPECT_EQ(A.Completed, B.Completed);
+  EXPECT_EQ(A.DfaStates, B.DfaStates);
+  EXPECT_EQ(A.NumAtoms, B.NumAtoms);
+  EXPECT_EQ(A.Stride2Entries, B.Stride2Entries);
+  EXPECT_EQ(A.Stride2Feasible, B.Stride2Feasible);
+}
+
+TEST(Planner, BlownSubgroupImpliesTheWholeRulesetsVerdict) {
+  // "a[ab]{6}x" alone needs ~2^7 scanning-DFA states, past the 64 cap; the
+  // M = all group holds its pair, so its DFA is at least as large.
+  const PairsAndAllPlan P({"a[ab]{6}x", "hello", "foo", "world"});
+  ASSERT_TRUE(P.Pairs && P.All);
+  ASSERT_EQ(P.Pairs->Groups.size(), 2u);
+  EXPECT_FALSE(P.Pairs->Groups[0].Dfa.Completed);
+  EXPECT_FALSE(P.Pairs->Groups[0].Dfa.Implied);
+  EXPECT_TRUE(P.Pairs->Groups[1].Dfa.Completed);
+
+  ASSERT_EQ(P.All->Groups.size(), 1u);
+  const DfaEstimate &Implied = P.All->Groups[0].Dfa;
+  EXPECT_TRUE(Implied.Implied);
+  EXPECT_EQ(Implied.WallMs, 0.0) << "an implied verdict runs no probe";
+  const DfaEstimate Probed = P.probeAll();
+  EXPECT_FALSE(Probed.Implied);
+  expectSameVerdict(Implied, Probed);
+
+  obs::MetricsRegistry Registry;
+  P.All->Groups[0].recordTo(Registry);
+  EXPECT_NE(Registry.toJson().find("\"analysis.cost.dfa_probe_implied\": 1"),
+            std::string::npos)
+      << Registry.toJson();
+}
+
+TEST(Planner, CompletedSubgroupsLeaveTheProbeToRun) {
+  // Each pair fits in 45 states, all four need 225: the M = all probe must
+  // find that blowup itself.
+  const PairsAndAllPlan P({"a.{2}x", "b.{2}y", "c.{2}z", "d.{2}w"});
+  ASSERT_TRUE(P.Pairs && P.All);
+  for (const CostReport &G : P.Pairs->Groups)
+    EXPECT_TRUE(G.Dfa.Completed);
+  ASSERT_EQ(P.All->Groups.size(), 1u);
+  const DfaEstimate &Ran = P.All->Groups[0].Dfa;
+  EXPECT_FALSE(Ran.Implied);
+  EXPECT_FALSE(Ran.Completed);
+  expectSameVerdict(Ran, P.probeAll());
 }
 
 //===----------------------------------------------------------------------===//

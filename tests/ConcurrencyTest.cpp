@@ -2,17 +2,20 @@
 //
 // Part of the mfsa project. MIT License.
 //
-// Exercises the concurrent machinery — ThreadPool and runParallel's
-// cancellation/deadline paths — with real cross-thread interleavings so a
-// ThreadSanitizer build (cmake -DMFSA_SANITIZE=thread, then `ctest -L tsan`)
-// has races to find. The assertions double as plain correctness checks in
+// Exercises the concurrent machinery — ThreadPool, runParallel's
+// cancellation/deadline paths and the planner's pool — with real
+// cross-thread interleavings so a ThreadSanitizer build (cmake
+// -DMFSA_SANITIZE=thread, then `ctest -L tsan`) has races to find. The assertions double as plain correctness checks in
 // uninstrumented builds.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Planner.h"
+#include "compiler/Pipeline.h"
 #include "engine/Parallel.h"
 #include "mfsa/Merge.h"
 #include "support/ThreadPool.h"
+#include "workload/Datasets.h"
 
 #include "TestHelpers.h"
 
@@ -187,6 +190,59 @@ TEST(ParallelConcurrency, ConcurrentBatchesShareEngines) {
     EXPECT_FALSE(Result.Degraded);
     EXPECT_EQ(Result.TotalMatches, Sequential);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Planner pool
+//===----------------------------------------------------------------------===//
+
+TEST(PlannerConcurrency, ConcurrentPlansMatchSingleThreadedTraces) {
+  // Two callers plan different rulesets at once, each on its own planner
+  // pool: trial merges, literal profiles and wave-ordered DFA probes race
+  // with the other plan's. 100 rules give two M=50 groups, so the M=all
+  // verdict can be implied by a blown one.
+  struct Job {
+    std::vector<std::string> Rules;
+    CompileArtifacts Compiled;
+    std::string Single, Pooled;
+  };
+  std::vector<Job> Jobs(2);
+  const char *Datasets[] = {"BRO", "DS9"};
+  for (size_t J = 0; J < Jobs.size(); ++J) {
+    const DatasetSpec *Spec = findDataset(Datasets[J]);
+    ASSERT_NE(Spec, nullptr);
+    Jobs[J].Rules = generateRuleset(*Spec);
+    Jobs[J].Rules.resize(100);
+    CompileOptions Compile;
+    Compile.MergingFactor = 1;
+    Compile.EmitAnml = false;
+    Result<CompileArtifacts> Compiled = compileRuleset(Jobs[J].Rules, Compile);
+    ASSERT_TRUE(Compiled) << Compiled.diag().render();
+    Jobs[J].Compiled = Compiled.take();
+  }
+  auto Trace = [](const Job &J, unsigned InputThreads) {
+    PlannerOptions Opts;
+    Opts.InputThreads = InputThreads;
+    EnginePlan Plan = planRuleset(J.Compiled.OptimizedFsas,
+                                  J.Compiled.CompiledRuleIds, J.Rules, Opts);
+    // Everything but the wall clock and the input-parallel decision, which
+    // follows the requested thread count.
+    Plan.PlanWallMs = 0.0;
+    Plan.InputThreads = 1;
+    Plan.ParallelInput = false;
+    Plan.ParallelInputWhy.clear();
+    return Plan.explainJson();
+  };
+  for (Job &J : Jobs)
+    J.Single = Trace(J, 1);
+
+  std::vector<std::thread> Planners;
+  for (Job &J : Jobs)
+    Planners.emplace_back([&Trace, &J] { J.Pooled = Trace(J, 4); });
+  for (std::thread &T : Planners)
+    T.join();
+  for (const Job &J : Jobs)
+    EXPECT_EQ(J.Pooled, J.Single);
 }
 
 } // namespace

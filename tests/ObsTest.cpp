@@ -231,13 +231,19 @@ TEST(CompileTelemetry, ExportIsByteStableModuloTimings) {
 TEST(CostTelemetry, ExportIsGoldenModuloTimings) {
   const std::vector<std::string> Rules = {"a[ab]*b", "ab*", "foobar"};
   obs::MetricsRegistry Registry;
-  analyzeCost(mergePatterns(Rules), Rules).recordTo(Registry);
+  const Mfsa Z = mergePatterns(Rules);
+  CostReport Report;
+  Report.Shape = computeShape(Z);
+  Report.Dfa = probeDfaBlowup(Z);
+  Report.Literals = profileLiterals(Z, Rules);
+  Report.recordTo(Registry);
   unsigned Masked = 0;
   EXPECT_EQ(maskTimings(Registry.toJson(), &Masked),
             "{\n"
             "  \"counters\": {},\n"
             "  \"gauges\": {\n"
             "    \"analysis.cost.dfa_probe_completed\": 1,\n"
+            "    \"analysis.cost.dfa_probe_implied\": 0,\n"
             "    \"analysis.cost.dfa_probe_states\": 9,\n"
             "    \"analysis.cost.dfa_probe_wall_ms\": \"T\",\n"
             "    \"analysis.cost.distinct_first_bytes\": 1,\n"

@@ -11,7 +11,10 @@
 // tests/golden/plans/<DS>.json. The trace holds every cost-model fact the
 // planner used (DFA probe verdicts, literal profile, per-engine estimates),
 // so any change to the analyses' results shows up here even when the final
-// choice happens to survive it.
+// choice happens to survive it. The same plan at InputThreads = 1 (no
+// planner pool) must match the golden too, apart from its
+// "parallel_input" line; PlanThreads.* hold the same invariant on an empty,
+// a one-rule and a three-rule ruleset.
 //
 // After an intended planner change, regenerate the files with
 //   MFSA_UPDATE_PLAN_GOLDENS=1 build/tests/test_plan_golden
@@ -38,6 +41,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -69,16 +73,45 @@ std::string readFile(const std::string &Path) {
   return Text.str();
 }
 
-/// explainJson() without the "plan_wall_ms" line (the only field that
-/// varies between runs of identical work).
-std::string stripWallClock(std::string Json) {
-  const std::string Key = "  \"plan_wall_ms\": ";
-  size_t Begin = Json.find(Key);
+/// \p Json without the top-level line that starts with \p Key.
+std::string stripLine(std::string Json, const std::string &Key) {
+  size_t Begin = Json.find("  \"" + Key + "\": ");
   if (Begin == std::string::npos)
     return Json;
   size_t End = Json.find('\n', Begin);
   Json.erase(Begin, End == std::string::npos ? End : End + 1 - Begin);
   return Json;
+}
+
+/// explainJson() without the "plan_wall_ms" line (the only field that
+/// varies between runs of identical work).
+std::string stripWallClock(std::string Json) {
+  return stripLine(std::move(Json), "plan_wall_ms");
+}
+
+/// The trace minus what the requested thread count legitimately changes:
+/// the wall clock and the "parallel_input" decision.
+std::string threadFreeTrace(const std::string &Json) {
+  return stripLine(stripWallClock(Json), "parallel_input");
+}
+
+/// Plans \p Rules at \p InputThreads with default PlannerOptions.
+EnginePlan planAt(const CompileArtifacts &Compiled,
+                  const std::vector<std::string> &Rules,
+                  unsigned InputThreads) {
+  PlannerOptions Opts;
+  Opts.InputThreads = InputThreads;
+  return planRuleset(Compiled.OptimizedFsas, Compiled.CompiledRuleIds, Rules,
+                     Opts);
+}
+
+/// The analysis tasks the planner had for \p Plan: one trial merge per
+/// candidate, and a literal task and a probe task per analyzed group.
+size_t planTasks(const EnginePlan &Plan) {
+  size_t Tasks = Plan.Candidates.size();
+  for (const CandidatePlan &Cand : Plan.Candidates)
+    Tasks += 2 * Cand.Groups.size();
+  return Tasks;
 }
 
 class PlanGolden : public ::testing::TestWithParam<std::string> {};
@@ -94,10 +127,7 @@ TEST_P(PlanGolden, ExplainJsonMatchesCommittedTrace) {
   Result<CompileArtifacts> Compiled = compileRuleset(Rules, Compile);
   ASSERT_TRUE(Compiled) << Compiled.diag().render();
 
-  PlannerOptions Opts;
-  Opts.InputThreads = 4;
-  EnginePlan Plan = planRuleset(Compiled->OptimizedFsas,
-                                Compiled->CompiledRuleIds, Rules, Opts);
+  EnginePlan Plan = planAt(*Compiled, Rules, 4);
   const std::string Actual = stripWallClock(Plan.explainJson()) + "\n";
 
   const std::string Path = goldenPath(GetParam());
@@ -107,7 +137,15 @@ TEST_P(PlanGolden, ExplainJsonMatchesCommittedTrace) {
   }
 
   ASSERT_TRUE(std::ifstream(Path)) << "missing golden " << Path;
-  EXPECT_EQ(Actual, readFile(Path)) << "plan trace drifted from " << Path;
+  const std::string Golden = readFile(Path);
+  EXPECT_EQ(Actual, Golden) << "plan trace drifted from " << Path;
+
+  // Planning on the calling thread alone must reach the same trace.
+  EnginePlan Single = planAt(*Compiled, Rules, 1);
+  EXPECT_EQ(Single.PlanWorkers, 1u);
+  EXPECT_EQ(threadFreeTrace(Single.explainJson()) + "\n",
+            threadFreeTrace(Golden))
+      << "single-threaded plan drifted from " << Path;
 }
 
 /// The merging factor the committed plan golden chose for \p Abbrev.
@@ -176,6 +214,39 @@ TEST_P(WorkGolden, ExaminedEntriesMatchCommittedCount) {
   }
   ASSERT_TRUE(std::ifstream(Path)) << "missing golden " << Path;
   EXPECT_EQ(Actual, readFile(Path)) << "scan work drifted from " << Path;
+}
+
+/// Plans \p Rules at one thread and at \p Threads, and requires the same
+/// trace and a pool no larger than the task count.
+void expectThreadCountInvariant(const std::vector<std::string> &Rules,
+                                unsigned Threads) {
+  CompileOptions Compile;
+  Compile.MergingFactor = 1;
+  Compile.EmitAnml = false;
+  Result<CompileArtifacts> Compiled = compileRuleset(Rules, Compile);
+  ASSERT_TRUE(Compiled) << Compiled.diag().render();
+  const EnginePlan Single = planAt(*Compiled, Rules, 1);
+  const EnginePlan Pooled = planAt(*Compiled, Rules, Threads);
+  EXPECT_EQ(threadFreeTrace(Pooled.explainJson()),
+            threadFreeTrace(Single.explainJson()));
+  EXPECT_EQ(Single.PlanWorkers, 1u);
+  EXPECT_GT(Pooled.PlanWorkers, 1u) << "the pooled plan ran on one thread";
+  EXPECT_LE(Pooled.PlanWorkers, Threads);
+  EXPECT_LE(Pooled.PlanWorkers, std::max<size_t>(1, planTasks(Pooled)));
+}
+
+TEST(PlanThreads, EmptyRulesetPlansAlike) {
+  expectThreadCountInvariant({}, 4);
+}
+
+TEST(PlanThreads, OneRulePlansAlike) {
+  expectThreadCountInvariant({"GET /index\\.html"}, 4);
+}
+
+TEST(PlanThreads, PoolNeverExceedsTheTaskCount) {
+  // Three rules give 3 trial merges and 5 analyzed groups: 13 tasks, so a
+  // 64-thread grant must start at most 13 workers.
+  expectThreadCountInvariant({"foo[0-9]+bar", "a.{2}x", "hello"}, 64);
 }
 
 INSTANTIATE_TEST_SUITE_P(TableI, PlanGolden,
