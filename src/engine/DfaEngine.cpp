@@ -7,7 +7,6 @@
 #include "engine/DfaEngine.h"
 
 #include "obs/Metrics.h"
-#include "support/SimdDispatch.h"
 
 using namespace mfsa;
 
@@ -33,10 +32,6 @@ void DfaEngine::run(std::string_view Input, MatchRecorder &Recorder) const {
   const uint32_t NumAtoms = Automaton.NumAtoms;
   const uint32_t *Next = Automaton.Next.data();
   const uint8_t *AtomOf = Automaton.AtomOfByte.data();
-  // Resolve the SIMD dispatch once per scan; the per-byte accept probe then
-  // calls the kernel directly instead of re-loading the table through
-  // DynamicBitset::any().
-  const simd::KernelTable &K = simd::ops();
 
 #if MFSA_METRICS_ENABLED
   const bool Observed = Metrics.Bytes != nullptr;
@@ -50,13 +45,13 @@ void DfaEngine::run(std::string_view Input, MatchRecorder &Recorder) const {
     State = Next[static_cast<size_t>(State) * NumAtoms +
                  AtomOf[static_cast<unsigned char>(Input[Pos])]];
     const DynamicBitset &Accept = Automaton.Accept[State];
-    if (K.AnyWords(Accept.words().data(), Accept.words().size()))
+    if (Accept.any())
       Accept.forEach([&](unsigned Rule) {
         Recorder.onMatch(Automaton.GlobalIds[Rule], Pos + 1);
       });
     if (Pos + 1 == Input.size()) {
       const DynamicBitset &AtEnd = Automaton.AcceptAtEnd[State];
-      if (K.AnyWords(AtEnd.words().data(), AtEnd.words().size()))
+      if (AtEnd.any())
         AtEnd.forEach([&](unsigned Rule) {
           Recorder.onMatch(Automaton.GlobalIds[Rule], Pos + 1);
         });

@@ -9,12 +9,12 @@
 #include "analysis/Verifier.h"
 #include "fsa/AlphabetPartition.h"
 #include "obs/Metrics.h"
-#include "support/SimdDispatch.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <unordered_map>
 
 using namespace mfsa;
@@ -302,8 +302,7 @@ ImfantEngine::Scanner::Scanner(const ImfantEngine &Engine)
       NextJ(static_cast<size_t>(Engine.NumStates) * Engine.Words),
       Stamp(Engine.NumStates, 0), CurFrontier(Engine.NumStates),
       NextFrontier(Engine.NumStates), FinalArrivals(Engine.NumStates),
-      PendingAtEnd(Engine.Words, 0), MatchedThisStep(Engine.Words, 0),
-      ActivationScratch(Engine.Words, 0) {}
+      PendingAtEnd(Engine.Words, 0) {}
 
 void ImfantEngine::Scanner::startAt(uint64_t Offset) {
   assert(!Finished && AbsoluteOffset == 0 && CurSize == 0 &&
@@ -360,10 +359,13 @@ void ImfantEngine::Scanner::feed(std::string_view Chunk,
   const uint64_t MatchesBefore = Recorder.total();
   const uint64_t OffsetBefore = AbsoluteOffset;
 #endif
-  if (Engine.Words == 1)
-    feedLoop<true>(Chunk, Recorder, Stats);
-  else
-    feedLoop<false>(Chunk, Recorder, Stats);
+  // Indexed by the fixed width; slot 0 is the runtime-width loop.
+  static constexpr void (Scanner::*Loops[])(std::string_view, MatchRecorder &,
+                                            RunStats *) = {
+      &Scanner::feedLoop<0>, &Scanner::feedLoop<1>, &Scanner::feedLoop<2>,
+      &Scanner::feedLoop<3>, &Scanner::feedLoop<4>, &Scanner::feedLoop<5>};
+  const uint32_t W = Engine.Words;
+  (this->*Loops[W < std::size(Loops) ? W : 0])(Chunk, Recorder, Stats);
 #if MFSA_METRICS_ENABLED
   if (Engine.Metrics.Bytes) {
     // The injection-off early exit can consume less than the whole chunk.
@@ -373,18 +375,33 @@ void ImfantEngine::Scanner::feed(std::string_view Chunk,
 #endif
 }
 
-template <bool SingleWord>
+namespace {
+
+/// Blocks × W words of feedLoop<FixedW> scratch: a stack array when the
+/// width is fixed (the unrolled word loops keep it in registers), else the
+/// heap.
+template <uint32_t FixedW, uint32_t Blocks> struct StepScratch {
+  explicit StepScratch(uint32_t W) : W(W), Heap(FixedW > 0 ? 0 : Blocks * W) {}
+  uint64_t *operator[](uint32_t Block) {
+    return (FixedW > 0 ? Fixed : Heap.data()) + Block * W;
+  }
+
+  uint32_t W;
+  uint64_t Fixed[FixedW > 0 ? Blocks * FixedW : 1] = {};
+  std::vector<uint64_t> Heap;
+};
+
+} // namespace
+
+template <uint32_t FixedW>
 void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
                                      MatchRecorder &Recorder,
                                      RunStats *Stats) {
   const ImfantEngine &E = Engine;
-  // With SingleWord the compiler folds every bitset loop to one scalar op;
-  // wider MFSAs go through the runtime-dispatched SIMD kernels instead.
-  // The table is resolved once per chunk so a test switching levels between
-  // runs always scans with a consistent implementation.
-  const uint32_t W = SingleWord ? 1u : E.Words;
+  // Every J, bel, mask and final-rule block is W words; with a fixed W the
+  // word loops below unroll into straight-line register ops.
+  const uint32_t W = FixedW > 0 ? FixedW : E.Words;
   assert(W == E.Words && "dispatch mismatch");
-  const simd::KernelTable &K = simd::ops();
   const bool Inject = InjectionEnabled;
   // Tables, buffers and scan state live in locals for the whole chunk: the
   // loop's 64-bit stores could otherwise alias the members they come from.
@@ -401,14 +418,15 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
   uint64_t *CurJs = CurJ.data(), *NextJs = NextJ.data();
   StateId *CurF = CurFrontier.data(), *NextF = NextFrontier.data();
   StateId *Finals = FinalArrivals.data();
-  uint64_t *A = ActivationScratch.data();
   uint32_t CurCount = CurSize;
   uint64_t Generation = Gen;
   uint64_t Offset = AbsoluteOffset;
-  // SingleWord keeps the `$` rules pending at the last offset in a
-  // register; the wide path parks them in PendingAtEnd directly.
-  uint64_t Pending = PendingAtEnd[0];
   size_t Consumed = Chunk.size();
+
+  // Matched: the rules reported at this step's offset; Union: ∪ J(q) over
+  // a frontier.
+  StepScratch<FixedW, 2> Scratch(W);
+  uint64_t *Matched = Scratch[0], *Union = Scratch[1];
 
   uint64_t ActiveRuleSum = 0;
   uint32_t ActiveRuleMax = 0;
@@ -416,9 +434,6 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
   uint64_t TransitionsEvaluated = 0;
   uint64_t ActiveStateSum = 0;
   uint64_t FinalProbeSum = 0;
-  std::vector<uint64_t> UnionJ;
-  if (Stats)
-    UnionJ.assign(W, 0);
 
 #if MFSA_METRICS_ENABLED
   // Sampled distribution metrics: counters are exact, histograms observe
@@ -427,8 +442,6 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
   const bool Observed = E.Metrics.Bytes != nullptr;
   const uint32_t SampleEvery = Observed ? obs::scanSampleEvery() : 0;
   uint64_t ChunkTransitions = 0;
-  if (Observed && MetricsUnionScratch.size() != W)
-    MetricsUnionScratch.assign(W, 0);
 #endif
 
   // Per-step arrival bookkeeping. The first arrival at a state in a step
@@ -446,20 +459,34 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
   // Applies one symbol's precomputed injections; returns the entry count.
   auto ApplyInjections = [&](const InjectionList &List, unsigned char C) {
     const uint32_t Begin = List.Offsets[C], End = List.Offsets[C + 1];
-    for (uint32_t I = Begin; I < End; ++I) {
-      const StateId To = List.To[I];
-      const uint64_t *Mask = &List.Masks[static_cast<size_t>(I) * W];
+    for (uint32_t Entry = Begin; Entry < End; ++Entry) {
+      const StateId To = List.To[Entry];
+      const uint64_t *Mask = &List.Masks[static_cast<size_t>(Entry) * W];
       uint64_t *DstJ = &NextJs[static_cast<size_t>(To) * W];
       if (Stamps[To] != NextGen) {
         Claim(To);
-        std::copy(Mask, Mask + W, DstJ);
-      } else if constexpr (SingleWord) {
-        DstJ[0] |= Mask[0];
+        for (uint32_t I = 0; I < W; ++I)
+          DstJ[I] = Mask[I];
       } else {
-        K.OrWords(DstJ, Mask, W);
+        for (uint32_t I = 0; I < W; ++I)
+          DstJ[I] |= Mask[I];
       }
     }
     return End - Begin;
+  };
+  // |∪ J(q)| over the next frontier: the active-rule count of Table II.
+  auto ActiveRuleCount = [&] {
+    for (uint32_t I = 0; I < W; ++I)
+      Union[I] = 0;
+    for (uint32_t F = 0; F < NextCount; ++F) {
+      const uint64_t *J = &NextJs[static_cast<size_t>(NextF[F]) * W];
+      for (uint32_t I = 0; I < W; ++I)
+        Union[I] |= J[I];
+    }
+    uint32_t Count = 0;
+    for (uint32_t I = 0; I < W; ++I)
+      Count += static_cast<uint32_t>(__builtin_popcountll(Union[I]));
+    return Count;
   };
 
   for (size_t Pos = 0; Pos < Chunk.size(); ++Pos) {
@@ -474,39 +501,30 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
     // Propagation (Eq. 6): every active state sends J ∩ bel across each
     // out-edge of this symbol's class.
     const uint32_t *RowsAtClass = Rows + ClassOf[C];
-    for (uint32_t I = 0; I < CurCount; ++I) {
-      const StateId S = CurF[I];
+    for (uint32_t F = 0; F < CurCount; ++F) {
+      const StateId S = CurF[F];
       const StateEdges Where = Index[S];
       const uint32_t *Row = RowsAtClass + Where.RowBase;
       const OutEdge *Edge = Edges + Where.EdgeBase + Row[0];
       const OutEdge *End = Edges + Where.EdgeBase + Row[1];
       Examined += static_cast<uint64_t>(End - Edge);
-      if constexpr (SingleWord) {
-        const uint64_t SrcJ = CurJs[S];
-        for (; Edge != End; ++Edge) {
-          const uint64_t Crossing = SrcJ & Bels[Edge->BelIdx];
-          if (!Crossing)
-            continue;
-          const StateId To = Edge->To;
-          if (Stamps[To] != NextGen) {
-            Claim(To);
-            NextJs[To] = Crossing;
-          } else {
-            NextJs[To] |= Crossing;
-          }
-        }
-      } else {
-        const uint64_t *SrcJ = &CurJs[static_cast<size_t>(S) * W];
-        for (; Edge != End; ++Edge) {
-          const uint64_t *Bel = &Bels[static_cast<size_t>(Edge->BelIdx) * W];
-          const StateId To = Edge->To;
-          uint64_t *DstJ = &NextJs[static_cast<size_t>(To) * W];
-          if (Stamps[To] != NextGen) {
-            if (K.AndInto(DstJ, SrcJ, Bel, W))
-              Claim(To);
-          } else if (K.AndInto(A, SrcJ, Bel, W)) {
-            K.OrWords(DstJ, A, W);
-          }
+      const uint64_t *Src = &CurJs[static_cast<size_t>(S) * W];
+      for (; Edge != End; ++Edge) {
+        const uint64_t *Bel = &Bels[static_cast<size_t>(Edge->BelIdx) * W];
+        uint64_t Any = 0;
+        for (uint32_t I = 0; I < W; ++I)
+          Any |= Src[I] & Bel[I];
+        if (!Any)
+          continue;
+        const StateId To = Edge->To;
+        uint64_t *DstJ = &NextJs[static_cast<size_t>(To) * W];
+        if (Stamps[To] != NextGen) {
+          Claim(To);
+          for (uint32_t I = 0; I < W; ++I)
+            DstJ[I] = Src[I] & Bel[I];
+        } else {
+          for (uint32_t I = 0; I < W; ++I)
+            DstJ[I] |= Src[I] & Bel[I];
         }
       }
     }
@@ -519,43 +537,19 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
       Examined += ApplyInjections(E.InjectAtStart, C);
 
     // Match reporting (Eq. 5) over the final states this step reached:
-    // active rules for which the state is final. Unanchored-end rules
-    // report immediately (once per rule and offset); `$`-anchored ones are
-    // parked as pending, which only survives if this symbol is the
-    // stream's last.
-    if constexpr (SingleWord) {
-      const uint64_t NotEndMask = NotEnd[0];
-      uint64_t Matched = 0;
-      Pending = 0;
-      for (uint32_t I = 0; I < FinalCount; ++I) {
-        const StateId S = Finals[I];
-        const uint64_t Arrived = NextJs[S] & FinalRules[S];
-        Pending |= Arrived & ~NotEndMask;
-        uint64_t Hits = Arrived & NotEndMask & ~Matched;
-        Matched |= Hits;
-        while (Hits) {
-          unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Hits));
-          Hits &= Hits - 1;
-          Recorder.onMatch(GlobalIds[Bit], Offset);
-        }
-      }
-    } else {
-      std::fill(PendingAtEnd.begin(), PendingAtEnd.end(), 0);
+    // active rules for which the state is final, once per rule and offset.
+    // `$`-anchored rules wait: only the chunk's last step can hold them
+    // (see below).
+    if (FinalCount > 0) {
+      for (uint32_t I = 0; I < W; ++I)
+        Matched[I] = 0;
       for (uint32_t F = 0; F < FinalCount; ++F) {
         const StateId S = Finals[F];
         const uint64_t *J = &NextJs[static_cast<size_t>(S) * W];
         const uint64_t *Fin = &FinalRules[static_cast<size_t>(S) * W];
         for (uint32_t I = 0; I < W; ++I) {
-          const uint64_t Arrived = J[I] & Fin[I];
-          if (!Arrived)
-            continue;
-          PendingAtEnd[I] |= Arrived & ~NotEnd[I];
-          uint64_t Hits = Arrived & NotEnd[I] & ~MatchedThisStep[I];
-          if (!Hits)
-            continue;
-          if (!MatchedThisStep[I])
-            MatchedDirtyWords.push_back(I);
-          MatchedThisStep[I] |= Hits;
+          uint64_t Hits = J[I] & Fin[I] & NotEnd[I] & ~Matched[I];
+          Matched[I] |= Hits;
           while (Hits) {
             unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Hits));
             Hits &= Hits - 1;
@@ -563,21 +557,13 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
           }
         }
       }
-      for (uint32_t I : MatchedDirtyWords)
-        MatchedThisStep[I] = 0;
-      MatchedDirtyWords.clear();
     }
 
     if (Stats) {
       TransitionsEvaluated += Examined;
       ActiveStateSum += CurCount;
       FinalProbeSum += FinalCount;
-      std::fill(UnionJ.begin(), UnionJ.end(), 0);
-      for (uint32_t I = 0; I < NextCount; ++I)
-        K.OrWords(UnionJ.data(), &NextJs[static_cast<size_t>(NextF[I]) * W],
-                  W);
-      uint32_t ActiveRules =
-          static_cast<uint32_t>(K.CountWords(UnionJ.data(), W));
+      const uint32_t ActiveRules = ActiveRuleCount();
       ActiveRuleSum += ActiveRules;
       ActiveRuleMax = std::max(ActiveRuleMax, ActiveRules);
       FrontierMax = std::max(FrontierMax, NextCount);
@@ -590,13 +576,7 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
         MetricsTick = 0;
         E.Metrics.Frontier->observe(NextCount);
         E.Metrics.TransitionsPerByte->observe(Examined);
-        // Active-set occupancy |∪ J(q)| — the paper's Table II quantity.
-        std::fill(MetricsUnionScratch.begin(), MetricsUnionScratch.end(), 0);
-        for (uint32_t I = 0; I < NextCount; ++I)
-          K.OrWords(MetricsUnionScratch.data(),
-                    &NextJs[static_cast<size_t>(NextF[I]) * W], W);
-        E.Metrics.ActiveRules->observe(
-            K.CountWords(MetricsUnionScratch.data(), W));
+        E.Metrics.ActiveRules->observe(ActiveRuleCount());
       }
     }
 #endif
@@ -623,8 +603,21 @@ void ImfantEngine::Scanner::feedLoop(std::string_view Chunk,
   CurSize = CurCount;
   Gen = Generation;
   AbsoluteOffset = Offset;
-  if constexpr (SingleWord)
-    PendingAtEnd[0] = Pending;
+
+  // The `$` rules the last step's final states matched: they report at
+  // finish() unless more input follows. An empty chunk keeps the pending
+  // set of the previous one.
+  if (!Chunk.empty()) {
+    for (uint32_t I = 0; I < W; ++I)
+      PendingAtEnd[I] = 0;
+    for (uint32_t F = 0; F < FinalCount; ++F) {
+      const StateId S = Finals[F];
+      const uint64_t *J = &CurJ[static_cast<size_t>(S) * W];
+      const uint64_t *Fin = &FinalRules[static_cast<size_t>(S) * W];
+      for (uint32_t I = 0; I < W; ++I)
+        PendingAtEnd[I] |= J[I] & Fin[I] & ~NotEnd[I];
+    }
+  }
 
 #if MFSA_METRICS_ENABLED
   if (Observed)

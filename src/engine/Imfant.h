@@ -49,8 +49,9 @@
 /// arrivals), and no per-step clearing pass exists. A 64-bit stamp cannot
 /// wrap.
 ///
-/// The reported (rule, end offset) set is exactly iNFAnt's; the order of matches within one end offset is unspecified (it follows
-/// the order in which the step reached final states). Running a single-rule
+/// The reported (rule, end offset) set is exactly iNFAnt's; the order of
+/// matches within one end offset is unspecified (it follows the order in
+/// which the step reached final states). Running a single-rule
 /// MFSA (merging factor M = 1) degenerates to iNFAnt's semantics and serves
 /// as the paper's baseline on the same scan loop.
 ///
@@ -75,8 +76,12 @@ class MetricsRegistry;
 
 /// Collects matches emitted by an engine run. A match is a (rule, end
 /// offset) pair; the engine already deduplicates pairs arising from multiple
-/// simultaneous paths. Matches arrive in nondecreasing end-offset order;
+/// simultaneous paths. Within one engine run (one automaton, one DFA or one
+/// Scanner stream) matches arrive in nondecreasing end-offset order, and
 /// within one offset their order is engine-specific and unspecified.
+/// Drivers that scan groups one after another report group by group, each
+/// group in its own offset order: PlannedEngineSet::run (group after group)
+/// and PrefilterEngine::run (its residual first, then each confirm window).
 class MatchRecorder {
 public:
   enum class Mode : uint8_t {
@@ -209,10 +214,11 @@ public:
     bool frontierEmpty() const { return CurSize == 0; }
 
   private:
-    /// The scan loop, compiled twice: SingleWord folds the per-rule-bitset
-    /// loops to scalar ops for MFSAs of up to 64 rules — which covers every
-    /// M = 1 baseline engine, keeping the Fig. 9 comparison fair.
-    template <bool SingleWord>
+    /// The scan step (Eq. 4-6), one body instantiated per rule-bitset
+    /// width: FixedW words for the widths Table I plans and the service
+    /// produce (1-5), where the word loops unroll, and FixedW = 0 for any
+    /// wider MFSA, which reads the width from the engine.
+    template <uint32_t FixedW>
     void feedLoop(std::string_view Chunk, MatchRecorder &Recorder,
                   RunStats *Stats);
 
@@ -230,15 +236,10 @@ public:
     std::vector<StateId> CurFrontier, NextFrontier, FinalArrivals;
     uint32_t CurSize = 0;
     std::vector<uint64_t> PendingAtEnd; ///< `$` rules matched at offset().
-    // Per-step scratch of the multi-word loop.
-    std::vector<uint64_t> MatchedThisStep;
-    std::vector<uint32_t> MatchedDirtyWords;
-    std::vector<uint64_t> ActivationScratch;
 
-    // Scan-instrumentation state (only touched when the engine has metrics
+    // Metrics sampling cadence (only touched when the engine has metrics
     // attached and MFSA_METRICS_ENABLED builds the hooks in).
     uint32_t MetricsTick = 0;
-    std::vector<uint64_t> MetricsUnionScratch;
   };
 
   uint32_t numStates() const { return NumStates; }

@@ -7,7 +7,6 @@
 #include "engine/InputParallel.h"
 
 #include "obs/Metrics.h"
-#include "support/SimdDispatch.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -453,7 +452,6 @@ namespace {
 /// stream's final byte, via emitAtEnd).
 struct DfaPolicy {
   const Dfa &D;
-  const simd::KernelTable &K;
 
   uint32_t numStates() const { return D.NumStates; }
   size_t stepLen(uint64_t, size_t) const { return 1; }
@@ -465,7 +463,7 @@ struct DfaPolicy {
         D.Next[static_cast<size_t>(State) * D.NumAtoms +
                D.AtomOfByte[static_cast<unsigned char>(Chunk[Pos])]];
     const DynamicBitset &Accept = D.Accept[Next];
-    if (K.AnyWords(Accept.words().data(), Accept.words().size()))
+    if (Accept.any())
       Accept.forEach([&](unsigned Rule) {
         Emit(D.GlobalIds[Rule], Base + Pos + 1);
       });
@@ -475,7 +473,7 @@ struct DfaPolicy {
   template <class EmitT>
   void emitAtEnd(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
     const DynamicBitset &AtEnd = D.AcceptAtEnd[State];
-    if (K.AnyWords(AtEnd.words().data(), AtEnd.words().size()))
+    if (AtEnd.any())
       AtEnd.forEach(
           [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
   }
@@ -488,7 +486,6 @@ struct DfaPolicy {
 /// under arbitrary adversarial cuts.
 struct StridedPolicy {
   const StridedDfa &D;
-  const simd::KernelTable &K;
 
   uint32_t numStates() const { return D.NumStates; }
   size_t stepLen(uint64_t AbsPos, size_t Remaining) const {
@@ -498,7 +495,7 @@ struct StridedPolicy {
   template <class EmitT>
   void probeAccept(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
     const DynamicBitset &Accept = D.Accept[State];
-    if (K.AnyWords(Accept.words().data(), Accept.words().size()))
+    if (Accept.any())
       Accept.forEach(
           [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
   }
@@ -531,7 +528,7 @@ struct StridedPolicy {
   template <class EmitT>
   void emitAtEnd(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
     const DynamicBitset &AtEnd = D.AcceptAtEnd[State];
-    if (K.AnyWords(AtEnd.words().data(), AtEnd.words().size()))
+    if (AtEnd.any())
       AtEnd.forEach(
           [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
   }
@@ -670,12 +667,10 @@ void InputParallelRun::run(std::string_view Input, MatchRecorder &Recorder,
     runImfant(Input, Bounds, Recorder, Stats, Pool);
     break;
   case Backend::Dfa:
-    runDfaFamily(DfaPolicy{*Automaton, simd::ops()}, Input, Bounds, Recorder,
-                 Stats, Pool);
+    runDfaFamily(DfaPolicy{*Automaton}, Input, Bounds, Recorder, Stats, Pool);
     break;
   case Backend::Stride2:
-    runDfaFamily(StridedPolicy{*Strided, simd::ops()}, Input, Bounds,
-                 Recorder, Stats, Pool);
+    runDfaFamily(StridedPolicy{*Strided}, Input, Bounds, Recorder, Stats, Pool);
     break;
   }
 }

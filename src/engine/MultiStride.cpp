@@ -48,17 +48,16 @@ Result<StridedDfa> mfsa::makeStride2(const Dfa &Automaton,
   return Out;
 }
 
-void StridedDfaEngine::reportAt(const simd::KernelTable &K, uint32_t State,
-                                size_t EndOffset, bool AtEnd,
+void StridedDfaEngine::reportAt(uint32_t State, size_t EndOffset, bool AtEnd,
                                 MatchRecorder &Recorder) const {
   const DynamicBitset &Accept = Automaton.Accept[State];
-  if (K.AnyWords(Accept.words().data(), Accept.words().size()))
+  if (Accept.any())
     Accept.forEach([&](unsigned Rule) {
       Recorder.onMatch(Automaton.GlobalIds[Rule], EndOffset);
     });
   if (AtEnd) {
     const DynamicBitset &AtEndSet = Automaton.AcceptAtEnd[State];
-    if (K.AnyWords(AtEndSet.words().data(), AtEndSet.words().size()))
+    if (AtEndSet.any())
       AtEndSet.forEach([&](unsigned Rule) {
         Recorder.onMatch(Automaton.GlobalIds[Rule], EndOffset);
       });
@@ -89,7 +88,6 @@ void StridedDfaEngine::run(std::string_view Input,
                            MatchRecorder &Recorder) const {
   const uint32_t A = Automaton.NumAtoms;
   const uint8_t *AtomOf = Automaton.AtomOfByte.data();
-  const simd::KernelTable &K = simd::ops();
 
 #if MFSA_METRICS_ENABLED
   const bool Observed = Metrics.Bytes != nullptr;
@@ -112,10 +110,10 @@ void StridedDfaEngine::run(std::string_view Input,
       ++MidProbes;
 #endif
       uint32_t MidState = Automaton.Mid[static_cast<size_t>(State) * A + A1];
-      reportAt(K, MidState, Pos + 1, false, Recorder);
+      reportAt(MidState, Pos + 1, false, Recorder);
     }
     State = Automaton.Next2[(static_cast<size_t>(State) * A + A1) * A + A2];
-    reportAt(K, State, Pos + 2, Pos + 2 == Input.size(), Recorder);
+    reportAt(State, Pos + 2, Pos + 2 == Input.size(), Recorder);
 #if MFSA_METRICS_ENABLED
     if (Observed && ++MetricsTick >= SampleEvery) {
       MetricsTick = 0;
@@ -130,7 +128,7 @@ void StridedDfaEngine::run(std::string_view Input,
   if (Pos < Input.size()) { // odd trailing byte
     uint32_t A1 = AtomOf[static_cast<unsigned char>(Input[Pos])];
     State = Automaton.Mid[static_cast<size_t>(State) * A + A1];
-    reportAt(K, State, Pos + 1, /*AtEnd=*/true, Recorder);
+    reportAt(State, Pos + 1, /*AtEnd=*/true, Recorder);
   }
 
 #if MFSA_METRICS_ENABLED

@@ -26,7 +26,6 @@
 #include "engine/Imfant.h"
 #include "fsa/Determinize.h"
 #include "support/Result.h"
-#include "support/SimdDispatch.h"
 
 #include <cstdint>
 #include <string_view>
@@ -103,10 +102,8 @@ private:
     obs::Histogram *TransitionsPerByte = nullptr;
   };
 
-  /// \p K is the per-scan resolved SIMD kernel table (the accept probes
-  /// run once per stride, so the caller hoists the dispatch load).
-  void reportAt(const simd::KernelTable &K, uint32_t State, size_t EndOffset,
-                bool AtEnd, MatchRecorder &Recorder) const;
+  void reportAt(uint32_t State, size_t EndOffset, bool AtEnd,
+                MatchRecorder &Recorder) const;
 
   const StridedDfa &Automaton;
   ScanMetricHandles Metrics;

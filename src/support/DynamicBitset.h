@@ -15,8 +15,6 @@
 #ifndef MFSA_SUPPORT_DYNAMICBITSET_H
 #define MFSA_SUPPORT_DYNAMICBITSET_H
 
-#include "support/SimdDispatch.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
@@ -68,19 +66,24 @@ public:
       W = 0;
   }
 
-  // The bulk queries and set-algebra operators below dispatch through the
-  // runtime-selected SIMD kernel table (support/SimdDispatch.h); the scalar
-  // table is the reference the vector paths are property-tested against.
+  // The bulk queries and set-algebra operators below are plain word loops:
+  // bitsets here are a few words wide, where the compiler's own code beats
+  // a dispatched kernel call.
 
   bool any() const {
-    return simd::ops().AnyWords(Words.data(), Words.size());
+    for (uint64_t W : Words)
+      if (W)
+        return true;
+    return false;
   }
 
   bool none() const { return !any(); }
 
   unsigned count() const {
-    return static_cast<unsigned>(
-        simd::ops().CountWords(Words.data(), Words.size()));
+    unsigned N = 0;
+    for (uint64_t W : Words)
+      N += static_cast<unsigned>(__builtin_popcountll(W));
+    return N;
   }
 
   // The set-algebra operators likewise assert on width mismatch but never
@@ -88,23 +91,23 @@ public:
 
   DynamicBitset &operator|=(const DynamicBitset &Other) {
     assert(NumBits == Other.NumBits && "bitset width mismatch");
-    simd::ops().OrWords(Words.data(), Other.Words.data(),
-                        std::min(Words.size(), Other.Words.size()));
+    for (size_t I = 0, E = commonWords(Other); I != E; ++I)
+      Words[I] |= Other.Words[I];
     return *this;
   }
 
   DynamicBitset &operator&=(const DynamicBitset &Other) {
     assert(NumBits == Other.NumBits && "bitset width mismatch");
-    simd::ops().AndWords(Words.data(), Other.Words.data(),
-                         std::min(Words.size(), Other.Words.size()));
+    for (size_t I = 0, E = commonWords(Other); I != E; ++I)
+      Words[I] &= Other.Words[I];
     return *this;
   }
 
   /// Removes every bit of \p Other from this set (this &= ~Other).
   DynamicBitset &subtract(const DynamicBitset &Other) {
     assert(NumBits == Other.NumBits && "bitset width mismatch");
-    simd::ops().AndNotWords(Words.data(), Other.Words.data(),
-                            std::min(Words.size(), Other.Words.size()));
+    for (size_t I = 0, E = commonWords(Other); I != E; ++I)
+      Words[I] &= ~Other.Words[I];
     return *this;
   }
 
@@ -118,9 +121,10 @@ public:
   /// \returns true if this set and \p Other share at least one bit.
   bool intersects(const DynamicBitset &Other) const {
     assert(NumBits == Other.NumBits && "bitset width mismatch");
-    return simd::ops().IntersectsWords(
-        Words.data(), Other.Words.data(),
-        std::min(Words.size(), Other.Words.size()));
+    for (size_t I = 0, E = commonWords(Other); I != E; ++I)
+      if (Words[I] & Other.Words[I])
+        return true;
+    return false;
   }
 
   friend bool operator==(const DynamicBitset &A, const DynamicBitset &B) {
@@ -147,6 +151,10 @@ public:
   std::vector<uint64_t> &words() { return Words; }
 
 private:
+  size_t commonWords(const DynamicBitset &Other) const {
+    return std::min(Words.size(), Other.Words.size());
+  }
+
   unsigned NumBits = 0;
   std::vector<uint64_t> Words;
 };

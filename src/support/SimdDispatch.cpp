@@ -4,11 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Scalar reference kernels plus the level-resolution state machine. The
-// scalar table is the semantics contract: every vector table must produce
-// bit-identical results on every input (tests/SimdTest.cpp enforces this on
-// randomized widths, and the differential harness re-runs the full engine
-// corpus per level).
+// The scalar byte-class search plus the level-resolution state machine. The
+// scalar table is the semantics contract: every vector table must return
+// the same index on every input (tests/SimdTest.cpp enforces this on
+// randomized lengths and needle sets).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,56 +22,10 @@ using namespace mfsa;
 using namespace mfsa::simd;
 
 //===----------------------------------------------------------------------===//
-// Scalar reference kernels
+// Scalar reference kernel
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-void scalarOrWords(uint64_t *Dst, const uint64_t *Src, size_t W) {
-  for (size_t I = 0; I < W; ++I)
-    Dst[I] |= Src[I];
-}
-
-void scalarAndWords(uint64_t *Dst, const uint64_t *Src, size_t W) {
-  for (size_t I = 0; I < W; ++I)
-    Dst[I] &= Src[I];
-}
-
-void scalarAndNotWords(uint64_t *Dst, const uint64_t *Src, size_t W) {
-  for (size_t I = 0; I < W; ++I)
-    Dst[I] &= ~Src[I];
-}
-
-bool scalarAnyWords(const uint64_t *Src, size_t W) {
-  for (size_t I = 0; I < W; ++I)
-    if (Src[I])
-      return true;
-  return false;
-}
-
-bool scalarIntersectsWords(const uint64_t *A, const uint64_t *B, size_t W) {
-  for (size_t I = 0; I < W; ++I)
-    if (A[I] & B[I])
-      return true;
-  return false;
-}
-
-uint64_t scalarCountWords(const uint64_t *Src, size_t W) {
-  uint64_t N = 0;
-  for (size_t I = 0; I < W; ++I)
-    N += static_cast<uint64_t>(__builtin_popcountll(Src[I]));
-  return N;
-}
-
-bool scalarAndInto(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
-                   size_t W) {
-  uint64_t Any = 0;
-  for (size_t I = 0; I < W; ++I) {
-    A[I] = Src[I] & Bel[I];
-    Any |= A[I];
-  }
-  return Any != 0;
-}
 
 size_t scalarFindByteInSet(const uint8_t *Data, size_t Len,
                            const uint8_t *Needles, uint32_t NumNeedles,
@@ -85,12 +38,7 @@ size_t scalarFindByteInSet(const uint8_t *Data, size_t Len,
   return Len;
 }
 
-constexpr KernelTable ScalarTable = {
-    "scalar",        scalarOrWords,         scalarAndWords,
-    scalarAndNotWords, scalarAnyWords,      scalarIntersectsWords,
-    scalarCountWords, scalarAndInto,
-    scalarFindByteInSet,
-};
+constexpr KernelTable ScalarTable = {"scalar", scalarFindByteInSet};
 
 } // namespace
 

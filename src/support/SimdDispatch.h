@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime CPU dispatch for the vector kernels of SimdKernels.h. The active
-/// level is resolved once, lazily, from (in priority order):
+/// Runtime CPU dispatch for the byte-class search of SimdKernels.h (the
+/// literal prefilter's root skip). The active level is resolved once,
+/// lazily, from (in priority order):
 ///
 ///   1. the MFSA_SIMD environment variable: auto | avx2 | sse42 | scalar;
 ///   2. what the build compiled in (the -DMFSA_SIMD CMake cache variable

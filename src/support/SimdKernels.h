@@ -5,16 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Declares KernelTable, the set of data-parallel primitives the scan
-/// engines and DynamicBitset dispatch through at runtime. Each entry
-/// operates on unaligned arrays of 64-bit words (the bitset storage the
-/// whole library shares); implementations exist at three levels:
+/// Declares KernelTable, the one data-parallel primitive that pays for
+/// runtime CPU dispatch: the byte-class search behind the literal
+/// prefilter's Aho-Corasick root skip. It exists at three levels:
 ///
-///   - scalar  : portable word-at-a-time loops, always compiled, the
-///               correctness reference every other level is tested against;
-///   - sse42   : 128-bit lanes (SSE2 ops + SSE4.1 ptest + POPCNT), built
-///               from SimdKernelsSse42.cpp with -msse4.2;
-///   - avx2    : 256-bit lanes, built from SimdKernelsAvx2.cpp with -mavx2.
+///   - scalar  : a bitmap-probe loop, always compiled, the correctness
+///               reference the vector levels are tested against;
+///   - sse42   : 16-byte PCMPEQB blocks, built from SimdKernelsSse42.cpp
+///               with -msse4.2;
+///   - avx2    : 32-byte VPCMPEQB blocks, built from SimdKernelsAvx2.cpp
+///               with -mavx2.
+///
+/// Bitset algebra (the iMFAnt step's J ∩ bel, DynamicBitset) is plain word
+/// loops the compiler sees, not table entries: at 1-5 words a dispatched
+/// call costs more than it saves.
 ///
 /// Level selection lives in SimdDispatch.h; nothing in this header depends
 /// on target intrinsics, so it is safe to include anywhere.
@@ -29,30 +33,9 @@
 
 namespace mfsa::simd {
 
-/// One resolved set of kernel implementations. All word kernels tolerate
-/// W == 0 and impose no alignment beyond uint64_t's natural alignment.
-/// Operand arrays must not partially overlap (exact aliasing of Dst with
-/// itself is the in-place update case and is fine).
+/// One resolved set of kernel implementations.
 struct KernelTable {
   const char *Name; ///< "scalar", "sse42", or "avx2".
-
-  /// Dst[i] |= Src[i].
-  void (*OrWords)(uint64_t *Dst, const uint64_t *Src, size_t W);
-  /// Dst[i] &= Src[i].
-  void (*AndWords)(uint64_t *Dst, const uint64_t *Src, size_t W);
-  /// Dst[i] &= ~Src[i].
-  void (*AndNotWords)(uint64_t *Dst, const uint64_t *Src, size_t W);
-  /// \returns true iff any word is nonzero.
-  bool (*AnyWords)(const uint64_t *Src, size_t W);
-  /// \returns true iff A[i] & B[i] is nonzero for some i.
-  bool (*IntersectsWords)(const uint64_t *A, const uint64_t *B, size_t W);
-  /// \returns total population count across the W words.
-  uint64_t (*CountWords)(const uint64_t *Src, size_t W);
-
-  /// Fused activation-propagation kernel (Eq. 6's J ∩ bel):
-  /// A[i] = Src[i] & Bel[i]; \returns true iff any result word is nonzero.
-  bool (*AndInto)(uint64_t *A, const uint64_t *Src, const uint64_t *Bel,
-                  size_t W);
 
   /// Byte-class search powering the literal-prefilter root skip: \returns
   /// the index of the first byte of Data[0, Len) contained in the set, or

@@ -30,6 +30,10 @@
 // (T=3, 1-byte minimum chunks), so whichever engine the planner picks —
 // the prefilter included — is also checked under input-parallel chunking.
 //
+// An eighth leg feeds the dense engine's streaming Scanner at every
+// adversarial cut set (TestHelpers.h), so state carried across feed()
+// calls is checked at each activation width the rulesets produce.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CostModel.h"
@@ -48,6 +52,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
@@ -127,9 +132,12 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
   PlannedParOpts.Threads = 3;
   PlannedParOpts.MinChunkBytes = 1;
 
+  Rng CutRandom(Seed);
   SimdLevelGuard Guard;
   for (const std::string &Input : Inputs) {
     RuleEnds Expected = oracleRuleEnds(Patterns, Input);
+    const std::vector<std::vector<uint64_t>> CutSets =
+        adversarialCuts(CutRandom, Input, Expected);
 
     for (simd::Level Lvl : simd::availableLevels()) {
       ASSERT_TRUE(simd::setLevel(Lvl));
@@ -146,6 +154,15 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
             << "width rules bound " << Tag;
         EXPECT_GE(Width.MaxActiveStates, Stats.MaxFrontier)
             << "width states bound " << Tag;
+      }
+      for (const std::vector<uint64_t> &Cuts : CutSets) {
+        ImfantEngine::Scanner Scan(Imfant);
+        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+        for (std::string_view Chunk : chunksFromCuts(Input, Cuts))
+          Scan.feed(Chunk, Recorder);
+        Scan.finish(Recorder);
+        EXPECT_EQ(recorderEnds(Recorder), Expected)
+            << "engine=imfant-streamed cuts=" << Cuts.size() << " " << Tag;
       }
       if (UnionDfa.ok()) {
         DfaEngine Engine(*UnionDfa);
@@ -257,10 +274,11 @@ TEST(Differential, SelfOverlappingRules) {
 
 //===----------------------------------------------------------------------===//
 // Wide rulesets: everything above stays under 64 rules, where the iMFAnt
-// engines take their single-word scalar fast path. These rule counts force
-// multi-word activation sets (70 rules -> 2 words, 261 -> 5) so the fused
-// AndInto/OrWords kernels — including the 256-bit main loop plus its tail —
-// are what actually executes at each dispatch level.
+// step runs one activation word. These rule counts sweep the widths the
+// step is instantiated for: both sides of every 64-rule boundary up to 321
+// rules (1-6 words, covering each fixed-width instantiation) and 400 rules
+// (7 words, the runtime-width loop). Each count ends in a `^` and a `$` rule
+// so anchored matches land in the highest word.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -280,27 +298,35 @@ std::vector<std::string> widePatterns(size_t Count, uint64_t Seed) {
   Rng Random(Seed);
   while (Patterns.size() < Count)
     Patterns.push_back(randomPattern(Random, /*MaxDepth=*/3));
+  Patterns[Count - 2] = "^a[bc]+d";
+  Patterns[Count - 1] = "(ab|cd)+e$";
   return Patterns;
+}
+
+/// Runs checkRuleset on widePatterns(Count, Seed) for each count, with an
+/// empty input, one that both anchored rules match, and \p NumInputs
+/// random ones.
+void checkWideRulesets(std::initializer_list<size_t> Counts, uint64_t Seed,
+                       int NumInputs) {
+  for (size_t Count : Counts) {
+    SCOPED_TRACE("rules=" + std::to_string(Count));
+    Rng Random(Seed + Count);
+    std::vector<std::string> Inputs = {"",
+                                       "abbd" + randomInput(Random, 20) +
+                                           "abcde"};
+    for (int Trial = 0; Trial < NumInputs; ++Trial)
+      Inputs.push_back(randomInput(Random, 30 + Random.nextBelow(35)));
+    checkRuleset(Seed + Count, widePatterns(Count, Seed), Inputs);
+  }
 }
 
 } // namespace
 
 TEST(Differential, WideRulesetTwoWords) {
-  Rng Random(4245);
-  std::vector<std::string> Patterns = widePatterns(70, 4245);
-  Patterns[68] = "^a[bc]+d";
-  Patterns[69] = "(ab|cd)+e$";
-  std::vector<std::string> Inputs = {""};
-  for (int Trial = 0; Trial < 3; ++Trial)
-    Inputs.push_back(randomInput(Random, 30 + Random.nextBelow(30)));
-  checkRuleset(4245, Patterns, Inputs);
+  // The last one-word width, then two words from the first to the last.
+  checkWideRulesets({64, 65, 70, 128}, 4245, 3);
 }
 
 TEST(Differential, WideRulesetManyWords) {
-  Rng Random(4246);
-  std::vector<std::string> Patterns = widePatterns(261, 4246);
-  std::vector<std::string> Inputs;
-  for (int Trial = 0; Trial < 3; ++Trial)
-    Inputs.push_back(randomInput(Random, 40 + Random.nextBelow(25)));
-  checkRuleset(4246, Patterns, Inputs);
+  checkWideRulesets({129, 192, 193, 256, 257, 261, 320, 321, 400}, 4246, 3);
 }

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 
 using namespace mfsa;
 
@@ -142,6 +143,63 @@ TEST(DynamicBitset, ForEachOrder) {
   std::vector<unsigned> Seen;
   B.forEach([&](unsigned Bit) { Seen.push_back(Bit); });
   EXPECT_EQ(Seen, (std::vector<unsigned>{2, 65, 190}));
+}
+
+TEST(DynamicBitset, AlgebraAgreesWithSetModel) {
+  // Model-check the bulk queries and set algebra against a std::set-of-bits
+  // model, on widths that are deliberately not multiples of 64.
+  Rng Random(0x54u);
+  for (size_t Bits : {size_t(1), size_t(63), size_t(64), size_t(65),
+                      size_t(127), size_t(130), size_t(300), size_t(517)})
+    for (int Round = 0; Round < 6; ++Round) {
+      SCOPED_TRACE("bits=" + std::to_string(Bits));
+      DynamicBitset A(Bits), B(Bits);
+      std::set<size_t> ModelA, ModelB;
+      size_t Pop = Random.nextBelow(Bits + 1);
+      for (size_t I = 0; I < Pop; ++I) {
+        size_t BitA = Random.nextBelow(Bits);
+        size_t BitB = Random.nextBelow(Bits);
+        A.set(BitA);
+        ModelA.insert(BitA);
+        B.set(BitB);
+        ModelB.insert(BitB);
+      }
+
+      EXPECT_EQ(A.count(), ModelA.size());
+      EXPECT_EQ(A.any(), !ModelA.empty());
+      bool ModelIntersects = false;
+      for (size_t Bit : ModelA)
+        ModelIntersects |= ModelB.count(Bit) != 0;
+      EXPECT_EQ(A.intersects(B), ModelIntersects);
+
+      DynamicBitset Or = A;
+      Or |= B;
+      std::set<size_t> ModelOr = ModelA;
+      ModelOr.insert(ModelB.begin(), ModelB.end());
+      EXPECT_EQ(Or.count(), ModelOr.size());
+      for (size_t Bit : ModelOr)
+        EXPECT_TRUE(Or.test(Bit));
+
+      DynamicBitset And = A;
+      And &= B;
+      size_t ModelAndCount = 0;
+      for (size_t Bit : ModelA)
+        if (ModelB.count(Bit)) {
+          ++ModelAndCount;
+          EXPECT_TRUE(And.test(Bit));
+        }
+      EXPECT_EQ(And.count(), ModelAndCount);
+
+      DynamicBitset Sub = A;
+      Sub.subtract(B);
+      size_t ModelSubCount = 0;
+      for (size_t Bit : ModelA)
+        if (!ModelB.count(Bit)) {
+          ++ModelSubCount;
+          EXPECT_TRUE(Sub.test(Bit));
+        }
+      EXPECT_EQ(Sub.count(), ModelSubCount);
+    }
 }
 
 //===----------------------------------------------------------------------===//
