@@ -33,11 +33,23 @@
 // engine change, regenerate with
 //   MFSA_UPDATE_WORK_GOLDENS=1 build/tests/test_plan_golden
 //
+// Merged MFSAs. At the plan's merging factor, M=50 and M=all (and at M=50
+// under each MergeOptions switch), mergeInGroups merges the dataset's
+// optimized FSAs; tests/golden/merge/<DS>.json records, per merging factor,
+// the group count, the summed MergeReport counters and a hash over every
+// group's structure (states, transitions with labels and belonging words,
+// rule info), and for up to 16 groups one line per group with its own hash
+// and counters. Algorithm 1 is a deterministic greedy search, so any change
+// in seed order or in the indexes it walks shows up here. After an intended
+// merge change, regenerate with
+//   MFSA_UPDATE_MERGE_GOLDENS=1 build/tests/test_plan_golden
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Planner.h"
 #include "compiler/Pipeline.h"
 #include "engine/Imfant.h"
+#include "mfsa/Merge.h"
 #include "workload/Datasets.h"
 
 #include <gtest/gtest.h>
@@ -60,6 +72,10 @@ std::string goldenPath(const std::string &Abbrev) {
 
 std::string workGoldenPath(const std::string &Abbrev) {
   return std::string(MFSA_WORK_GOLDEN_DIR) + "/" + Abbrev + ".json";
+}
+
+std::string mergeGoldenPath(const std::string &Abbrev) {
+  return std::string(MFSA_MERGE_GOLDEN_DIR) + "/" + Abbrev + ".json";
 }
 
 bool updateRequested(const char *Var) {
@@ -233,6 +249,150 @@ TEST_P(WorkGolden, ExaminedEntriesMatchCommittedCount) {
   EXPECT_EQ(Actual, readFile(Path)) << "scan work drifted from " << Path;
 }
 
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  void add(uint64_t V) {
+    for (int I = 0; I < 8; ++I) {
+      H ^= (V >> (8 * I)) & 0xff;
+      H *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Hash of everything a merge produces: state and rule counts, every
+/// transition (endpoints, label words, belonging words) in order, and every
+/// rule's initial state, finals, anchors and global id.
+uint64_t hashMfsa(const Mfsa &Z) {
+  Fnv F;
+  F.add(Z.numStates());
+  F.add(Z.numRules());
+  F.add(Z.numTransitions());
+  for (const MfsaTransition &T : Z.transitions()) {
+    F.add(T.From);
+    F.add(T.To);
+    for (uint64_t W : T.Label.words())
+      F.add(W);
+    for (uint64_t W : T.Bel.words())
+      F.add(W);
+  }
+  for (RuleId R = 0; R < Z.numRules(); ++R) {
+    const Mfsa::RuleInfo &Info = Z.rule(R);
+    F.add(Info.Initial);
+    F.add(Info.Finals.size());
+    for (StateId S : Info.Finals)
+      F.add(S);
+    F.add(Info.AnchoredStart);
+    F.add(Info.AnchoredEnd);
+    F.add(Info.GlobalId);
+  }
+  return F.H;
+}
+
+std::string hex(uint64_t V) {
+  char Buf[24];
+  std::snprintf(Buf, sizeof Buf, "\"%016llx\"",
+                static_cast<unsigned long long>(V));
+  return Buf;
+}
+
+std::string reportFields(const MergeReport &R) {
+  return "\"pairs_tried\": " + std::to_string(R.CandidatePairsTried) +
+         ", \"seeds_accepted\": " + std::to_string(R.SeedsAccepted) +
+         ", \"states_shared\": " + std::to_string(R.StatesShared) +
+         ", \"transitions_shared\": " + std::to_string(R.TransitionsShared);
+}
+
+/// The merge golden's lines for one merging factor \p M (0 = all) under
+/// \p Options, labelled \p Variant: a summary line over every group, then
+/// one line per group when there are at most 16. Each group is also merged
+/// on its own through mergeFsas, which must reproduce the group exactly.
+std::string mergeRows(const CompileArtifacts &Compiled, uint32_t M,
+                      const MergeOptions &Options,
+                      const std::string &Variant) {
+  const std::vector<Nfa> &Fsas = Compiled.OptimizedFsas;
+  const std::vector<uint32_t> &Ids = Compiled.CompiledRuleIds;
+  MergeReport Total;
+  const std::vector<Mfsa> Groups = mergeInGroups(Fsas, Ids, M, Options, &Total);
+
+  const std::string Head = "{\"merging_factor\": " +
+                           (M == 0 ? std::string("\"all\"") : std::to_string(M)) +
+                           ", \"options\": \"" + Variant + "\"";
+  Fnv All;
+  MfsaSetStats Stats = computeSetStats(Groups);
+  std::string GroupLines;
+  MergeReport Summed;
+  const uint32_t Factor = M == 0 ? static_cast<uint32_t>(Fsas.size()) : M;
+  for (size_t G = 0; G < Groups.size(); ++G) {
+    const uint64_t Hash = hashMfsa(Groups[G]);
+    All.add(Hash);
+    const size_t Begin = G * Factor;
+    const size_t End = std::min(Begin + Factor, Fsas.size());
+    MergeReport Own;
+    const Mfsa Alone =
+        mergeFsas(std::vector<Nfa>(Fsas.begin() + Begin, Fsas.begin() + End),
+                  std::vector<uint32_t>(Ids.begin() + Begin, Ids.begin() + End),
+                  Options, &Own);
+    EXPECT_EQ(hashMfsa(Alone), Hash) << Variant << " M=" << M << " group " << G;
+    Summed += Own;
+    if (Groups.size() <= 16)
+      GroupLines += Head + ", \"group\": " + std::to_string(G) +
+                    ", \"rules\": " + std::to_string(Groups[G].numRules()) +
+                    ", \"states\": " + std::to_string(Groups[G].numStates()) +
+                    ", \"transitions\": " +
+                    std::to_string(Groups[G].numTransitions()) +
+                    ", \"hash\": " + hex(Hash) + ", " + reportFields(Own) +
+                    "}\n";
+  }
+  EXPECT_EQ(reportFields(Summed), reportFields(Total))
+      << Variant << " M=" << M;
+  return Head + ", \"groups\": " + std::to_string(Groups.size()) +
+         ", \"states\": " + std::to_string(Stats.TotalStates) +
+         ", \"transitions\": " + std::to_string(Stats.TotalTransitions) +
+         ", \"hash\": " + hex(All.H) + ", " + reportFields(Total) + "}\n" +
+         GroupLines;
+}
+
+class MergeGolden : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MergeGolden, MergedGroupsMatchCommittedHashes) {
+  const DatasetSpec *Spec = findDataset(GetParam());
+  ASSERT_NE(Spec, nullptr);
+  const std::vector<std::string> Rules = generateRuleset(*Spec);
+  CompileOptions Compile;
+  Compile.MergingFactor = 1;
+  Compile.EmitAnml = false;
+  Result<CompileArtifacts> Compiled = compileRuleset(Rules, Compile);
+  ASSERT_TRUE(Compiled) << Compiled.diag().render();
+
+  std::vector<uint32_t> Factors = {plannedMergingFactor(GetParam())};
+  for (uint32_t M : {50u, 0u})
+    if (std::find(Factors.begin(), Factors.end(), M) == Factors.end())
+      Factors.push_back(M);
+  std::string Actual;
+  for (uint32_t M : Factors)
+    Actual += mergeRows(*Compiled, M, MergeOptions(), "default");
+
+  // Every search switch, at M=50.
+  MergeOptions NoClasses;
+  NoClasses.MergeCharClasses = false;
+  MergeOptions NoSearch;
+  NoSearch.EnableSubpathSearch = false;
+  MergeOptions ShortPaths;
+  ShortPaths.MinSubpathLength = 1;
+  Actual += mergeRows(*Compiled, 50, NoClasses, "no_char_classes");
+  Actual += mergeRows(*Compiled, 50, NoSearch, "no_subpath_search");
+  Actual += mergeRows(*Compiled, 50, ShortPaths, "min_subpath_1");
+
+  const std::string Path = mergeGoldenPath(GetParam());
+  if (updateRequested("MFSA_UPDATE_MERGE_GOLDENS")) {
+    std::ofstream(Path, std::ios::binary) << Actual;
+    GTEST_SKIP() << "rewrote " << Path;
+  }
+  ASSERT_TRUE(std::ifstream(Path)) << "missing golden " << Path;
+  EXPECT_EQ(Actual, readFile(Path)) << "merged MFSAs drifted from " << Path;
+}
+
 /// Plans \p Rules at one thread and at \p Threads, and requires the same
 /// trace and a pool no larger than the task count.
 void expectThreadCountInvariant(const std::vector<std::string> &Rules,
@@ -267,6 +427,11 @@ TEST(PlanThreads, PoolNeverExceedsTheTaskCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TableI, PlanGolden,
+                         ::testing::Values("BRO", "DS9", "PEN", "PRO", "RG1",
+                                           "TCP"),
+                         [](const auto &Info) { return Info.param; });
+
+INSTANTIATE_TEST_SUITE_P(TableI, MergeGolden,
                          ::testing::Values("BRO", "DS9", "PEN", "PRO", "RG1",
                                            "TCP"),
                          [](const auto &Info) { return Info.param; });
