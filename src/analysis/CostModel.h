@@ -158,6 +158,11 @@ struct LiteralProfile {
 LiteralProfile profileLiterals(const Mfsa &Z,
                                const std::vector<std::string> &Patterns);
 
+/// profileLiterals over \p RuleFsas, Z.extractAllRules() computed by a
+/// caller that needs the automata too.
+LiteralProfile profileLiterals(const Mfsa &Z, const std::vector<Nfa> &RuleFsas,
+                               const std::vector<std::string> &Patterns);
+
 /// Structural size facts the cost formulas consume directly.
 struct MfsaShape {
   uint32_t NumStates = 0;

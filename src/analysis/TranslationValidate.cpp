@@ -180,11 +180,11 @@ bool mfsa::validateMergeProjection(const Mfsa &Z,
   const uint32_t NumRules =
       Inputs.size() < Z.numRules() ? static_cast<uint32_t>(Inputs.size())
                                    : Z.numRules();
+  const std::vector<Nfa> Projections = Z.extractAllRules();
   for (RuleId Id = 0; Id < NumRules; ++Id) {
-    const Nfa Projection = Z.extractRule(Id);
     const uint32_t GlobalId = Z.rule(Id).GlobalId;
     if (!validateEquivalence(
-            Inputs[Id], Projection,
+            Inputs[Id], Projections[Id],
             "merge projection of rule " + std::to_string(GlobalId),
             "validate.merge.projection-changed",
             "validate.merge.anchor-changed", "validate.merge.inconclusive",

@@ -33,13 +33,10 @@ PlannedEngineSet::create(Engine Choice, const std::vector<Mfsa> &Mfsas,
     Set.Groups.reserve(Mfsas.size());
     for (size_t G = 0; G < Mfsas.size(); ++G) {
       const Mfsa &Z = Mfsas[G];
-      std::vector<Nfa> Fsas;
       std::vector<uint32_t> GlobalIds;
-      for (RuleId R = 0; R < Z.numRules(); ++R) {
-        Fsas.push_back(Z.extractRule(R));
+      for (RuleId R = 0; R < Z.numRules(); ++R)
         GlobalIds.push_back(Z.rule(R).GlobalId);
-      }
-      Result<Dfa> D = determinize(Fsas, GlobalIds);
+      Result<Dfa> D = determinize(Z.extractAllRules(), GlobalIds);
       if (!D)
         return D.withContext("group " + std::to_string(G)).takeDiag();
       if (Choice == Engine::Dfa) {

@@ -24,18 +24,19 @@ PrefilterEngine::create(const std::vector<Mfsa> &Mfsas,
   std::vector<Nfa> ResidualFsas;
   std::vector<uint32_t> ResidualIds;
   for (const Mfsa &Z : Mfsas) {
-    LiteralProfile Profile = profileLiterals(Z, Patterns);
+    std::vector<Nfa> RuleFsas = Z.extractAllRules();
+    LiteralProfile Profile = profileLiterals(Z, RuleFsas, Patterns);
     for (RuleId R = 0; R < Z.numRules(); ++R) {
       const uint32_t GlobalId = Z.rule(R).GlobalId;
       if (Profile.Rules.empty() || !Profile.Rules[R].Prefilterable) {
-        ResidualFsas.push_back(Z.extractRule(R));
+        ResidualFsas.push_back(std::move(RuleFsas[R]));
         ResidualIds.push_back(GlobalId);
         continue;
       }
       PrefilteredRule Rule;
       Rule.MaxMatchLength = Profile.Rules[R].MaxMatchLength;
       Rule.Confirm = std::make_unique<ImfantEngine>(
-          mergeFsas({Z.extractRule(R)}, {GlobalId}));
+          mergeFsas({std::move(RuleFsas[R])}, {GlobalId}));
       Engine.PrefilteredRules.push_back(std::move(Rule));
       LiteralList.push_back(std::move(Profile.Rules[R].Literal));
     }
