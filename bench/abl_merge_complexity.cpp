@@ -46,6 +46,7 @@ int main() {
     double Exponent =
         std::log(Millis[5] / Millis[4]) / std::log(100.0 / 50.0);
     std::printf("   growth M50->M100: M^%.1f\n", Exponent);
+    Report.result(Spec.Abbrev + ".merge_m50_ms", Millis[4], "ms");
     Report.result(Spec.Abbrev + ".merge_m_all_ms", Millis.back(), "ms");
     Report.result(Spec.Abbrev + ".growth_exponent", Exponent, "exponent");
   }
