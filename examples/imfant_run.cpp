@@ -234,11 +234,9 @@ int main(int argc, char **argv) {
       std::printf("scanned %zu bytes with the %s engine (%zu group(s))\n",
                   Stream.size(), engineName(EngineChoice), Set->numGroups());
       if (InputParallel) {
-        std::printf("input-parallel: %lu chunk(s), %lu table, %lu dead, "
-                    "%lu re-scanned, %lu overlap byte(s)\n",
+        std::printf("input-parallel: %lu chunk(s), %lu re-scanned in full, "
+                    "%lu overlap byte(s)\n",
                     static_cast<unsigned long>(ParStats.Chunks),
-                    static_cast<unsigned long>(ParStats.SpecTableChunks),
-                    static_cast<unsigned long>(ParStats.SpecDeadChunks),
                     static_cast<unsigned long>(ParStats.RescanFallbackChunks),
                     static_cast<unsigned long>(ParStats.OverlapBytes));
         if (Metrics)

@@ -456,8 +456,8 @@ void choose(EnginePlan &Plan, const PlannerOptions &Options) {
 /// input-parallel executor is accepted, because each executor carries a
 /// run-time guard that caps its worst case at about sequential cost: the
 /// DFA family's state maps give up past 64 live classes, and dense
-/// iMFAnt's death probe is bounded by a 64 KiB overlap window, after which
-/// the join re-scans the chunk sequentially (engine/InputParallel.cpp).
+/// iMFAnt's join re-scans the real carried frontier only until it dies, at
+/// worst one chunk per boundary (engine/InputParallel.cpp).
 /// The prefilter's residual rules go through the same iMFAnt executor, and
 /// its literal scan and confirm windows split across chunks without
 /// speculation.
@@ -477,8 +477,8 @@ void decideParallelInput(EnginePlan &Plan, const PlannerOptions &Options) {
   case Engine::ImfantDense:
     Plan.ParallelInput = true;
     Plan.ParallelInputWhy =
-        "imfant speculation: death probe bounded by the overlap window, "
-        "sequential re-scan otherwise";
+        "imfant iso scans; the join re-scans the real carry until it dies, "
+        "at worst one chunk";
     return;
   case Engine::Prefilter:
     Plan.ParallelInput = true;

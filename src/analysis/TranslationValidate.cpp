@@ -172,7 +172,7 @@ std::string mfsa::validatePassEquivalenceError(const Nfa &Before,
 }
 
 bool mfsa::validateMergeProjection(const Mfsa &Z,
-                                   const std::vector<Nfa> &Inputs,
+                                   const std::vector<const Nfa *> &Inputs,
                                    const ValidateOptions &Options,
                                    DiagnosticEngine &Diags,
                                    ValidateStats *Stats) {
@@ -184,7 +184,7 @@ bool mfsa::validateMergeProjection(const Mfsa &Z,
   for (RuleId Id = 0; Id < NumRules; ++Id) {
     const uint32_t GlobalId = Z.rule(Id).GlobalId;
     if (!validateEquivalence(
-            Inputs[Id], Projections[Id],
+            *Inputs[Id], Projections[Id],
             "merge projection of rule " + std::to_string(GlobalId),
             "validate.merge.projection-changed",
             "validate.merge.anchor-changed", "validate.merge.inconclusive",
@@ -194,10 +194,11 @@ bool mfsa::validateMergeProjection(const Mfsa &Z,
   return Ok;
 }
 
-std::string mfsa::validateMergeProjectionError(const Mfsa &Z,
-                                               const std::vector<Nfa> &Inputs,
-                                               const ValidateOptions &Options,
-                                               ValidateStats *Stats) {
+std::string
+mfsa::validateMergeProjectionError(const Mfsa &Z,
+                                   const std::vector<const Nfa *> &Inputs,
+                                   const ValidateOptions &Options,
+                                   ValidateStats *Stats) {
   DiagnosticEngine Diags;
   if (validateMergeProjection(Z, Inputs, Options, Diags, Stats))
     return {};

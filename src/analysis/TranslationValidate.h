@@ -114,18 +114,19 @@ std::string validatePassEquivalenceError(const Nfa &Before, const Nfa &After,
                                          ValidateStats *Stats = nullptr);
 
 /// Proves, for every rule r of \p Z, that the belonging-set projection
-/// extractRule(r) accepts exactly L(\p Inputs[r]) (Eq. 10). \p Inputs is
-/// parallel to Z's rule ids (the same vector mergeFsas consumed). Findings
-/// reference the rules' GlobalIds. \returns false iff some projection proof
-/// was refuted.
-bool validateMergeProjection(const Mfsa &Z, const std::vector<Nfa> &Inputs,
+/// extractRule(r) accepts exactly L(*\p Inputs[r]) (Eq. 10). \p Inputs is
+/// parallel to Z's rule ids (the same automata the merge consumed).
+/// Findings reference the rules' GlobalIds. \returns false iff some
+/// projection proof was refuted.
+bool validateMergeProjection(const Mfsa &Z,
+                             const std::vector<const Nfa *> &Inputs,
                              const ValidateOptions &Options,
                              DiagnosticEngine &Diags,
                              ValidateStats *Stats = nullptr);
 
 /// String-error wrapper of validateMergeProjection (see above).
 std::string validateMergeProjectionError(const Mfsa &Z,
-                                         const std::vector<Nfa> &Inputs,
+                                         const std::vector<const Nfa *> &Inputs,
                                          const ValidateOptions &Options,
                                          ValidateStats *Stats = nullptr);
 

@@ -435,12 +435,12 @@ mfsa::compileRuleset(const std::vector<std::string> &Patterns,
         Group.push_back(L);
 
       while (!Group.empty()) {
-        std::vector<Nfa> Members;
+        std::vector<const Nfa *> Members;
         std::vector<uint32_t> Ids;
         Members.reserve(Group.size());
         Ids.reserve(Group.size());
         for (uint32_t L : Group) {
-          Members.push_back(Artifacts.OptimizedFsas[L]);
+          Members.push_back(&Artifacts.OptimizedFsas[L]);
           Ids.push_back(Alive[L]);
         }
 

@@ -264,18 +264,6 @@ void ImfantEngine::setMetrics(obs::MetricsRegistry *Registry) {
   Registry->gauge("imfant.rules").set(NumRules);
 }
 
-std::vector<uint64_t> ImfantEngine::possibleRulesByState() const {
-  // An edge stored under several classes ORs the same bits again.
-  std::vector<uint64_t> Out(static_cast<size_t>(NumStates) * Words, 0);
-  for (const OutEdge &Edge : Edges) {
-    uint64_t *Dst = &Out[static_cast<size_t>(Edge.To) * Words];
-    const uint64_t *Bel = &BelPool[static_cast<size_t>(Edge.BelIdx) * Words];
-    for (uint32_t I = 0; I < Words; ++I)
-      Dst[I] |= Bel[I];
-  }
-  return Out;
-}
-
 size_t ImfantEngine::footprintBytes() const {
   return ClassOfByte.size() + Edges.size() * sizeof(OutEdge) +
          StateIndex.size() * sizeof(StateEdges) + ClassRows.size() * 4 +

@@ -120,7 +120,7 @@ private:
 /// states paired with their rule bitsets, stored as one flat array of
 /// Words-wide blocks. The input-parallel executor (engine/InputParallel.h)
 /// uses these to hand the boundary frontier of one chunk to the scan of the
-/// next and to seed speculative chunk scans from possible-rule masks.
+/// next.
 struct ActivationSet {
   std::vector<StateId> States;
   std::vector<uint64_t> RuleBlocks; ///< States.size() × Words words.
@@ -248,17 +248,6 @@ public:
   uint32_t ruleWords() const { return Words; }
   /// Local rule id -> dataset global rule id (the ids onMatch reports).
   const std::vector<uint32_t> &globalIds() const { return GlobalIds; }
-
-  /// Per-state possible-rule masks: numStates() flat ruleWords()-wide
-  /// blocks, each the union of bel over the state's incoming transitions
-  /// (those with a non-empty label).
-  /// Any reachable activation J(q) is a subset of state q's mask — both
-  /// propagation (Eq. 6's ∩ bel) and injection (Eq. 4's init ∩ bel) filter
-  /// through an incoming transition's belonging set — so the input-parallel
-  /// executor can seed speculative frontiers from these masks and later
-  /// intersect recorded speculative outcomes with the true carried
-  /// activation.
-  std::vector<uint64_t> possibleRulesByState() const;
 
   /// Points scan instrumentation at \p Registry (nullptr detaches). The
   /// engine resolves its `imfant.*` metric handles here, once, so the scan

@@ -21,14 +21,6 @@ namespace {
 
 using Match = std::pair<uint32_t, uint64_t>; ///< (global rule, end offset).
 
-/// iMFAnt speculation: how many bytes the union-frontier death probe may
-/// consume before the chunk counts as speculation-hostile — the widest
-/// boundary overlap the join re-scans when the probe dies.
-constexpr size_t SpecWindowBytes = 1 << 16;
-/// iMFAnt speculation: per-start outcome tables are recorded only when the
-/// speculative frontier has at most this many start states — each costs
-/// one full chunk propagation in phase 1.
-constexpr size_t SpecStartStateCap = 8;
 /// DFA state-map guard: a map still holding more than MapClassCap live
 /// classes after MapGuardBytes is abandoned (the join re-scans the chunk);
 /// collapse normally reaches one class within bytes.
@@ -88,20 +80,15 @@ void mfsa::recordInputParallelStats(const InputParallelStats &Stats,
                                     obs::MetricsRegistry &Registry) {
   Registry.counter("parallel.input.runs").add(1);
   Registry.counter("parallel.input.chunks").add(Stats.Chunks);
-  Registry.counter("parallel.input.spec_dead_chunks")
-      .add(Stats.SpecDeadChunks);
-  Registry.counter("parallel.input.spec_table_chunks")
-      .add(Stats.SpecTableChunks);
   Registry.counter("parallel.input.rescan_fallback_chunks")
       .add(Stats.RescanFallbackChunks);
   Registry.counter("parallel.input.overlap_bytes").add(Stats.OverlapBytes);
-  Registry.counter("parallel.input.spec_start_runs").add(Stats.SpecStartRuns);
   Registry.counter("parallel.input.iso_matches").add(Stats.IsoMatches);
   Registry.counter("parallel.input.carry_matches").add(Stats.CarryMatches);
   Registry.gauge("parallel.input.threads")
       .set(static_cast<int64_t>(Stats.Threads));
-  Registry.gauge("parallel.input.max_spec_frontier")
-      .set(static_cast<int64_t>(Stats.MaxSpecFrontier));
+  Registry.gauge("parallel.input.max_carry_frontier")
+      .set(static_cast<int64_t>(Stats.MaxCarryFrontier));
   Registry.gauge("parallel.input.max_alive_classes")
       .set(static_cast<int64_t>(Stats.MaxAliveClasses));
 }
@@ -112,23 +99,7 @@ void mfsa::recordInputParallelStats(const InputParallelStats &Stats,
 
 InputParallelRun::InputParallelRun(const ImfantEngine &Engine,
                                    InputParallelOptions Options)
-    : Kind(Backend::Imfant), Opts(std::move(Options)), Imfant(&Engine) {
-  const uint32_t W = Engine.ruleWords();
-  const std::vector<uint64_t> Poss = Engine.possibleRulesByState();
-  SpecSeed.Words = W;
-  for (StateId S = 0; S < Engine.numStates(); ++S) {
-    const uint64_t *Blk = &Poss[static_cast<size_t>(S) * W];
-    bool Any = false;
-    for (uint32_t Wd = 0; Wd < W; ++Wd)
-      Any = Any || Blk[Wd] != 0;
-    if (!Any)
-      continue;
-    SpecSeed.States.push_back(S);
-    SpecSeed.RuleBlocks.insert(SpecSeed.RuleBlocks.end(), Blk, Blk + W);
-  }
-  for (uint32_t R = 0; R < Engine.numRules(); ++R)
-    GlobalToLocal.emplace(Engine.globalIds()[R], R);
-}
+    : Kind(Backend::Imfant), Opts(std::move(Options)), Imfant(&Engine) {}
 
 InputParallelRun::InputParallelRun(const Dfa &Automaton,
                                    InputParallelOptions Options)
@@ -187,32 +158,11 @@ void mfsa::forEachChunk(ThreadPool *Pool, size_t N,
 
 namespace {
 
-/// Everything phase 1 computes for one iMFAnt chunk.
-struct ImfChunkWork {
-  /// How the join resolves this chunk's incoming boundary frontier.
-  enum class Mode : uint8_t {
-    Leading, ///< Chunk 0 (or an empty chunk): no speculation needed.
-    Dead,    ///< Probe died: the carry re-scan is bounded by DeathBytes.
-    Table,   ///< Per-start outcome tables recorded: join is a lookup.
-    Rescan   ///< Fan-out too large: join re-scans the carry sequentially.
-  };
-  Mode M = Mode::Leading;
-  size_t DeathBytes = 0;
-
-  std::vector<Match> IsoMatches; ///< Global ids, absolute offsets.
-  ActivationSet IsoExit;
-
-  /// Mode::Table per-start outcomes, parallel to the executor's SpecSeed
-  /// order. Matches carry LOCAL rule ids so the join can intersect them
-  /// with the true carried activation bitset (exact per rule: J-bits
-  /// propagate independently through ∩ bel).
-  struct StartOutcome {
-    std::vector<Match> LocalMatches;
-    ActivationSet Exit;
-  };
-  std::vector<StartOutcome> Outcomes;
-
-  uint32_t MaxSpecFrontier = 0;
+/// What phase 1's iso scan leaves for the join: the chunk's own matches
+/// (global ids, absolute offsets) and its exit activation.
+struct IsoScan {
+  std::vector<Match> Matches;
+  ActivationSet Exit;
 };
 
 constexpr size_t UnlimitedCap = std::numeric_limits<size_t>::max();
@@ -227,217 +177,69 @@ void InputParallelRun::runImfant(std::string_view Input,
   const ImfantEngine &Engine = *Imfant;
   const size_t NumChunks = Bounds.size() - 1;
   const uint64_t StreamEnd = Input.size();
-  std::vector<ImfChunkWork> Work(NumChunks);
+  // `$`-pending flush and AcceptAtEnd both belong to the chunk that
+  // consumes the stream's final byte — NOT to a trailing empty chunk.
+  auto FlushesEnd = [&](std::string_view Chunk, uint64_t Base) {
+    return !Chunk.empty() && Base + Chunk.size() == StreamEnd;
+  };
 
-  // Phase 1 — per chunk, independent (parallel on a pool): the iso scan,
-  // the union-frontier death probe, and (when the fan-out allows) the
-  // per-start outcome tables.
+  // Phase 1 — per chunk, independent (parallel on a pool): the iso scan.
+  // Injection on, empty start, absolute offsets: exact for every match
+  // attempt that begins inside the chunk.
+  std::vector<IsoScan> Iso(NumChunks);
   forEachChunk(Pool, NumChunks, [&](size_t I) {
-    ImfChunkWork &W = Work[I];
-    const uint64_t Base = Bounds[I];
-    const std::string_view Chunk =
-        Input.substr(Base, Bounds[I + 1] - Base);
-    // `$`-pending flush and AcceptAtEnd both belong to the chunk that
-    // consumes the stream's final byte — NOT to a trailing empty chunk.
-    const bool FlushesEnd = !Chunk.empty() && Base + Chunk.size() == StreamEnd;
-
-    {
-      // Iso scan: injection on, empty start, absolute offsets. Exact for
-      // every match attempt that begins inside this chunk.
-      MatchRecorder Iso(MatchRecorder::Mode::Collect);
-      Iso.Cap = UnlimitedCap;
-      ImfantEngine::Scanner Scan(Engine);
-      Scan.startAt(Base);
-      Scan.feed(Chunk, Iso);
-      if (FlushesEnd)
-        Scan.finish(Iso);
-      W.IsoExit = Scan.captureActivation();
-      W.IsoMatches = Iso.matches();
-    }
-
-    if (I == 0 || Chunk.empty()) {
-      W.M = ImfChunkWork::Mode::Leading;
-    } else {
-      // Death probe: propagate the union frontier (injection off) through
-      // the overlap window. Any real carry is pointwise ⊆ this seed, and
-      // the propagation step is monotone, so probe death at offset D
-      // bounds every possible carry re-scan by D bytes.
-      ImfantEngine::Scanner Probe(Engine);
-      Probe.startAt(Base);
-      Probe.setInjection(false);
-      Probe.seedActivation(SpecSeed);
-      MatchRecorder Devnull(MatchRecorder::Mode::CountOnly);
-      Probe.feed(Chunk.substr(0, SpecWindowBytes), Devnull);
-      if (Probe.frontierEmpty()) {
-        W.M = ImfChunkWork::Mode::Dead;
-        W.DeathBytes = static_cast<size_t>(Probe.offset() - Base);
-      } else if (SpecSeed.size() <= SpecStartStateCap) {
-        // Record one outcome per speculative start state: the join masks
-        // these against the real carried activation. Each costs a full
-        // chunk propagation, hence the fan-out cap.
-        W.M = ImfChunkWork::Mode::Table;
-        W.Outcomes.resize(SpecSeed.size());
-        ActivationSet Singleton;
-        Singleton.Words = SpecSeed.Words;
-        for (size_t Q = 0; Q < SpecSeed.size(); ++Q) {
-          Singleton.States.assign(1, SpecSeed.States[Q]);
-          Singleton.RuleBlocks.assign(SpecSeed.block(Q),
-                                      SpecSeed.block(Q) + SpecSeed.Words);
-          ImfantEngine::Scanner Scan(Engine);
-          Scan.startAt(Base);
-          Scan.setInjection(false);
-          Scan.seedActivation(Singleton);
-          MatchRecorder Out(MatchRecorder::Mode::Collect);
-          Out.Cap = UnlimitedCap;
-          RunStats SpecStats;
-          Scan.feed(Chunk, Out, Stats ? &SpecStats : nullptr);
-          if (FlushesEnd)
-            Scan.finish(Out);
-          ImfChunkWork::StartOutcome &O = W.Outcomes[Q];
-          O.Exit = Scan.captureActivation();
-          O.LocalMatches.reserve(Out.matches().size());
-          for (const Match &M : Out.matches())
-            O.LocalMatches.emplace_back(GlobalToLocal.at(M.first), M.second);
-          W.MaxSpecFrontier =
-              std::max(W.MaxSpecFrontier, SpecStats.MaxFrontier);
-        }
-      } else {
-        W.M = ImfChunkWork::Mode::Rescan;
-      }
-    }
-  });
-
-  // Phase 2 — sequential join: thread the real boundary frontier through
-  // the chunks, resolving each boundary by the mode phase 1 established.
-  const uint32_t W = Engine.ruleWords();
-  {
-    std::vector<Match> Lead = std::move(Work[0].IsoMatches);
-    if (Stats)
-      Stats->IsoMatches += Lead.size();
-    forwardSortedUnique(Lead, Recorder);
-  }
-  ActivationSet Carry = std::move(Work[0].IsoExit);
-
-  for (size_t I = 1; I < NumChunks; ++I) {
-    ImfChunkWork &Wk = Work[I];
     const uint64_t Base = Bounds[I];
     const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
-    const bool FlushesEnd = !Chunk.empty() && Base + Chunk.size() == StreamEnd;
+    MatchRecorder Out(MatchRecorder::Mode::Collect);
+    Out.Cap = UnlimitedCap;
+    ImfantEngine::Scanner Scan(Engine);
+    Scan.startAt(Base);
+    Scan.feed(Chunk, Out);
+    if (FlushesEnd(Chunk, Base))
+      Scan.finish(Out);
+    Iso[I].Exit = Scan.captureActivation();
+    Iso[I].Matches = Out.matches();
+  });
 
-    ImfChunkWork::Mode M = Wk.M;
-    if (M == ImfChunkWork::Mode::Table) {
-      // Defensive: a carried state outside the speculative seed has no
-      // table (unreachable while the possible-rule masks are sound).
-      for (StateId S : Carry.States)
-        if (!std::binary_search(SpecSeed.States.begin(),
-                                SpecSeed.States.end(), S)) {
-          M = ImfChunkWork::Mode::Rescan;
-          break;
-        }
-    }
-
-    std::vector<Match> CarryMatches;
+  // Phase 2 — sequential join: the attempts that began before chunk I are
+  // the real boundary frontier, propagated with injection off. The scanner
+  // stops where that frontier dies, normally within bytes of the cut, so
+  // the join re-scans a whole chunk only while a carry stays alive across
+  // it. The chunk's exit is then the union of both exits.
+  ActivationSet Carry;
+  for (size_t I = 0; I < NumChunks; ++I) {
+    const uint64_t Base = Bounds[I];
+    const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
+    std::vector<Match> Joined = std::move(Iso[I].Matches);
+    if (Stats)
+      Stats->IsoMatches += Joined.size();
     ActivationSet CarryExit;
-    switch (M) {
-    case ImfChunkWork::Mode::Leading:
-      CarryExit = std::move(Carry); // Zero-length chunk: frontier unchanged.
-      break;
-    case ImfChunkWork::Mode::Dead:
-    case ImfChunkWork::Mode::Rescan: {
-      if (!Carry.empty()) {
-        // Boundary re-scan: propagate the real carry (injection off). The
-        // scanner stops at frontier death on its own, so a Dead chunk
-        // consumes at most DeathBytes — the overlap window.
-        ImfantEngine::Scanner Scan(Engine);
-        Scan.startAt(Base);
-        Scan.setInjection(false);
-        Scan.seedActivation(Carry);
-        MatchRecorder Out(MatchRecorder::Mode::Collect);
-        Out.Cap = UnlimitedCap;
-        RunStats CarryStats;
-        Scan.feed(Chunk, Out, Stats ? &CarryStats : nullptr);
-        if (FlushesEnd)
-          Scan.finish(Out);
-        CarryExit = Scan.captureActivation();
-        CarryMatches = Out.matches();
-        if (Stats) {
-          Stats->OverlapBytes += Scan.offset() - Base;
-          Stats->MaxSpecFrontier =
-              std::max(Stats->MaxSpecFrontier, CarryStats.MaxFrontier);
-        }
-        assert((M != ImfChunkWork::Mode::Dead || Scan.frontierEmpty()) &&
-               "probe death must dominate the real carry");
+    if (!Carry.empty()) {
+      ImfantEngine::Scanner Scan(Engine);
+      Scan.startAt(Base);
+      Scan.setInjection(false);
+      Scan.seedActivation(Carry);
+      MatchRecorder Out(MatchRecorder::Mode::Collect);
+      Out.Cap = UnlimitedCap;
+      RunStats CarryStats;
+      Scan.feed(Chunk, Out, Stats ? &CarryStats : nullptr);
+      const bool Alive = !Chunk.empty() && !Scan.frontierEmpty();
+      if (FlushesEnd(Chunk, Base))
+        Scan.finish(Out);
+      CarryExit = Scan.captureActivation();
+      if (Stats) {
+        Stats->CarryMatches += Out.matches().size();
+        Stats->OverlapBytes += Scan.offset() - Base;
+        Stats->RescanFallbackChunks += Alive;
+        Stats->MaxCarryFrontier =
+            std::max(Stats->MaxCarryFrontier, CarryStats.MaxFrontier);
       }
-      break;
+      Joined.insert(Joined.end(), Out.matches().begin(), Out.matches().end());
     }
-    case ImfChunkWork::Mode::Table: {
-      // Masked table lookup: a speculative outcome recorded under the
-      // possible-rule mask restricts exactly to the carried J bits.
-      ActivationSet Acc;
-      for (size_t C = 0; C < Carry.size(); ++C) {
-        const StateId S = Carry.States[C];
-        const uint64_t *J = Carry.block(C);
-        const size_t Q = static_cast<size_t>(
-            std::lower_bound(SpecSeed.States.begin(), SpecSeed.States.end(),
-                             S) -
-            SpecSeed.States.begin());
-        const ImfChunkWork::StartOutcome &O = Wk.Outcomes[Q];
-        for (const Match &LM : O.LocalMatches)
-          if (J[LM.first / 64] & (1ULL << (LM.first % 64)))
-            CarryMatches.emplace_back(Engine.globalIds()[LM.first],
-                                      LM.second);
-        ActivationSet Masked;
-        Masked.Words = W;
-        for (size_t E = 0; E < O.Exit.size(); ++E) {
-          const uint64_t *Blk = O.Exit.block(E);
-          std::vector<uint64_t> MaskedBlk(W);
-          bool Any = false;
-          for (uint32_t Wd = 0; Wd < W; ++Wd) {
-            MaskedBlk[Wd] = Blk[Wd] & J[Wd];
-            Any = Any || MaskedBlk[Wd] != 0;
-          }
-          if (!Any)
-            continue;
-          Masked.States.push_back(O.Exit.States[E]);
-          Masked.RuleBlocks.insert(Masked.RuleBlocks.end(),
-                                   MaskedBlk.begin(), MaskedBlk.end());
-        }
-        Acc = unionActivations(Acc, Masked);
-      }
-      CarryExit = std::move(Acc);
-      break;
-    }
-    }
-
-    if (Stats) {
-      Stats->IsoMatches += Wk.IsoMatches.size();
-      Stats->CarryMatches += CarryMatches.size();
-      Stats->MaxSpecFrontier =
-          std::max(Stats->MaxSpecFrontier, Wk.MaxSpecFrontier);
-      Stats->SpecStartRuns +=
-          Wk.M == ImfChunkWork::Mode::Table ? Wk.Outcomes.size() : 0;
-      switch (M) {
-      case ImfChunkWork::Mode::Leading:
-        break;
-      case ImfChunkWork::Mode::Dead:
-        ++Stats->SpecDeadChunks;
-        break;
-      case ImfChunkWork::Mode::Table:
-        ++Stats->SpecTableChunks;
-        break;
-      case ImfChunkWork::Mode::Rescan:
-        ++Stats->RescanFallbackChunks;
-        break;
-      }
-    }
-
-    // Per-chunk (rule, end) dedup across the iso scan and the carry —
-    // the sequential engine's per-step dedup, reconstructed at the join.
-    std::vector<Match> Joined = std::move(Wk.IsoMatches);
-    Joined.insert(Joined.end(), CarryMatches.begin(), CarryMatches.end());
+    // Per-chunk (rule, end) dedup across the iso scan and the carry — the
+    // sequential engine's per-step dedup, reconstructed at the join.
     forwardSortedUnique(Joined, Recorder);
-
-    Carry = unionActivations(Wk.IsoExit, CarryExit);
+    Carry = unionActivations(Iso[I].Exit, CarryExit);
   }
 }
 
@@ -734,7 +536,6 @@ void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
         Stats->CarryMatches += Emitted;
         Stats->MaxAliveClasses =
             std::max(Stats->MaxAliveClasses, Map.MaxAlive);
-        ++Stats->SpecTableChunks;
       }
     } else {
       // Collapse stalled: correct-but-serial re-scan of this chunk.

@@ -9,9 +9,7 @@
 /// pairs with the paper's automata-parallel §VI-C2 pool: split ONE input
 /// into T chunks, scan the chunks independently, and stitch the results at
 /// the cut points so the output is byte-identical to a sequential scan.
-/// PaREM and *Simultaneous Finite Automata* (PAPERS.md) are the lineage;
-/// the MFSA twist is that the speculative start set of a non-initial chunk
-/// is an activation set: every state with a nonempty possible-rule mask.
+/// PaREM and *Simultaneous Finite Automata* (PAPERS.md) are the lineage.
 ///
 /// The stitching problem: a chunk i > 0 starts mid-stream, so the scanner
 /// state at its first byte — the *boundary frontier* — is only known once
@@ -24,16 +22,11 @@
 ///    full scan decomposes into (a) an *iso scan* — empty start, injection
 ///    on, which is exact for every match attempt beginning inside the chunk
 ///    — plus (b) the propagation of the incoming boundary frontier with
-///    injection off. Phase 1 runs (a) per chunk in parallel, and bounds (b)
-///    speculatively: a *death probe* propagates the union frontier (every
-///    state seeded with its possible-rule mask) through a bounded overlap
-///    window; if it dies at offset D, monotonicity guarantees any real
-///    carry dies by D, so the join only re-scans ≤ D boundary bytes. If
-///    the probe survives and the fan-out is small, phase 1 records
-///    *per-start-state outcome tables* (matches + exit activation
-///    per speculative start state, exact per rule by the affine argument),
-///    making the join a masked table lookup. Otherwise the join falls back
-///    to a sequential carry re-scan of that chunk — always correct, no
+///    injection off. Phase 1 runs (a) per chunk in parallel. The join runs
+///    (b) in order: it seeds the real carried frontier and re-scans until
+///    that frontier dies, which the scanner detects on its own, then unions
+///    the two exits into the next chunk's carry. A carry that outlives its
+///    chunk costs one sequential re-scan of that chunk — always correct, no
 ///    speedup for that boundary.
 ///
 ///  - **DFA / stride-2 DFA** (single live state). Chunks i > 0 run a
@@ -69,7 +62,6 @@
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace mfsa {
@@ -83,7 +75,8 @@ class MetricsRegistry;
 /// Knobs for an input-parallel run.
 struct InputParallelOptions {
   /// Target chunk count T. Chunk 0 runs the normal engine; chunks 1..T-1
-  /// start speculatively. Values ≤ 1 degrade to a plain sequential scan.
+  /// start without their boundary state, which the join supplies. Values
+  /// ≤ 1 degrade to a plain sequential scan.
   unsigned Threads = 2;
   /// Inputs shorter than Threads × MinChunkBytes use fewer chunks: below
   /// this size the per-boundary stitching overhead outweighs the split.
@@ -100,16 +93,15 @@ struct InputParallelOptions {
 struct InputParallelStats {
   unsigned Threads = 0; ///< Chunk count actually used.
   uint64_t Chunks = 0;
-  uint64_t SpecDeadChunks = 0;  ///< Probe died: bounded overlap re-scan.
-  uint64_t SpecTableChunks = 0; ///< Join resolved by table lookup.
-  uint64_t RescanFallbackChunks = 0; ///< Sequential carry re-scan.
-  uint64_t OverlapBytes = 0;  ///< Boundary bytes re-scanned at joins.
-  uint64_t SpecStartRuns = 0; ///< Per-start-state speculative scans.
-  /// Peak frontier over speculative per-start runs and carry re-scans
-  /// (iMFAnt): each starts inside a reachable configuration with injection
-  /// off, so WidthBound::MaxActiveStates soundly dominates it — the
-  /// differential harness asserts exactly that.
-  uint32_t MaxSpecFrontier = 0;
+  /// Chunks the join re-scanned in full: iMFAnt chunks whose carry was
+  /// still alive at the chunk's end, DFA chunks whose state map stalled.
+  uint64_t RescanFallbackChunks = 0;
+  uint64_t OverlapBytes = 0; ///< Boundary bytes re-scanned at joins.
+  /// Peak frontier over the iMFAnt carry re-scans: each starts inside a
+  /// reachable configuration with injection off, so
+  /// WidthBound::MaxActiveStates soundly dominates it — the differential
+  /// harness asserts exactly that.
+  uint32_t MaxCarryFrontier = 0;
   uint32_t MaxAliveClasses = 0; ///< Peak DFA state-map classes.
   uint64_t IsoMatches = 0;   ///< Matches found by in-chunk scans.
   uint64_t CarryMatches = 0; ///< Matches contributed by boundary carries.
@@ -138,10 +130,9 @@ void forEachChunk(ThreadPool *Pool, size_t N,
                   const std::function<void(size_t)> &Body);
 
 /// One input-parallel executor bound to a sequential engine. Construction
-/// precomputes the speculative frontier (iMFAnt) or validates the automaton
-/// (DFA family); run() is const and allocates only per-run scratch, so one
-/// executor may be shared across threads. The referenced engine/automaton
-/// must outlive the executor.
+/// only binds the engine or automaton; run() is const and allocates only
+/// per-run scratch, so one executor may be shared across threads. The
+/// referenced engine/automaton must outlive the executor.
 class InputParallelRun {
 public:
   InputParallelRun(const ImfantEngine &Engine,
@@ -181,13 +172,6 @@ private:
 
   // iMFAnt backend.
   const ImfantEngine *Imfant = nullptr;
-  /// Speculative union frontier: every state with a nonempty possible-rule
-  /// mask, seeded with that mask (a sound superset of any real boundary
-  /// activation).
-  ActivationSet SpecSeed;
-  /// Dataset global id -> engine-local rule, for masking per-start outcome
-  /// tables (recorded in global ids) against local activation bitsets.
-  std::unordered_map<uint32_t, uint32_t> GlobalToLocal;
 
   // DFA-family backend.
   const Dfa *Automaton = nullptr;

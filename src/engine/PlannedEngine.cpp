@@ -77,12 +77,10 @@ void accumulateStats(InputParallelStats &Into,
                      const InputParallelStats &Group) {
   Into.Threads = std::max(Into.Threads, Group.Threads);
   Into.Chunks += Group.Chunks;
-  Into.SpecDeadChunks += Group.SpecDeadChunks;
-  Into.SpecTableChunks += Group.SpecTableChunks;
   Into.RescanFallbackChunks += Group.RescanFallbackChunks;
   Into.OverlapBytes += Group.OverlapBytes;
-  Into.SpecStartRuns += Group.SpecStartRuns;
-  Into.MaxSpecFrontier = std::max(Into.MaxSpecFrontier, Group.MaxSpecFrontier);
+  Into.MaxCarryFrontier =
+      std::max(Into.MaxCarryFrontier, Group.MaxCarryFrontier);
   Into.MaxAliveClasses =
       std::max(Into.MaxAliveClasses, Group.MaxAliveClasses);
   Into.IsoMatches += Group.IsoMatches;

@@ -259,15 +259,6 @@ struct ArcKeyHash {
 
 } // namespace
 
-Mfsa mfsa::mergeFsas(const std::vector<Nfa> &Fsas,
-                     const std::vector<uint32_t> &GlobalIds,
-                     const MergeOptions &Options, MergeReport *Report) {
-  Result<Mfsa> Z = mergeFsasWithBudget(Fsas, GlobalIds, Options,
-                                       MergeBudget(), Report);
-  assert(Z.ok() && "unlimited budget cannot overrun");
-  return Z.take();
-}
-
 namespace {
 
 /// Algorithm 1 over \p Fsas (borrowed, in merge order) with GlobalIds[i]
@@ -370,18 +361,26 @@ Mfsa mergeUnbounded(const std::vector<const Nfa *> &Fsas,
 
 } // namespace
 
-Result<Mfsa> mfsa::mergeFsasWithBudget(const std::vector<Nfa> &Fsas,
-                                       const std::vector<uint32_t> &GlobalIds,
-                                       const MergeOptions &Options,
-                                       const MergeBudget &Budget,
-                                       MergeReport *Report) {
+Mfsa mfsa::mergeFsas(const std::vector<Nfa> &Fsas,
+                     const std::vector<uint32_t> &GlobalIds,
+                     const MergeOptions &Options, MergeReport *Report) {
   assert(Fsas.size() == GlobalIds.size() &&
          "one global id per merged automaton");
   std::vector<const Nfa *> Members;
   Members.reserve(Fsas.size());
   for (const Nfa &A : Fsas)
     Members.push_back(&A);
-  return mergeSequence(Members, GlobalIds.data(), Options, Budget, Report);
+  return mergeUnbounded(Members, GlobalIds.data(), Options, Report);
+}
+
+Result<Mfsa>
+mfsa::mergeFsasWithBudget(const std::vector<const Nfa *> &Fsas,
+                          const std::vector<uint32_t> &GlobalIds,
+                          const MergeOptions &Options,
+                          const MergeBudget &Budget, MergeReport *Report) {
+  assert(Fsas.size() == GlobalIds.size() &&
+         "one global id per merged automaton");
+  return mergeSequence(Fsas, GlobalIds.data(), Options, Budget, Report);
 }
 
 std::vector<Mfsa>

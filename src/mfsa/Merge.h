@@ -107,13 +107,15 @@ Mfsa mergeFsas(const std::vector<Nfa> &Fsas,
                const MergeOptions &Options = {},
                MergeReport *Report = nullptr);
 
-/// mergeFsas under a resource budget. On a size overrun the returned
-/// diagnostic's Offset carries the index (into \p Fsas) of the automaton
-/// whose incorporation breached the cap, so fault-isolating callers can drop
-/// exactly that rule and re-merge the rest. On a deadline overrun Offset is
-/// the index of the first automaton left unmerged (no single rule is at
-/// fault); callers typically abandon the tail [Offset, end) instead.
-Result<Mfsa> mergeFsasWithBudget(const std::vector<Nfa> &Fsas,
+/// mergeFsas under a resource budget, over borrowed automata (the caller
+/// keeps them alive for the call; nothing is copied). On a size overrun the
+/// returned diagnostic's Offset carries the index (into \p Fsas) of the
+/// automaton whose incorporation breached the cap, so fault-isolating
+/// callers can drop exactly that rule and re-merge the rest. On a deadline
+/// overrun Offset is the index of the first automaton left unmerged (no
+/// single rule is at fault); callers typically abandon the tail
+/// [Offset, end) instead.
+Result<Mfsa> mergeFsasWithBudget(const std::vector<const Nfa *> &Fsas,
                                  const std::vector<uint32_t> &GlobalIds,
                                  const MergeOptions &Options,
                                  const MergeBudget &Budget,

@@ -195,8 +195,8 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
         Par.run(Input, Recorder, &ParStats);
         EXPECT_EQ(recorderEnds(Recorder), Expected)
             << "engine=input-parallel " << Tag;
-        EXPECT_GE(Width.MaxActiveStates, ParStats.MaxSpecFrontier)
-            << "spec frontier bound " << Tag;
+        EXPECT_GE(Width.MaxActiveStates, ParStats.MaxCarryFrontier)
+            << "carry frontier bound " << Tag;
       }
       {
         MatchRecorder Recorder(MatchRecorder::Mode::Collect);

@@ -124,10 +124,10 @@ void checkInputParallel(uint64_t Seed,
           Par.run(Input, Recorder, &Stats);
           EXPECT_EQ(recorderEnds(Recorder), Expected)
               << "backend=imfant " << Tag;
-          // Speculative scans start inside reachable configurations, so
-          // the static width bound dominates their observed frontiers too.
-          EXPECT_GE(Width.MaxActiveStates, Stats.MaxSpecFrontier)
-              << "spec frontier bound " << Tag;
+          // Carry re-scans start inside reachable configurations, so the
+          // static width bound dominates their observed frontiers too.
+          EXPECT_GE(Width.MaxActiveStates, Stats.MaxCarryFrontier)
+              << "carry frontier bound " << Tag;
         }
         if (UnionDfa.ok()) {
           InputParallelRun Par(*UnionDfa, MakeOpts(Threads, Cuts));
@@ -282,10 +282,9 @@ TEST(InputParallel, ThreadPoolPhaseOneIsRaceFree) {
 }
 
 TEST(InputParallel, StatsClassifyChunks) {
-  // Literal rules without `.*` keep frontiers short-lived: on a long-enough
-  // input the union death probe dies inside the window, so every
-  // non-leading chunk should resolve as Dead (bounded overlap), not as a
-  // full re-scan.
+  // Literal rules without `.*` keep frontiers short-lived: a carry dies
+  // within a pattern's length of the cut, so no non-leading chunk is
+  // re-scanned in full and the overlap stays a few bytes per boundary.
   std::vector<std::string> Patterns = {"abc", "bcd"};
   Rng Random(4305);
   std::string Input = randomInput(Random, 2048);
@@ -307,10 +306,67 @@ TEST(InputParallel, StatsClassifyChunks) {
   Par.run(Input, Recorder, &Stats);
   EXPECT_EQ(recorderEnds(Recorder), oracleRuleEnds(Patterns, Input));
   EXPECT_EQ(Stats.Chunks, 4u);
-  EXPECT_EQ(Stats.SpecDeadChunks + Stats.SpecTableChunks, 3u)
-      << "dead=" << Stats.SpecDeadChunks << " table=" << Stats.SpecTableChunks
-      << " rescan=" << Stats.RescanFallbackChunks;
   EXPECT_EQ(Stats.RescanFallbackChunks, 0u);
+  // A live carry is at most two bytes into a three-byte literal: it
+  // reaches the final state by the second byte past the cut and dies on
+  // the third.
+  EXPECT_LE(Stats.OverlapBytes, 3u * 3u);
+  EXPECT_EQ(Stats.IsoMatches + Stats.CarryMatches, Recorder.total());
+}
+
+TEST(InputParallel, CarryCrossingWholeChunksIsRescanned) {
+  // One match attempt spans the whole stream: `a`, then 64 KiB the loop
+  // accepts, then `z`. Its carry enters every non-empty chunk after the
+  // first byte alive and leaves it alive, so the join re-scans each such
+  // chunk in full, and only those.
+  const std::string Pattern = "a[b-y]*z";
+  Rng Random(4311);
+  std::string Input = "a";
+  for (size_t I = 0; I < (1u << 16); ++I)
+    Input.push_back(static_cast<char>('b' + Random.nextBelow(24)));
+  Input.push_back('z');
+  // The NFA-simulation oracle: the AST evaluator is quadratic in the
+  // length of a starred run, far too slow for 64 KiB.
+  Result<Regex> Re = parseRegex(Pattern);
+  ASSERT_TRUE(Re.ok());
+  Result<Nfa> Raw = buildNfa(*Re);
+  ASSERT_TRUE(Raw.ok());
+  const RuleEnds Expected = {{0u, simulateNfa(*Raw, Input)}};
+  ASSERT_EQ(Expected.at(0), std::set<size_t>{Input.size()});
+
+  std::vector<Nfa> Fsas = {compileOptimized(Pattern)};
+  Mfsa Merged = mergeFsas(Fsas, {0});
+  ImfantEngine Imfant(Merged);
+
+  std::vector<std::vector<uint64_t>> CutSets =
+      adversarialCuts(Random, Input, Expected);
+  CutSets.push_back({Input.size() / 4, Input.size() / 2,
+                     3 * Input.size() / 4});
+  SimdLevelGuard Guard;
+  for (simd::Level Lvl : simd::availableLevels()) {
+    ASSERT_TRUE(simd::setLevel(Lvl));
+    for (const std::vector<uint64_t> &Cuts : CutSets) {
+      InputParallelOptions Opts;
+      Opts.CutOverride = Cuts;
+      const std::vector<uint64_t> Bounds =
+          inputChunkBounds(Opts, Input.size());
+      uint64_t Crossed = 0, CrossedBytes = 0;
+      for (size_t I = 0; I + 1 < Bounds.size(); ++I)
+        if (Bounds[I] > 0 && Bounds[I + 1] > Bounds[I]) {
+          ++Crossed;
+          CrossedBytes += Bounds[I + 1] - Bounds[I];
+        }
+      const std::string Tag = std::string("simd=") + simd::levelName(Lvl) +
+                              " " + formatCuts(Cuts);
+      InputParallelRun Par(Imfant, Opts);
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      InputParallelStats Stats;
+      Par.run(Input, Recorder, &Stats);
+      EXPECT_EQ(recorderEnds(Recorder), Expected) << Tag;
+      EXPECT_EQ(Stats.RescanFallbackChunks, Crossed) << Tag;
+      EXPECT_EQ(Stats.OverlapBytes, CrossedBytes) << Tag;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

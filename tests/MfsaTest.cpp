@@ -344,21 +344,22 @@ TEST(MergeBudgetTest, StateOverrunNamesTheFirstRuleOverTheCap) {
 
   MergeBudget States;
   States.MaxStates = PrefixStates[5];
-  Result<Mfsa> Over = mergeFsasWithBudget(Fsas, Ids, {}, States);
+  Result<Mfsa> Over =
+      mergeFsasWithBudget(borrowAll(Fsas), Ids, {}, States);
   ASSERT_FALSE(Over.ok());
   EXPECT_EQ(Over.diag().Offset, FirstOver(PrefixStates, PrefixStates[5]));
   EXPECT_GT(Over.diag().Offset, 5u);
 
   MergeBudget Transitions;
   Transitions.MaxTransitions = PrefixTransitions[3];
-  Over = mergeFsasWithBudget(Fsas, Ids, {}, Transitions);
+  Over = mergeFsasWithBudget(borrowAll(Fsas), Ids, {}, Transitions);
   ASSERT_FALSE(Over.ok());
   EXPECT_EQ(Over.diag().Offset,
             FirstOver(PrefixTransitions, PrefixTransitions[3]));
 
   // A cap the whole merge fits under is no overrun.
   States.MaxStates = PrefixStates.back();
-  EXPECT_TRUE(mergeFsasWithBudget(Fsas, Ids, {}, States).ok());
+  EXPECT_TRUE(mergeFsasWithBudget(borrowAll(Fsas), Ids, {}, States).ok());
 }
 
 //===----------------------------------------------------------------------===//

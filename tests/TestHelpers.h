@@ -100,6 +100,16 @@ inline Nfa compileOptimized(const std::string &Pattern) {
   return optimizeForMerging(*Built);
 }
 
+/// Borrows every automaton of \p Fsas, in order: the input form of
+/// mergeFsasWithBudget and validateMergeProjection.
+inline std::vector<const Nfa *> borrowAll(const std::vector<Nfa> &Fsas) {
+  std::vector<const Nfa *> Out;
+  Out.reserve(Fsas.size());
+  for (const Nfa &A : Fsas)
+    Out.push_back(&A);
+  return Out;
+}
+
 /// Compiles \p Patterns (global ids = indices) and merges them in
 /// sequential groups of \p MergingFactor rules (0 = all).
 inline std::vector<Mfsa> compileMerged(const std::vector<std::string> &Patterns,

@@ -164,7 +164,8 @@ TEST(ValidateMerge, CleanMergeProvesEveryRule) {
   Mfsa Z = mergePatterns({"a(b|c)*d", "abd", "acd", "xy{1,2}z"}, &Inputs);
   DiagnosticEngine Diags;
   ValidateStats Stats;
-  EXPECT_TRUE(validateMergeProjection(Z, Inputs, {}, Diags, &Stats));
+  EXPECT_TRUE(
+      validateMergeProjection(Z, borrowAll(Inputs), {}, Diags, &Stats));
   EXPECT_TRUE(Diags.empty()) << Diags.renderText();
   EXPECT_EQ(Stats.Proofs, Z.numRules());
   EXPECT_EQ(Stats.Failures, 0u);
@@ -180,7 +181,7 @@ TEST(ValidateMerge, RandomMergesProveClean) {
     std::vector<Nfa> Inputs;
     Mfsa Z = mergePatterns(Patterns, &Inputs);
     DiagnosticEngine Diags;
-    EXPECT_TRUE(validateMergeProjection(Z, Inputs, {}, Diags))
+    EXPECT_TRUE(validateMergeProjection(Z, borrowAll(Inputs), {}, Diags))
         << "seed " << Seed << " " << formatPatterns(Patterns) << "\n"
         << Diags.renderText();
   }
@@ -206,7 +207,7 @@ TEST(ValidateMerge, MutantRetargetedArcIsCaughtAndConfirmedByEngine) {
   ASSERT_EQ(verifyMfsaError(Z), "") << "mutant must stay structurally valid";
 
   DiagnosticEngine Diags;
-  EXPECT_FALSE(validateMergeProjection(Z, Inputs, {}, Diags));
+  EXPECT_FALSE(validateMergeProjection(Z, borrowAll(Inputs), {}, Diags));
   const Finding &F = findCheck(Diags, "validate.merge.projection-changed");
   EXPECT_EQ(F.Span.Rule, 0u);
   ASSERT_TRUE(F.HasCounterexample);
@@ -240,7 +241,7 @@ TEST(ValidateMerge, MutantWidenedLabelIsCaughtAndConfirmedByEngine) {
   ASSERT_EQ(verifyMfsaError(Z), "") << "mutant must stay structurally valid";
 
   DiagnosticEngine Diags;
-  EXPECT_FALSE(validateMergeProjection(Z, Inputs, {}, Diags));
+  EXPECT_FALSE(validateMergeProjection(Z, borrowAll(Inputs), {}, Diags));
   const Finding &F = findCheck(Diags, "validate.merge.projection-changed");
   EXPECT_EQ(F.Span.Rule, 0u);
   ASSERT_TRUE(F.HasCounterexample);
@@ -281,7 +282,8 @@ TEST(ValidateMerge, SeededMutantsAreRefutedWithReplayableWitnesses) {
 
     DiagnosticEngine Diags;
     ValidateStats Stats;
-    bool Ok = validateMergeProjection(Z, Inputs, {}, Diags, &Stats);
+    bool Ok =
+        validateMergeProjection(Z, borrowAll(Inputs), {}, Diags, &Stats);
     EXPECT_FALSE(hasCheck(Diags, "validate.replay.diverged"))
         << "seed " << Seed << "\n" << Diags.renderText();
     if (Ok)
