@@ -33,7 +33,7 @@
 // engine change, regenerate with
 //   MFSA_UPDATE_WORK_GOLDENS=1 build/tests/test_plan_golden
 //
-// Merged MFSAs. At the plan's merging factor, M=50 and M=all (and at M=50
+// Merged MFSAs. At the plan's merging factor, M=1, M=50 and M=all (and at M=50
 // under each MergeOptions switch), mergeInGroups merges the dataset's
 // optimized FSAs; tests/golden/merge/<DS>.json records, per merging factor,
 // the group count, the summed MergeReport counters and a hash over every
@@ -365,8 +365,10 @@ TEST_P(MergeGolden, MergedGroupsMatchCommittedHashes) {
   Result<CompileArtifacts> Compiled = compileRuleset(Rules, Compile);
   ASSERT_TRUE(Compiled) << Compiled.diag().render();
 
+  // M=1 hashes every optimized FSA on its own, so it pins the single-FSA
+  // passes for all of the dataset's rules.
   std::vector<uint32_t> Factors = {plannedMergingFactor(GetParam())};
-  for (uint32_t M : {50u, 0u})
+  for (uint32_t M : {1u, 50u, 0u})
     if (std::find(Factors.begin(), Factors.end(), M) == Factors.end())
       Factors.push_back(M);
   std::string Actual;
