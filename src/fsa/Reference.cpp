@@ -61,16 +61,19 @@ std::set<size_t> evalNode(const AstNode &Node, std::string_view Input,
       Frontier = evalNode(R.child(), Input, Frontier);
 
     if (R.isUnbounded()) {
-      // ∪_{i>=Min} eval^i(Starts) = lfp(W := Frontier ∪ eval(W)), valid
-      // because evalNode distributes over set union; the fixpoint converges
-      // in at most |Input|+2 rounds.
+      // ∪_{i>=Min} eval^i(Starts) = lfp(W := Frontier ∪ eval(W)). evalNode
+      // distributes over set union, so each round evaluates only the
+      // positions the previous round added (semi-naive iteration): every
+      // position is evaluated once, and the fixpoint converges in at most
+      // |Input|+2 rounds.
       std::set<size_t> W = Frontier;
-      for (;;) {
-        std::set<size_t> Next = evalNode(R.child(), Input, W);
-        size_t Before = W.size();
-        W.insert(Next.begin(), Next.end());
-        if (W.size() == Before)
-          break;
+      std::set<size_t> Added = Frontier;
+      while (!Added.empty()) {
+        std::set<size_t> Next;
+        for (size_t P : evalNode(R.child(), Input, Added))
+          if (W.insert(P).second)
+            Next.insert(P);
+        Added = std::move(Next);
       }
       Result.insert(W.begin(), W.end());
       return Result;
