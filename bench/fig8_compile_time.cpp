@@ -56,6 +56,9 @@ int main() {
       Report.result(Spec.Abbrev + ".m_" + mergingFactorName(M) +
                         ".merging_ms",
                     Avg.MergingMs, "ms");
+      // ME-single (stage 3): independent of M, so every M re-measures it.
+      Report.result(Spec.Abbrev + ".m_" + mergingFactorName(M) + ".single_ms",
+                    Avg.SingleOptMs, "ms");
     }
   }
   std::printf("\nexpected shape: FE / AST-to-FSA / ME-single roughly constant "
