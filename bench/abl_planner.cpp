@@ -21,16 +21,27 @@
 // in the report's "plans" object so a regression in the *choice* is visible
 // in the JSON diff, not just in the timing drift it causes.
 //
+// <DS>.probe_m50_ms times the planner's dominant analysis on its own: the
+// DFA probe (probeDfaBlowup at the planner's state cap) of every M=50 group,
+// one after another on one thread, summed, best of at least five passes (a
+// pass takes tens of milliseconds, so even a one-repetition run gets a
+// steady minimum on a shared host). Every Table I dataset has at most 6
+// groups at M=50, under the planner's sample of 8, so these are exactly the
+// probes a plan runs there.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
+#include "analysis/CostModel.h"
 #include "analysis/Planner.h"
 #include "engine/PlannedEngine.h"
+#include "mfsa/Merge.h"
 #include "support/Timer.h"
 
 #include "CliInput.h"
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
@@ -94,6 +105,25 @@ EngineTiming bestOver(Engine Choice, const CompiledDataset &Dataset,
   return Best;
 }
 
+/// Single-threaded wall time of probing every M=50 group of \p Dataset
+/// under the planner's DFA probe options, best of max(5, repetitions()).
+double probeM50Ms(const CompiledDataset &Dataset,
+                  const std::vector<uint32_t> &Ids) {
+  const std::vector<Mfsa> Groups =
+      mergeInGroups(Dataset.OptimizedFsas, Ids, 50);
+  const DfaProbeOptions Probe = PlannerOptions().Cost.Probe;
+  double Best = 0.0;
+  for (unsigned Rep = 0; Rep < std::max(5u, repetitions()); ++Rep) {
+    Timer Wall;
+    for (const Mfsa &Group : Groups)
+      (void)probeDfaBlowup(Group, Probe);
+    const double Ms = Wall.elapsedMs();
+    if (Rep == 0 || Ms < Best)
+      Best = Ms;
+  }
+  return Best;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -134,6 +164,7 @@ int main(int argc, char **argv) {
     double PlanMs = PlanWall.elapsedMs();
     Report.plan(Spec.Abbrev, Plan.explainJson());
     Plan.recordTo(Report.registry());
+    const double ProbeMs = probeM50Ms(Dataset, Ids);
 
     const std::vector<uint32_t> ImfantFactors = {0, 50, 1};
     const std::vector<uint32_t> DfaFactors = {0, 50};
@@ -213,6 +244,7 @@ int main(int argc, char **argv) {
     // Unit "ms/plan" keeps this row out of compare_bench_json.py's gated
     // set: planning wall time is informational, not a throughput headline.
     Report.result(Spec.Abbrev + ".plan_ms", PlanMs, "ms/plan");
+    Report.result(Spec.Abbrev + ".probe_m50_ms", ProbeMs, "ms");
 
     // Self-gate, mirroring the CI noise band: Auto may trail the best fixed
     // engine by measurement noise, never by a wrong choice.

@@ -24,6 +24,14 @@ size_t Dfa::footprintBytes() const {
 
 namespace {
 
+/// The hash of a subset: the sum of its states' mixes. A sum needs no order,
+/// so a target is hashed from its two parts without merging them.
+uint64_t mixState(uint32_t S) {
+  uint64_t H = (S + 1) * 0x9E3779B97F4A7C15ULL;
+  H = (H ^ (H >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  return H ^ (H >> 31);
+}
+
 /// Subsets of union-NFA states (globally renumbered across the input
 /// automata), interned in first-seen order. Each subset is a sorted state
 /// list stored once, back to back in one pool; an open-addressing table over
@@ -36,39 +44,31 @@ public:
     return Pool.data() + Begin[Id + 1];
   }
 
-  /// \returns the id of the sorted, duplicate-free list \p S, adding it
-  /// under the next free id when it is new.
-  uint32_t intern(const std::vector<uint32_t> &S) {
+  /// \returns the id of the subset of \p Size states whose mixes sum to
+  /// \p Hash and which \p Holds(State) accepts. When it is new, \p Fill
+  /// appends its sorted states to the pool, and it takes the next free id.
+  template <typename HoldsFn, typename FillFn>
+  uint32_t intern(uint64_t Hash, size_t Size, HoldsFn Holds, FillFn Fill) {
     if (2 * (static_cast<size_t>(size()) + 1) > Slots.size())
       grow();
-    const uint64_t Hash = hashOf(S.data(), S.size());
     const size_t Mask = Slots.size() - 1;
     for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
       if (Slots[I] == 0) {
         const uint32_t Id = size();
         Slots[I] = Id + 1;
         Hashes.push_back(Hash);
-        Pool.insert(Pool.end(), S.begin(), S.end());
+        Fill(Pool);
         Begin.push_back(Pool.size());
         return Id;
       }
       const uint32_t Id = Slots[I] - 1;
-      if (Hashes[Id] == Hash &&
-          std::equal(S.begin(), S.end(), begin(Id), end(Id)))
+      if (Hashes[Id] == Hash && Begin[Id + 1] - Begin[Id] == Size &&
+          std::all_of(begin(Id), end(Id), Holds))
         return Id;
     }
   }
 
 private:
-  static uint64_t hashOf(const uint32_t *Data, size_t N) {
-    uint64_t H = 0x9E3779B97F4A7C15ULL ^ N;
-    for (size_t I = 0; I < N; ++I) {
-      H = (H ^ Data[I]) * 0xBF58476D1CE4E5B9ULL;
-      H ^= H >> 31;
-    }
-    return H;
-  }
-
   void grow() {
     std::vector<uint32_t> Old(std::max<size_t>(64, Slots.size() * 2), 0);
     Old.swap(Slots);
@@ -157,67 +157,50 @@ Result<Dfa> mfsa::determinize(const std::vector<Nfa> &Fsas,
   }
   std::sort(StartOutsideRestart.begin(), StartOutsideRestart.end());
 
-  // Union-NFA moves outside R, one flat CSR list per (state, atom) cell
-  // State * NumAtoms + Atom. A label that intersects an atom contains it.
-  std::vector<std::pair<size_t, uint32_t>> CellMoves;
-  for (uint32_t R = 0; R < NumRules; ++R)
-    for (const Transition &T : Rules[R].transitions()) {
-      const uint32_t To = Offset[R] + T.To;
-      if (InRestart[To])
-        continue;
-      const size_t Row = static_cast<size_t>(Offset[R] + T.From) * NumAtoms;
-      for (uint32_t AtomIdx = 0; AtomIdx < NumAtoms; ++AtomIdx)
-        if (T.Label.intersects(Atoms[AtomIdx]))
-          CellMoves.emplace_back(Row + AtomIdx, To);
-    }
-  const size_t NumCells = static_cast<size_t>(TotalStates) * NumAtoms;
-  std::vector<uint32_t> MoveBegin(NumCells + 1, 0);
-  for (const auto &[Cell, To] : CellMoves)
-    ++MoveBegin[Cell + 1];
-  for (size_t Cell = 1; Cell < MoveBegin.size(); ++Cell)
-    MoveBegin[Cell] += MoveBegin[Cell - 1];
-  std::vector<uint32_t> MoveTo(CellMoves.size());
-  {
-    std::vector<uint32_t> Fill(MoveBegin.begin(), MoveBegin.end() - 1);
-    for (const auto &[Cell, To] : CellMoves)
-      MoveTo[Fill[Cell]++] = To;
-  }
-  CellMoves = {};
-
-  // Appends to Target the moves of the states in [First, Last) on AtomIdx,
-  // skipping the states Stamp already marks with the current Epoch.
-  std::vector<uint32_t> Stamp(TotalStates, 0);
-  uint32_t Epoch = 0;
-  std::vector<uint32_t> Target;
-  auto Gather = [&](const uint32_t *First, const uint32_t *Last,
-                    uint32_t AtomIdx) {
-    for (; First != Last; ++First) {
-      const size_t Cell = static_cast<size_t>(*First) * NumAtoms + AtomIdx;
-      for (uint32_t M = MoveBegin[Cell], E = MoveBegin[Cell + 1]; M != E;
-           ++M) {
-        const uint32_t To = MoveTo[M];
-        if (Stamp[To] != Epoch) {
-          Stamp[To] = Epoch;
-          Target.push_back(To);
-        }
+  // Calls Visit(From, Atom, To) for every union-NFA move that does not
+  // enter R, from R's states or from the others. A label that intersects an
+  // atom contains it.
+  auto ForEachMove = [&](bool FromRestart, auto &&Visit) {
+    for (uint32_t R = 0; R < NumRules; ++R)
+      for (const Transition &T : Rules[R].transitions()) {
+        const uint32_t From = Offset[R] + T.From;
+        const uint32_t To = Offset[R] + T.To;
+        if (InRestart[From] != FromRestart || InRestart[To])
+          continue;
+        for (uint32_t AtomIdx = 0; AtomIdx < NumAtoms; ++AtomIdx)
+          if (T.Label.intersects(Atoms[AtomIdx]))
+            Visit(From, AtomIdx, To);
       }
-    }
-  };
-  auto NextEpoch = [&] {
-    if (++Epoch == 0) {
-      std::fill(Stamp.begin(), Stamp.end(), 0);
-      Epoch = 1;
-    }
   };
 
-  // R's own successors, shared by every subset: once per atom.
+  // R's own successors on each atom, shared by every subset, sorted.
   std::vector<std::vector<uint32_t>> RestartMoves(NumAtoms);
-  for (uint32_t AtomIdx = 0; AtomIdx < NumAtoms; ++AtomIdx) {
-    NextEpoch();
-    Target.clear();
-    Gather(Restart.data(), Restart.data() + Restart.size(), AtomIdx);
-    RestartMoves[AtomIdx] = Target;
+  ForEachMove(true, [&](uint32_t, uint32_t AtomIdx, uint32_t To) {
+    RestartMoves[AtomIdx].push_back(To);
+  });
+  for (std::vector<uint32_t> &List : RestartMoves) {
+    std::sort(List.begin(), List.end());
+    List.erase(std::unique(List.begin(), List.end()), List.end());
   }
+
+  // Per-state cell lists: each state's (atom, successor) moves, minus those
+  // R makes on the same atom anyway. Canonical transitions are sorted by
+  // source, so each state's moves are contiguous. Subsets never hold R's
+  // states (no move enters R), so those get empty lists.
+  struct Move {
+    uint32_t Atom;
+    uint32_t To;
+  };
+  std::vector<Move> StateMoves;
+  std::vector<uint32_t> StateBegin(TotalStates + 1, 0);
+  ForEachMove(false, [&](uint32_t From, uint32_t AtomIdx, uint32_t To) {
+    const std::vector<uint32_t> &Shared = RestartMoves[AtomIdx];
+    if (!std::binary_search(Shared.begin(), Shared.end(), To))
+      StateMoves.push_back({AtomIdx, To});
+    StateBegin[From + 1] = static_cast<uint32_t>(StateMoves.size());
+  });
+  for (uint32_t S = 0; S < TotalStates; ++S)
+    StateBegin[S + 1] = std::max(StateBegin[S + 1], StateBegin[S]);
 
   // Subset construction. Ids are handed out in discovery order and
   // processed in id order, which is breadth-first order.
@@ -234,29 +217,93 @@ Result<Dfa> mfsa::determinize(const std::vector<Nfa> &Fsas,
     return Result<Dfa>::error("DFA state explosion: more than " +
                               std::to_string(Options.MaxStates) + " subsets");
   };
+  // Interns Shared ∪ [First, Last), where Shared is sorted and disjoint
+  // from the bucket [First, Last): the union's states take the current
+  // stamp, which drops the bucket's repeats and answers the table's
+  // membership test.
   SubsetTable Subsets;
-  uint32_t StartId = Subsets.intern(StartOutsideRestart);
+  std::vector<uint32_t> Stamp(TotalStates, 0);
+  uint32_t Epoch = 0;
+  auto InternUnion = [&](const std::vector<uint32_t> &Shared, uint32_t *First,
+                         uint32_t *Last) {
+    if (++Epoch == 0) {
+      std::fill(Stamp.begin(), Stamp.end(), 0);
+      Epoch = 1;
+    }
+    uint64_t Hash = 0;
+    for (uint32_t S : Shared) {
+      Stamp[S] = Epoch;
+      Hash += mixState(S);
+    }
+    uint32_t *End = First;
+    for (const uint32_t *S = First; S != Last; ++S)
+      if (Stamp[*S] != Epoch) {
+        Stamp[*S] = Epoch;
+        Hash += mixState(*S);
+        *End++ = *S;
+      }
+    return Subsets.intern(
+        Hash, Shared.size() + (End - First),
+        [&](uint32_t S) { return Stamp[S] == Epoch; },
+        [&](std::vector<uint32_t> &Pool) {
+          std::sort(First, End);
+          const uint32_t *S = Shared.data(), *SEnd = S + Shared.size();
+          for (const uint32_t *B = First; S != SEnd || B != End;)
+            Pool.push_back(B == End || (S != SEnd && *S < *B) ? *S++ : *B++);
+        });
+  };
+  std::vector<uint32_t> Bucket = StartOutsideRestart;
+  uint32_t StartId =
+      InternUnion({}, Bucket.data(), Bucket.data() + Bucket.size());
   (void)StartId;
   assert(StartId == 0 && "start subset must be state 0");
   if (Subsets.size() > Options.MaxStates)
     return Explosion();
 
+  // Expanding a subset scatters its states' moves (as indices into
+  // StateMoves) into one flat bucket per atom, a counting sort: AtomEnd[A]
+  // ends atom A's bucket, which starts where atom A - 1's ends. A bucket of
+  // at most one move always leads to the same target, R's successors on the
+  // atom plus the move's: its id is interned on first use and then read
+  // from RestartOnly (an empty bucket) or SingleMove (one move).
+  constexpr uint32_t Unseen = ~0u;
+  std::vector<uint32_t> RestartOnly(NumAtoms, Unseen);
+  std::vector<uint32_t> SingleMove(StateMoves.size(), Unseen);
+  std::vector<uint32_t> AtomEnd(NumAtoms + 1);
   for (uint32_t Id = 0; Id < Subsets.size(); ++Id) {
+    std::fill(AtomEnd.begin(), AtomEnd.end(), 0);
+    for (const uint32_t *S = Subsets.begin(Id); S != Subsets.end(Id); ++S)
+      for (uint32_t M = StateBegin[*S]; M != StateBegin[*S + 1]; ++M)
+        ++AtomEnd[StateMoves[M].Atom + 1];
+    for (uint32_t AtomIdx = 0; AtomIdx < NumAtoms; ++AtomIdx)
+      AtomEnd[AtomIdx + 1] += AtomEnd[AtomIdx];
+    Bucket.resize(AtomEnd[NumAtoms]);
+    for (const uint32_t *S = Subsets.begin(Id); S != Subsets.end(Id); ++S)
+      for (uint32_t M = StateBegin[*S]; M != StateBegin[*S + 1]; ++M)
+        Bucket[AtomEnd[StateMoves[M].Atom]++] = M;
+
     Out.Next.resize((static_cast<size_t>(Id) + 1) * NumAtoms, 0);
-    for (uint32_t AtomIdx = 0; AtomIdx < NumAtoms; ++AtomIdx) {
-      NextEpoch();
-      Target.clear();
-      for (uint32_t To : RestartMoves[AtomIdx]) {
-        Stamp[To] = Epoch;
-        Target.push_back(To);
+    uint32_t *Row = Out.Next.data() + static_cast<size_t>(Id) * NumAtoms;
+    for (uint32_t AtomIdx = 0, First = 0; AtomIdx < NumAtoms;
+         First = AtomEnd[AtomIdx++]) {
+      uint32_t *BucketFirst = Bucket.data() + First;
+      uint32_t *BucketLast = Bucket.data() + AtomEnd[AtomIdx];
+      uint32_t *Cached = BucketLast - BucketFirst > 1 ? nullptr
+                         : BucketFirst == BucketLast
+                             ? &RestartOnly[AtomIdx]
+                             : &SingleMove[*BucketFirst];
+      if (Cached && *Cached != Unseen) {
+        Row[AtomIdx] = *Cached;
+        continue;
       }
-      // Subsets.begin/end are re-read per atom: intern() may move the pool.
-      Gather(Subsets.begin(Id), Subsets.end(Id), AtomIdx);
-      std::sort(Target.begin(), Target.end());
-      const uint32_t TargetId = Subsets.intern(Target);
+      for (uint32_t *M = BucketFirst; M != BucketLast; ++M)
+        *M = StateMoves[*M].To;
+      Row[AtomIdx] =
+          InternUnion(RestartMoves[AtomIdx], BucketFirst, BucketLast);
+      if (Cached)
+        *Cached = Row[AtomIdx];
       if (Subsets.size() > Options.MaxStates)
         return Explosion();
-      Out.Next[static_cast<size_t>(Id) * NumAtoms + AtomIdx] = TargetId;
     }
   }
 

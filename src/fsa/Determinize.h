@@ -25,7 +25,40 @@
 ///
 /// determinize() fails gracefully with a diagnostic when the subset count
 /// exceeds MaxStates — the explosion itself is a measured result, not a
-/// crash.
+/// crash. The planner's DFA probe (analysis/CostModel.h) relies on that: it
+/// runs this construction under a 4096-state cap on every M=50 group.
+///
+/// Algorithm. Let R be the restart set. Every subset contains R, so a
+/// subset is interned by its part outside R. Each state keeps one list of
+/// (atom, successor) moves, built once, without the moves R makes on the
+/// same atom anyway. Expanding a subset scatters its states' lists into one
+/// flat bucket per atom (a counting sort), then per atom in order:
+///
+///   - a bucket of at most one move always leads to the same target (R's
+///     successors on the atom, plus the move's successor): its id is
+///     interned on first use and then read from a per-atom or per-move
+///     cache;
+///   - otherwise the target is R's successors ∪ the bucket. The two are
+///     disjoint, so the bucket's repeats are dropped with a stamp array and
+///     the union is hashed as a sum of per-state mixes, without merging.
+///     The hash table compares a candidate only on a hash and size match,
+///     by checking every state of the stored subset against the stamps; a
+///     new target is merged into the pool from the sorted bucket and R's
+///     presorted successors.
+///
+/// Cost. Expanding a subset costs its states' moves (outside R's) plus, per
+/// atom, O(1) for a cached target or O(|R's successors| + |bucket|) for the
+/// others, instead of (subset states × atoms) cell probes and a sort of the
+/// whole target per atom.
+///
+/// Why the output is unchanged. Subsets are still expanded in id order and
+/// their atoms in atom order, and every target is still interned the first
+/// time it is met (a later intern of a known subset would return its id, so
+/// reading a cached id instead changes nothing). The cap is checked after
+/// every intern that can add a subset. So ids, breadth-first discovery
+/// order, Next, the accept sets and the explosion point equal the textbook
+/// construction's, which tests/AnalysisTest.cpp keeps as the oracle
+/// (`Exactness.Determinize*`).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -110,6 +110,8 @@ private:
   bool AnchoredEnd = false;
 };
 
+bool operator==(const Nfa &A, const Nfa &B);
+
 /// Summary counters for one automaton, feeding Table I.
 struct NfaStats {
   uint32_t NumStates = 0;

@@ -6,34 +6,8 @@
 
 #include "support/Checksum.h"
 
-#include <array>
-
-namespace {
-
-/// 256-entry lookup table for the reflected CRC32C polynomial, built once on
-/// first use (cheap, deterministic, no static-init ordering hazards).
-const std::array<uint32_t, 256> &crcTable() {
-  static const std::array<uint32_t, 256> Table = [] {
-    std::array<uint32_t, 256> T{};
-    constexpr uint32_t Poly = 0x82F63B78u; // CRC32C, reflected.
-    for (uint32_t I = 0; I < 256; ++I) {
-      uint32_t Crc = I;
-      for (int Bit = 0; Bit < 8; ++Bit)
-        Crc = (Crc >> 1) ^ ((Crc & 1) ? Poly : 0);
-      T[I] = Crc;
-    }
-    return T;
-  }();
-  return Table;
-}
-
-} // namespace
+#include "support/SimdDispatch.h"
 
 uint32_t mfsa::crc32c(const void *Data, size_t Bytes, uint32_t Seed) {
-  const std::array<uint32_t, 256> &Table = crcTable();
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  uint32_t Crc = ~Seed;
-  for (size_t I = 0; I < Bytes; ++I)
-    Crc = (Crc >> 8) ^ Table[(Crc ^ P[I]) & 0xFF];
-  return ~Crc;
+  return simd::ops().Crc32c(static_cast<const uint8_t *>(Data), Bytes, Seed);
 }

@@ -9,11 +9,11 @@
 /// format (src/artifact/). CRC32C (Castagnoli, reflected polynomial
 /// 0x82F63B78) is the iSCSI/ext4/RocksDB checksum: strong enough to catch
 /// every single-bit flip and short burst error a storage or transport layer
-/// can introduce, and cheap enough to verify on every load. The
-/// implementation is a portable slice-by-one table walk — artifact loads
-/// checksum megabytes, not gigabytes, so the simple loop keeps the support
-/// layer free of ISA-specific code (the SSE4.2 CRC32 instruction would go
-/// through support/SimdDispatch.h if load bandwidth ever matters).
+/// can introduce, and cheap enough to verify on every load. It runs through
+/// the SIMD dispatch table (support/SimdKernels.h): the CRC32 instruction on
+/// 8-byte words where SSE4.2 is available (≈ 0.14 ns/B), a byte-at-a-time
+/// table walk elsewhere (≈ 3 ns/B). Every level computes the same value, so
+/// an image written at one level loads at any other.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,15 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The scalar byte-class search plus the level-resolution state machine. The
-// scalar table is the semantics contract: every vector table must return
-// the same index on every input (tests/SimdTest.cpp enforces this on
-// randomized lengths and needle sets).
+// The scalar kernels plus the level-resolution state machine. The scalar
+// table is the semantics contract: every vector table must return the same
+// index and the same checksum on every input (tests/SimdTest.cpp enforces
+// this on randomized lengths and needle sets, and on every CRC length up to
+// 1 KiB at each alignment).
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/SimdDispatch.h"
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -22,7 +24,7 @@ using namespace mfsa;
 using namespace mfsa::simd;
 
 //===----------------------------------------------------------------------===//
-// Scalar reference kernel
+// Scalar reference kernels
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -38,7 +40,33 @@ size_t scalarFindByteInSet(const uint8_t *Data, size_t Len,
   return Len;
 }
 
-constexpr KernelTable ScalarTable = {"scalar", scalarFindByteInSet};
+/// 256-entry lookup table for the reflected CRC32C polynomial, built once on
+/// first use (cheap, deterministic, no static-init ordering hazards).
+const std::array<uint32_t, 256> &crcTable() {
+  static const std::array<uint32_t, 256> Table = [] {
+    std::array<uint32_t, 256> T{};
+    constexpr uint32_t Poly = 0x82F63B78u; // CRC32C, reflected.
+    for (uint32_t I = 0; I < 256; ++I) {
+      uint32_t Crc = I;
+      for (int Bit = 0; Bit < 8; ++Bit)
+        Crc = (Crc >> 1) ^ ((Crc & 1) ? Poly : 0);
+      T[I] = Crc;
+    }
+    return T;
+  }();
+  return Table;
+}
+
+uint32_t scalarCrc32c(const uint8_t *Data, size_t Len, uint32_t Seed) {
+  const std::array<uint32_t, 256> &Table = crcTable();
+  uint32_t Crc = ~Seed;
+  for (size_t I = 0; I < Len; ++I)
+    Crc = (Crc >> 8) ^ Table[(Crc ^ Data[I]) & 0xFF];
+  return ~Crc;
+}
+
+constexpr KernelTable ScalarTable = {"scalar", scalarFindByteInSet,
+                                     scalarCrc32c};
 
 } // namespace
 

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime CPU dispatch for the byte-class search of SimdKernels.h (the
-/// literal prefilter's root skip). The active level is resolved once,
+/// Runtime CPU dispatch for the kernels of SimdKernels.h (the literal
+/// prefilter's root skip and the artifact CRC32C). The active level is resolved once,
 /// lazily, from (in priority order):
 ///
 ///   1. the MFSA_SIMD environment variable: auto | avx2 | sse42 | scalar;

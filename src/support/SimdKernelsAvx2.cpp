@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // AVX2-level KernelTable: the byte-class search compares 32-byte blocks
-// against each needle with VPCMPEQB. Compiled with -mavx2 only; reached
+// against each needle with VPCMPEQB; CRC32C is the SSE4.2 kernel's. Compiled with -mavx2 only; reached
 // exclusively through the dispatch table after CPUID confirms AVX2.
 //
 //===----------------------------------------------------------------------===//
@@ -43,7 +43,7 @@ size_t avxFindByteInSet(const uint8_t *Data, size_t Len,
   return Len;
 }
 
-constexpr KernelTable Avx2Table = {"avx2", avxFindByteInSet};
+constexpr KernelTable Avx2Table = {"avx2", avxFindByteInSet, sse42Crc32c};
 
 } // namespace
 

@@ -124,8 +124,8 @@ private:
   std::string applyBoundedRep(const std::string &Base) {
     uint64_t Lo = Random.nextInRange(1, 3);
     uint64_t Hi = Lo + Random.nextInRange(1, 3);
-    std::string Bounds =
-        "{" + std::to_string(Lo) + "," + std::to_string(Hi) + "}";
+    std::string Bounds = "{";
+    Bounds += std::to_string(Lo) + "," + std::to_string(Hi) + "}";
     if (Base.size() > 1 && Base.back() != ']') {
       // Quantify only the final character of a literal.
       return Base + Bounds;

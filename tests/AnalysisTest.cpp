@@ -39,6 +39,7 @@
 #include <array>
 #include <deque>
 #include <map>
+#include <numeric>
 #include <queue>
 #include <unordered_set>
 
@@ -1022,6 +1023,90 @@ TEST(Exactness, DeterminizeMatchesReferenceOnTableIPrefixes) {
     std::vector<std::string> Rules = generateRuleset(*findDataset(Abbrev));
     Rules.resize(12);
     checkDeterminize(compileAll(Rules), 1u << 12, Abbrev);
+  }
+}
+
+/// Dataset \p Abbrev's M=50 group \p Index as the planner probes it: the
+/// pipeline's optimized automata of rules [50 Index, 50 Index + 50), merged
+/// and projected back to one automaton per rule, with the rules' dataset
+/// ids.
+struct M50Group {
+  Mfsa Z;
+  std::vector<Nfa> Fsas;
+  std::vector<uint32_t> Ids;
+
+  M50Group(const char *Abbrev, uint32_t Index) {
+    const std::vector<std::string> All = generateRuleset(*findDataset(Abbrev));
+    const uint32_t First = 50 * Index;
+    const uint32_t Last = std::min<uint32_t>(First + 50, All.size());
+    CompileOptions Options;
+    Options.MergingFactor = 1;
+    Options.EmitAnml = false;
+    Result<CompileArtifacts> Compiled = compileRuleset(
+        std::vector<std::string>(All.begin() + First, All.begin() + Last),
+        Options);
+    EXPECT_TRUE(Compiled.ok()) << Abbrev;
+    std::vector<uint32_t> DatasetIds(Last - First);
+    std::iota(DatasetIds.begin(), DatasetIds.end(), First);
+    Z = mergeInGroups(Compiled->OptimizedFsas, DatasetIds, 50).front();
+    Fsas = Z.extractAllRules();
+    for (RuleId R = 0; R < Z.numRules(); ++R)
+      Ids.push_back(Z.rule(R).GlobalId);
+  }
+};
+
+/// The verdict probeDfaBlowup owes \p Reference, a reference construction
+/// under the same state cap.
+DfaEstimate expectedVerdict(const Result<Dfa> &Reference,
+                            const DfaProbeOptions &Options) {
+  if (!Reference.ok())
+    return blowupEstimate(Options);
+  DfaEstimate Est;
+  Est.Completed = true;
+  Est.DfaStates = Reference->NumStates;
+  Est.NumAtoms = Reference->NumAtoms;
+  Est.Stride2Entries =
+      uint64_t(Est.DfaStates) * Est.NumAtoms * Est.NumAtoms;
+  Est.Stride2Feasible =
+      Est.NumAtoms > 0 && Est.Stride2Entries <= Options.MaxStride2Entries;
+  return Est;
+}
+
+TEST(Exactness, DeterminizeMatchesReferenceOnFirstM50Groups) {
+  // The planner's probe workload: each dataset's first M=50 group under its
+  // 4096-state cap. Most blow it; the probe's verdict must match anyway.
+  const DfaProbeOptions Probe = PlannerOptions().Cost.Probe;
+  ASSERT_EQ(Probe.MaxStates, 1u << 12);
+  for (const DatasetSpec &Spec : standardDatasets()) {
+    const M50Group G(Spec.Abbrev.c_str(), 0);
+    const Result<Dfa> Expected =
+        referenceDeterminize(G.Fsas, G.Ids, Probe.MaxStates);
+    DeterminizeOptions Options;
+    Options.MaxStates = Probe.MaxStates;
+    const Result<Dfa> Actual = determinize(G.Fsas, G.Ids, Options);
+    ASSERT_EQ(Actual.ok(), Expected.ok()) << Spec.Abbrev;
+    if (Actual.ok())
+      expectSameDfa(*Actual, *Expected, Spec.Abbrev);
+    expectSameVerdict(probeDfaBlowup(G.Z, Probe),
+                      expectedVerdict(Expected, Probe));
+  }
+}
+
+TEST(Exactness, DeterminizeMatchesReferenceAtATableIGroupsExactSize) {
+  // BRO's last M=50 group (rules 200-216) is the one Table I group whose
+  // probe completes: a cap equal to its DFA's size admits it, one below
+  // refuses it, and the probe's verdicts follow.
+  const M50Group G("BRO", 4);
+  const Result<Dfa> Full = determinize(G.Fsas, G.Ids);
+  ASSERT_TRUE(Full.ok());
+  ASSERT_GT(Full->NumStates, 100u) << "too small to exercise the cap";
+  for (uint32_t Cap : {Full->NumStates, Full->NumStates - 1}) {
+    checkDeterminize(G.Fsas, Cap, "BRO group 4");
+    DfaProbeOptions Probe;
+    Probe.MaxStates = Cap;
+    expectSameVerdict(
+        probeDfaBlowup(G.Z, Probe),
+        expectedVerdict(referenceDeterminize(G.Fsas, G.Ids, Cap), Probe));
   }
 }
 

@@ -99,9 +99,10 @@ TEST(Anml, RejectsMalformedDocuments) {
   auto Fails = [](const std::string &Doc, const std::string &Needle) {
     Result<Mfsa> R = readAnml(Doc);
     EXPECT_FALSE(R.ok()) << Doc;
-    if (!R.ok())
+    if (!R.ok()) {
       EXPECT_NE(R.diag().Message.find(Needle), std::string::npos)
           << "got: " << R.diag().Message;
+    }
   };
 
   Fails("", "expected <mfsa-network>");
@@ -209,8 +210,9 @@ TEST(Anml, ReaderSurvivesEveryTruncation) {
   std::string Doc = writeAnml(mergePatterns({"a[bc]d", "x|y"}), "trunc");
   for (size_t Length = 0; Length < Doc.size(); ++Length) {
     Result<Mfsa> R = readAnml(Doc.substr(0, Length));
-    if (R.ok())
+    if (R.ok()) {
       EXPECT_EQ(R->verify(), "") << "prefix length " << Length;
+    }
   }
 }
 

@@ -361,8 +361,9 @@ protected:
     spit(Path, Image);
     Result<LoadedArtifact> Loaded = loadArtifact(Path);
     EXPECT_FALSE(Loaded.ok()) << Label << ": mutant was accepted";
-    if (!Loaded.ok())
+    if (!Loaded.ok()) {
       EXPECT_FALSE(Loaded.diag().Message.empty()) << Label;
+    }
 
     obs::MetricsRegistry Metrics;
     Result<RecoveredRuleset> Recovered = loadArtifactOrRecompile(

@@ -137,7 +137,9 @@ TEST(MergeEdge, BothCyclicRulesShareLoops) {
   EXPECT_GT(Report.TransitionsShared, 0u);
   Rng Random(3001);
   for (int Trial = 0; Trial < 10; ++Trial) {
-    std::string Input = "x" + randomInput(Random, 6) + "yz";
+    std::string Input = "x";
+    Input += randomInput(Random, 6);
+    Input += "yz";
     for (RuleId R = 0; R < 2; ++R) {
       Result<Regex> Re = parseRegex(R == 0 ? "x[ab]*y" : "x[ab]*z");
       ASSERT_TRUE(Re.ok());

@@ -93,10 +93,11 @@ TEST(AlphabetPartition, AtomsPartitionTheLabels) {
   for (const Nfa &A : Fsas)
     for (const Transition &T : A.transitions())
       for (const SymbolSet &Atom : Atoms)
-        if (T.Label.intersects(Atom))
+        if (T.Label.intersects(Atom)) {
           EXPECT_EQ((T.Label & Atom), Atom)
               << "label " << T.Label.toString() << " splits atom "
               << Atom.toString();
+        }
 }
 
 TEST(AlphabetPartition, SplitPreservesLanguage) {

@@ -83,8 +83,9 @@ TEST(Robustness, ParserSurvivesRawBytes) {
   for (int Trial = 0; Trial < 1000; ++Trial) {
     std::string Pattern = randomBytes(Random, 1 + Random.nextBelow(32));
     Result<Regex> Re = parseRegex(Pattern); // must not crash
-    if (Re.ok())
+    if (Re.ok()) {
       EXPECT_NE(Re->Root, nullptr);
+    }
   }
 }
 
@@ -140,8 +141,9 @@ TEST(Robustness, AnmlReaderSurvivesMutations) {
         break;
     }
     Result<Mfsa> Back = readAnml(Mutated); // must not crash
-    if (Back.ok())
+    if (Back.ok()) {
       EXPECT_EQ(Back->verify(), ""); // accepted => internally consistent
+    }
   }
 }
 

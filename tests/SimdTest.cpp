@@ -6,10 +6,12 @@
 //
 // Tests the level plumbing (availability, names, setLevel) and property-tests
 // every compiled KernelTable's byte-class search, which powers the
-// literal-prefilter root skip, against the scalar reference.
+// literal-prefilter root skip, against the scalar reference, and its CRC32C,
+// which guards the artifact format, against a bitwise reference.
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Checksum.h"
 #include "support/Rng.h"
 #include "support/SimdDispatch.h"
 
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 using namespace mfsa;
@@ -31,6 +34,17 @@ std::vector<const simd::KernelTable *> compiledTables() {
   if (const simd::KernelTable *T = simd::avx2Kernels())
     Tables.push_back(T);
   return Tables;
+}
+
+/// CRC32C one bit at a time, straight from the reflected polynomial.
+uint32_t bitwiseCrc32c(const uint8_t *Data, size_t Len, uint32_t Seed) {
+  uint32_t Crc = ~Seed;
+  for (size_t I = 0; I < Len; ++I) {
+    Crc ^= Data[I];
+    for (int Bit = 0; Bit < 8; ++Bit)
+      Crc = (Crc >> 1) ^ ((Crc & 1) ? 0x82F63B78u : 0);
+  }
+  return ~Crc;
 }
 
 } // namespace
@@ -111,4 +125,39 @@ TEST(Simd, FindByteInSetMatchesScalar) {
           EXPECT_EQ(Got, Expect) << "Len=" << Len << " needles=" << NumNeedles;
         }
   }
+}
+
+TEST(Simd, Crc32cMatchesReferenceAtEveryLengthAndAlignment) {
+  Rng Random(0xC5Cu);
+  std::vector<uint8_t> Buffer(1024 + 8);
+  for (uint8_t &B : Buffer)
+    B = static_cast<uint8_t>(Random.nextBelow(256));
+  for (const simd::KernelTable *Table : compiledTables()) {
+    SCOPED_TRACE(Table->Name);
+    for (size_t Shift = 0; Shift < 8; ++Shift)
+      for (size_t Len = 0; Len <= 1024; ++Len) {
+        const uint8_t *Data = Buffer.data() + Shift;
+        const uint32_t Seed = static_cast<uint32_t>(Len * 0x9E3779B9u);
+        ASSERT_EQ(Table->Crc32c(Data, Len, 0), bitwiseCrc32c(Data, Len, 0))
+            << "Len=" << Len << " shift=" << Shift;
+        ASSERT_EQ(Table->Crc32c(Data, Len, Seed),
+                  bitwiseCrc32c(Data, Len, Seed))
+            << "Len=" << Len << " shift=" << Shift;
+      }
+  }
+}
+
+TEST(Simd, Crc32cIsTheSameChecksumAtEveryLevel) {
+  // The standard CRC32C check value, and a running CRC that continues where
+  // the last call stopped, through the dispatched crc32c() at each level.
+  const std::string Check = "123456789";
+  for (simd::Level L : simd::availableLevels()) {
+    ASSERT_TRUE(simd::setLevel(L));
+    SCOPED_TRACE(simd::levelName(L));
+    EXPECT_EQ(crc32c(Check.data(), Check.size()), 0xE3069283u);
+    EXPECT_EQ(crc32c(Check.data() + 4, 5, crc32c(Check.data(), 4)),
+              0xE3069283u);
+    EXPECT_EQ(crc32c(nullptr, 0, 0x1234u), 0x1234u);
+  }
+  simd::resetToEnv();
 }
