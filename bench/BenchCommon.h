@@ -239,8 +239,8 @@ public:
     std::fprintf(F, "  \"paper_ref\": \"%s\",\n",
                  jsonEscape(PaperRef).c_str());
     // Provenance (schema v2): comparing throughput across different
-    // toolchains, build types, or SIMD levels is meaningless, so each report
-    // states what produced it and tools/compare_bench_json.py checks.
+    // toolchains, build types, or CRC32C bodies is meaningless, so each
+    // report states what produced it and tools/compare_bench_json.py checks.
     std::fprintf(F, "  \"toolchain\": \"%s\",\n",
                  jsonEscape(toolchainString()).c_str());
     std::fprintf(F, "  \"build_type\": \"%s\",\n",

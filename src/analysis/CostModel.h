@@ -140,7 +140,7 @@ struct LiteralProfile {
   double PrefilterableFraction = 0.0; ///< PrefilterableRules / TotalRules.
   double AvgLiteralLength = 0.0;      ///< Over prefilterable rules only.
   /// Distinct first bytes over the mandatory literals: ≤ 8 keeps the AC
-  /// root-skip SIMD scan on its narrow byte-set fast path.
+  /// scan on its root-skip fast path (AhoCorasick::kMaxRootNeedles).
   uint32_t DistinctFirstBytes = 0;
   bool RootSkipViable = false;
   /// Per-rule decisions indexed like Z's local rules (empty when no

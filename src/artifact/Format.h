@@ -125,7 +125,7 @@ inline const char *sectionKindName(uint32_t Kind) {
 /// struct's ABI.
 struct ArtifactHeader {
   uint32_t SchemaVersion = kSchemaVersion;
-  uint32_t SimdLevel = 0; ///< simd::Level active at write time (provenance).
+  uint32_t SimdLevel = 0; ///< CRC32C body at write time (provenance only).
   uint64_t FileBytes = 0; ///< Total image size, padding included.
   uint32_t NumMfsas = 0;
   uint32_t NumSections = 0;

@@ -8,8 +8,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <map>
 #include <queue>
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#endif
 
 using namespace mfsa;
 
@@ -104,4 +109,32 @@ AhoCorasick::AhoCorasick(const std::vector<std::string> &Literals)
     }
   RootSkipEnabled =
       !RootNeedles.empty() && RootNeedles.size() <= kMaxRootNeedles;
+}
+
+size_t AhoCorasick::findStartByte(const uint8_t *Data, size_t Len) const {
+  if (RootNeedles.size() == 1) {
+    const void *Hit = std::memchr(Data, RootNeedles[0], Len);
+    return Hit ? static_cast<size_t>(static_cast<const uint8_t *>(Hit) - Data)
+               : Len;
+  }
+  size_t I = 0;
+#if defined(__x86_64__)
+  __m128i Needles[kMaxRootNeedles];
+  const size_t N = RootNeedles.size();
+  for (size_t J = 0; J < N; ++J)
+    Needles[J] = _mm_set1_epi8(static_cast<char>(RootNeedles[J]));
+  for (; I + 16 <= Len; I += 16) {
+    const __m128i Block =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Data + I));
+    __m128i Hit = _mm_setzero_si128();
+    for (size_t J = 0; J < N; ++J)
+      Hit = _mm_or_si128(Hit, _mm_cmpeq_epi8(Block, Needles[J]));
+    if (const unsigned Mask = static_cast<unsigned>(_mm_movemask_epi8(Hit)))
+      return I + static_cast<size_t>(__builtin_ctz(Mask));
+  }
+#endif
+  for (; I < Len; ++I)
+    if (RootBitmap[Data[I] >> 6] >> (Data[I] & 63) & 1)
+      return I;
+  return Len;
 }

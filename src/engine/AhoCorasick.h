@@ -23,8 +23,7 @@
 #ifndef MFSA_ENGINE_AHOCORASICK_H
 #define MFSA_ENGINE_AHOCORASICK_H
 
-#include "support/SimdDispatch.h"
-
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -47,21 +46,16 @@ public:
   /// selective prefilter — no output is possible (literals are non-empty)
   /// and only bytes that begin some literal leave the root. When those
   /// start bytes are few (<= kMaxRootNeedles distinct values), the scan
-  /// skips ahead to the next such byte with the dispatch table's
-  /// vectorized byte-class search instead of walking the dense table
-  /// byte-at-a-time.
+  /// skips ahead to the next such byte (findStartByte) instead of walking
+  /// the dense table byte-at-a-time.
   template <typename CallableT>
   void scan(std::string_view Input, CallableT Fn) const {
-    const simd::KernelTable &K = simd::ops();
     const uint8_t *Data = reinterpret_cast<const uint8_t *>(Input.data());
     uint32_t State = 0;
     size_t Pos = 0;
     while (Pos < Input.size()) {
       if (State == 0 && RootSkipEnabled) {
-        Pos += K.FindByteInSet(Data + Pos, Input.size() - Pos,
-                               RootNeedles.data(),
-                               static_cast<uint32_t>(RootNeedles.size()),
-                               RootBitmap);
+        Pos += findStartByte(Data + Pos, Input.size() - Pos);
         if (Pos >= Input.size())
           break;
       }
@@ -84,7 +78,7 @@ public:
   /// start bytes); exposed for tests and bench provenance.
   bool rootSkipEnabled() const { return RootSkipEnabled; }
 
-  /// Vector paths compare against each needle; beyond this the skip loop
+  /// The block loop compares against each start byte; beyond this the skip
   /// would cost more than the dense table walk it replaces.
   static constexpr size_t kMaxRootNeedles = 8;
 
@@ -96,9 +90,14 @@ private:
   std::vector<uint32_t> Outputs;       ///< Flattened literal indices.
   std::vector<uint32_t> OutputOffsets; ///< NumNodes + 1 row starts.
 
-  /// Root-skip acceleration state: the distinct bytes with a root
-  /// transition, as a needle list for the vector kernels and as a 256-bit
-  /// membership bitmap for the scalar tail.
+  /// \returns the index of the first byte of Data[0, Len) that leaves the
+  /// root, or Len if none does: memchr for one start byte; otherwise 16-byte
+  /// PCMPEQB blocks on x86-64 (SSE2, the baseline) and the bitmap probe for
+  /// the tail, or for the whole buffer on other targets.
+  size_t findStartByte(const uint8_t *Data, size_t Len) const;
+
+  /// Root-skip state: the distinct bytes with a root transition, as a list
+  /// for memchr and the block compares and as a 256-bit membership bitmap.
   std::vector<uint8_t> RootNeedles;
   uint64_t RootBitmap[4] = {0, 0, 0, 0};
   bool RootSkipEnabled = false;

@@ -70,8 +70,8 @@ void PrefilterEngine::setMetrics(obs::MetricsRegistry *Registry) {
       .set(static_cast<int64_t>(PrefilteredRules.size()));
   Registry->gauge("prefilter.residual_rules")
       .set(static_cast<int64_t>(NumResidualRules));
-  // 1 when the literal stage's vectorized root-skip fast path is active
-  // (few distinct literal start bytes; see AhoCorasick::scan).
+  // 1 when the literal stage's root-skip fast path is active (at most
+  // AhoCorasick::kMaxRootNeedles distinct literal start bytes).
   Registry->gauge("prefilter.literal_root_skip")
       .set(Literals && Literals->rootSkipEnabled() ? 1 : 0);
 }

@@ -5,7 +5,7 @@
 // Exercises the compiled-MFSA artifact subsystem end to end: byte-exact
 // round trips through serialize -> write -> mmap -> validate -> materialize,
 // cross-engine differential equivalence of artifact-built engines against
-// in-memory compiles at every SIMD dispatch level, and — the robustness
+// in-memory compiles, images from older writers, and — the robustness
 // headline — a battery of corrupted images (truncations, bit flips, section
 // offset swaps, checksum-fixed structural mutants) that must every one be
 // rejected with a one-line diagnostic, never a crash, with the fallback
@@ -30,7 +30,6 @@
 #include "obs/Metrics.h"
 #include "support/Checksum.h"
 #include "support/Endian.h"
-#include "support/SimdDispatch.h"
 #include "workload/Datasets.h"
 
 #include "TestHelpers.h"
@@ -228,15 +227,49 @@ TEST(ArtifactRoundTrip, SerializationIsByteStable) {
   EXPECT_EQ(*A, *B) << "same input must serialize to identical bytes";
 }
 
+TEST(ArtifactRoundTrip, OlderWritersSimdLevelTwoStillLoads) {
+  // Offset 20 is provenance only. Older writers stored their SIMD dispatch
+  // level there, 2 on AVX2 hosts; such an image loads and scans like one
+  // written now.
+  TempDir Dir;
+  CompileOptions Options;
+  Options.MergingFactor = 4;
+  Options.EmitAnml = false;
+  Result<CompileArtifacts> Compiled = compileRuleset(kSmallRuleset, Options);
+  ASSERT_TRUE(Compiled.ok());
+  const std::string NewPath = Dir.file("new.mfsa");
+  ASSERT_TRUE(writeArtifactFile(NewPath, Compiled->Mfsas, kSmallRuleset).ok());
+
+  std::string Image = slurp(NewPath);
+  uint8_t *D = reinterpret_cast<uint8_t *>(Image.data());
+  storeLE32(D + 20, 2);
+  storeLE32(D + 60, 0);
+  storeLE32(D + 60, crc32c(D, kHeaderBytes));
+  const std::string OldPath = Dir.file("old.mfsa");
+  spit(OldPath, Image);
+
+  Result<LoadedArtifact> Old = loadArtifact(OldPath);
+  ASSERT_TRUE(Old.ok()) << Old.diag().render();
+  Result<LoadedArtifact> New = loadArtifact(NewPath);
+  ASSERT_TRUE(New.ok()) << New.diag().render();
+  EXPECT_EQ(Old->header().SimdLevel, 2u);
+  EXPECT_EQ(Old->patterns(), kSmallRuleset);
+
+  const std::vector<Mfsa> OldMfsas = Old->materializeAll();
+  const std::vector<Mfsa> NewMfsas = New->materializeAll();
+  Rng Random(0xA2);
+  for (int Trial = 0; Trial < 4; ++Trial) {
+    const std::string Input = randomInput(Random, 64 + Random.nextBelow(64));
+    const RuleEnds Expected = imfantEnds(NewMfsas, Input);
+    EXPECT_EQ(imfantEnds(OldMfsas, Input), Expected) << Input;
+    EXPECT_EQ(oracleRuleEnds(kSmallRuleset, Input), Expected) << Input;
+  }
+}
+
 //===--------------------------------------------------------------------===//
 // Differential: every engine built from the artifact (dense iMFAnt, union
-// DFA, stride-2 DFA, prefilter) agrees with the AST oracle at every SIMD
-// dispatch level.
+// DFA, stride-2 DFA, prefilter) agrees with the AST oracle.
 //===--------------------------------------------------------------------===//
-
-struct SimdLevelGuard {
-  ~SimdLevelGuard() { simd::resetToEnv(); }
-};
 
 TEST(ArtifactDifferential, FiveEnginesFromArtifactMatchOracle) {
   TempDir Dir;
@@ -270,34 +303,28 @@ TEST(ArtifactDifferential, FiveEnginesFromArtifactMatchOracle) {
   for (int Trial = 0; Trial < 3; ++Trial)
     Inputs.push_back(randomInput(Random, 48 + Random.nextBelow(48)));
 
-  SimdLevelGuard Guard;
   for (const std::string &Input : Inputs) {
     RuleEnds Expected = oracleRuleEnds(Patterns, Input);
-    for (simd::Level Lvl : simd::availableLevels()) {
-      ASSERT_TRUE(simd::setLevel(Lvl));
-      const std::string Tag =
-          "input=\"" + Input + "\" simd=" + simd::levelName(Lvl);
+    const std::string Tag = "input=\"" + Input + "\"";
 
-      EXPECT_EQ(imfantEnds(Mfsas, Input), Expected) << "engine=imfant " << Tag;
-      {
-        DfaEngine Engine(*UnionDfa);
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Engine.run(Input, Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=dfa " << Tag;
-      }
-      {
-        StridedDfaEngine Engine(*Stride2);
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Engine.run(Input, Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=stride2 "
-                                                    << Tag;
-      }
-      {
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Prefilter.run(Input, Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=prefilter "
-                                                    << Tag;
-      }
+    EXPECT_EQ(imfantEnds(Mfsas, Input), Expected) << "engine=imfant " << Tag;
+    {
+      DfaEngine Engine(*UnionDfa);
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      Engine.run(Input, Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=dfa " << Tag;
+    }
+    {
+      StridedDfaEngine Engine(*Stride2);
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      Engine.run(Input, Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=stride2 " << Tag;
+    }
+    {
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      Prefilter.run(Input, Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=prefilter "
+                                                  << Tag;
     }
   }
 }

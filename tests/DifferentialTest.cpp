@@ -18,8 +18,8 @@
 // The static cost analyzer rides along on every case: the Engine::Auto plan
 // is built and run like a fifth engine (same oracle assertion), and the
 // analyzer's activation-width bound is asserted to dominate the dense
-// engine's observed peak active rules and frontier on every input at every
-// SIMD level — an end-to-end soundness check of boundActivationWidth.
+// engine's observed peak active rules and frontier on every input — an
+// end-to-end soundness check of boundActivationWidth.
 //
 // A sixth leg runs the input-parallel executor (engine/InputParallel.h)
 // over the dense engine on every case, asserting both the oracle match set
@@ -46,7 +46,6 @@
 #include "engine/Prefilter.h"
 #include "fsa/Determinize.h"
 #include "mfsa/Merge.h"
-#include "support/SimdDispatch.h"
 
 #include "TestHelpers.h"
 
@@ -73,16 +72,8 @@ std::string formatCase(uint64_t Seed,
          " ruleset=" + formatPatterns(Patterns) + " input=\"" + Input + "\"";
 }
 
-/// Restores the env-resolved SIMD level on scope exit so a failing ASSERT
-/// inside checkRuleset cannot leak a pinned level into later tests.
-struct SimdLevelGuard {
-  ~SimdLevelGuard() { simd::resetToEnv(); }
-};
-
 /// Compiles \p Patterns into every engine and checks each \p Input against
-/// the AST oracle under every available SIMD dispatch level (the oracle is
-/// computed once per input; only the engines re-run per level). \p Seed only
-/// labels failures.
+/// the AST oracle. \p Seed only labels failures.
 void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
                   const std::vector<std::string> &Inputs) {
   std::vector<Nfa> Fsas;
@@ -100,8 +91,8 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
 
   // Static analyzer cross-checks (analysis/CostModel.h): the sound
   // activation-width bound must dominate what the dense engine actually
-  // observes on every input at every SIMD level, and the Auto-planned
-  // engine must agree with the oracle like every fixed engine.
+  // observes on every input, and the Auto-planned engine must agree with
+  // the oracle like every fixed engine.
   const WidthBound Width = boundActivationWidth(Merged);
   EnginePlan Plan = planMfsas(MergedVec, Patterns, 0);
   Result<PlannedEngineSet> Planned =
@@ -133,78 +124,73 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
   PlannedParOpts.MinChunkBytes = 1;
 
   Rng CutRandom(Seed);
-  SimdLevelGuard Guard;
   for (const std::string &Input : Inputs) {
     RuleEnds Expected = oracleRuleEnds(Patterns, Input);
     const std::vector<std::vector<uint64_t>> CutSets =
         adversarialCuts(CutRandom, Input, Expected);
 
-    for (simd::Level Lvl : simd::availableLevels()) {
-      ASSERT_TRUE(simd::setLevel(Lvl));
-      std::string Tag = formatCase(Seed, Patterns, Input) +
-                        " simd=" + simd::levelName(Lvl);
+    const std::string Tag = formatCase(Seed, Patterns, Input);
 
-      {
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        RunStats Stats;
-        Imfant.run(Input, Recorder, &Stats);
-        EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=imfant " << Tag;
-        // Soundness of the static width bound against the observed run.
-        EXPECT_GE(Width.MaxActiveRules, Stats.MaxActiveRules)
-            << "width rules bound " << Tag;
-        EXPECT_GE(Width.MaxActiveStates, Stats.MaxFrontier)
-            << "width states bound " << Tag;
-      }
-      for (const std::vector<uint64_t> &Cuts : CutSets) {
-        ImfantEngine::Scanner Scan(Imfant);
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        for (std::string_view Chunk : chunksFromCuts(Input, Cuts))
-          Scan.feed(Chunk, Recorder);
-        Scan.finish(Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected)
-            << "engine=imfant-streamed cuts=" << Cuts.size() << " " << Tag;
-      }
-      if (UnionDfa.ok()) {
-        DfaEngine Engine(*UnionDfa);
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Engine.run(Input, Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=dfa " << Tag;
-      }
-      if (Stride2) {
-        StridedDfaEngine Engine(*Stride2);
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Engine.run(Input, Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=stride2 "
-                                                    << Tag;
-      }
-      {
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Prefilter.run(Input, Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=prefilter "
-                                                    << Tag;
-      }
-      {
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Planned->run(Input, Recorder);
-        EXPECT_EQ(recorderEnds(Recorder), Expected)
-            << "engine=auto(" << engineName(Plan.Choice) << ") " << Tag;
-      }
-      {
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        InputParallelStats ParStats;
-        Par.run(Input, Recorder, &ParStats);
-        EXPECT_EQ(recorderEnds(Recorder), Expected)
-            << "engine=input-parallel " << Tag;
-        EXPECT_GE(Width.MaxActiveStates, ParStats.MaxCarryFrontier)
-            << "carry frontier bound " << Tag;
-      }
-      {
-        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Planned->runInputParallel(Input, Recorder, PlannedParOpts);
-        EXPECT_EQ(recorderEnds(Recorder), Expected)
-            << "engine=auto(" << engineName(Plan.Choice) << ")-input-parallel "
-            << Tag;
-      }
+    {
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      RunStats Stats;
+      Imfant.run(Input, Recorder, &Stats);
+      EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=imfant " << Tag;
+      // Soundness of the static width bound against the observed run.
+      EXPECT_GE(Width.MaxActiveRules, Stats.MaxActiveRules)
+          << "width rules bound " << Tag;
+      EXPECT_GE(Width.MaxActiveStates, Stats.MaxFrontier)
+          << "width states bound " << Tag;
+    }
+    for (const std::vector<uint64_t> &Cuts : CutSets) {
+      ImfantEngine::Scanner Scan(Imfant);
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      for (std::string_view Chunk : chunksFromCuts(Input, Cuts))
+        Scan.feed(Chunk, Recorder);
+      Scan.finish(Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected)
+          << "engine=imfant-streamed cuts=" << Cuts.size() << " " << Tag;
+    }
+    if (UnionDfa.ok()) {
+      DfaEngine Engine(*UnionDfa);
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      Engine.run(Input, Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=dfa " << Tag;
+    }
+    if (Stride2) {
+      StridedDfaEngine Engine(*Stride2);
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      Engine.run(Input, Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=stride2 "
+                                                  << Tag;
+    }
+    {
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      Prefilter.run(Input, Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=prefilter "
+                                                  << Tag;
+    }
+    {
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      Planned->run(Input, Recorder);
+      EXPECT_EQ(recorderEnds(Recorder), Expected)
+          << "engine=auto(" << engineName(Plan.Choice) << ") " << Tag;
+    }
+    {
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      InputParallelStats ParStats;
+      Par.run(Input, Recorder, &ParStats);
+      EXPECT_EQ(recorderEnds(Recorder), Expected)
+          << "engine=input-parallel " << Tag;
+      EXPECT_GE(Width.MaxActiveStates, ParStats.MaxCarryFrontier)
+          << "carry frontier bound " << Tag;
+    }
+    {
+      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+      Planned->runInputParallel(Input, Recorder, PlannedParOpts);
+      EXPECT_EQ(recorderEnds(Recorder), Expected)
+          << "engine=auto(" << engineName(Plan.Choice) << ")-input-parallel "
+          << Tag;
     }
   }
 }

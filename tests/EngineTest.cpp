@@ -11,7 +11,6 @@
 #include "fsa/Reference.h"
 #include "mfsa/Merge.h"
 #include "regex/Parser.h"
-#include "support/SimdDispatch.h"
 
 #include "TestHelpers.h"
 
@@ -363,8 +362,7 @@ TEST(Parallel, GenerousDeadlineChunkedRunMatchesUnbounded) {
 // Hand-built MFSAs: propagation (Eq. 6) and injection (Eq. 4) run over
 // separate index structures and match reporting (Eq. 5) runs after the step,
 // so these cases put both paths on one state, one destination and one final
-// byte, and check the (rule, offset) set against the per-rule NFA oracle at
-// every SIMD level.
+// byte, and check the (rule, offset) set against the per-rule NFA oracle.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -482,35 +480,25 @@ RuleEnds scanEnds(const ImfantEngine &Engine, std::string_view Input,
   return groupEnds(Recorder, Tag);
 }
 
-struct SimdLevelReset {
-  ~SimdLevelReset() { simd::resetToEnv(); }
-};
-
 /// The equivalence check every hand-built case runs: whole-input run(),
-/// 1-byte feeds, and startAt(Base) feeds against the oracle, at every
-/// available SIMD level.
+/// 1-byte feeds, and startAt(Base) feeds against the oracle.
 void checkHandMfsa(const Mfsa &Z, const std::vector<std::string> &Inputs) {
   ImfantEngine Engine(Z);
-  SimdLevelReset Reset;
-  for (simd::Level Lvl : simd::availableLevels()) {
-    ASSERT_TRUE(simd::setLevel(Lvl));
-    for (const std::string &Input : Inputs) {
-      const std::string Tag = std::string("simd=") + simd::levelName(Lvl) +
-                              " rules=" + std::to_string(Z.numRules()) +
-                              " input=\"" + Input + "\"";
-      const RuleEnds Expected = oracleMfsaEnds(Z, Input);
+  for (const std::string &Input : Inputs) {
+    const std::string Tag = "rules=" + std::to_string(Z.numRules()) +
+                            " input=\"" + Input + "\"";
+    const RuleEnds Expected = oracleMfsaEnds(Z, Input);
 
-      MatchRecorder Whole(MatchRecorder::Mode::Collect);
-      Engine.run(Input, Whole);
-      EXPECT_EQ(groupEnds(Whole, Tag), Expected) << Tag << " run()";
+    MatchRecorder Whole(MatchRecorder::Mode::Collect);
+    Engine.run(Input, Whole);
+    EXPECT_EQ(groupEnds(Whole, Tag), Expected) << Tag << " run()";
 
-      EXPECT_EQ(scanEnds(Engine, Input, 0, 1, Tag), Expected)
-          << Tag << " 1-byte feeds";
-      for (uint64_t Base : {1u, 7u})
-        EXPECT_EQ(scanEnds(Engine, Input, Base, 1, Tag),
-                  oracleMfsaEnds(Z, Input, Base))
-            << Tag << " startAt(" << Base << ")";
-    }
+    EXPECT_EQ(scanEnds(Engine, Input, 0, 1, Tag), Expected)
+        << Tag << " 1-byte feeds";
+    for (uint64_t Base : {1u, 7u})
+      EXPECT_EQ(scanEnds(Engine, Input, Base, 1, Tag),
+                oracleMfsaEnds(Z, Input, Base))
+          << Tag << " startAt(" << Base << ")";
   }
 }
 
@@ -711,30 +699,25 @@ TEST(ImfantClasses, AllBytesShuffledAcrossClassBoundaries) {
     const Mfsa Z = byteClassCase(Wide);
     const ImfantEngine Engine(Z);
     std::set<uint32_t> MatchedRules;
-    SimdLevelReset Reset;
-    for (simd::Level Lvl : simd::availableLevels()) {
-      ASSERT_TRUE(simd::setLevel(Lvl));
-      for (size_t In = 0; In < Inputs.size(); ++In) {
-        const std::string &Input = Inputs[In];
-        const std::string Tag = std::string("simd=") + simd::levelName(Lvl) +
-                                " rules=" + std::to_string(Z.numRules()) +
-                                " input#" + std::to_string(In);
-        const RuleEnds Expected = oracleMfsaEnds(Z, Input);
-        for (const auto &Entry : Expected)
-          MatchedRules.insert(Entry.first);
+    for (size_t In = 0; In < Inputs.size(); ++In) {
+      const std::string &Input = Inputs[In];
+      const std::string Tag = "rules=" + std::to_string(Z.numRules()) +
+                              " input#" + std::to_string(In);
+      const RuleEnds Expected = oracleMfsaEnds(Z, Input);
+      for (const auto &Entry : Expected)
+        MatchedRules.insert(Entry.first);
 
-        MatchRecorder Whole(MatchRecorder::Mode::Collect);
-        Engine.run(Input, Whole);
-        EXPECT_EQ(groupEnds(Whole, Tag), Expected) << Tag << " run()";
-        for (const std::vector<uint64_t> &Cuts :
-             adversarialCuts(Random, Input, Expected))
-          EXPECT_EQ(roundTripEnds(Engine, Input, Cuts, Tag), Expected)
-              << Tag << " round trip at " << Cuts.size() << " cuts";
-        for (uint64_t Base : {1u, 7u})
-          EXPECT_EQ(scanEnds(Engine, Input, Base, 1, Tag),
-                    oracleMfsaEnds(Z, Input, Base))
-              << Tag << " startAt(" << Base << ")";
-      }
+      MatchRecorder Whole(MatchRecorder::Mode::Collect);
+      Engine.run(Input, Whole);
+      EXPECT_EQ(groupEnds(Whole, Tag), Expected) << Tag << " run()";
+      for (const std::vector<uint64_t> &Cuts :
+           adversarialCuts(Random, Input, Expected))
+        EXPECT_EQ(roundTripEnds(Engine, Input, Cuts, Tag), Expected)
+            << Tag << " round trip at " << Cuts.size() << " cuts";
+      for (uint64_t Base : {1u, 7u})
+        EXPECT_EQ(scanEnds(Engine, Input, Base, 1, Tag),
+                  oracleMfsaEnds(Z, Input, Base))
+            << Tag << " startAt(" << Base << ")";
     }
     for (RuleId Id : caseIds(Wide, 6))
       EXPECT_TRUE(MatchedRules.count(Id)) << "rule " << Id << " never matched";

@@ -5,11 +5,11 @@
 // Property: the match set of InputParallelRun is invariant under the
 // chunking. Every backend (dense iMFAnt, union DFA, stride-2 DFA) x every
 // thread count x every adversarial cut set (TestHelpers.h: cuts at match
-// ends, mid-match, 1-byte chunks, empty chunks, random) x every available
-// SIMD dispatch level must reproduce the AST oracle's per-rule match-end
-// sets exactly — the "byte-identical to a sequential scan" contract of
-// engine/InputParallel.h. A ThreadPool case runs the same property with
-// phase 1 actually concurrent, which the tsan CI leg exercises.
+// ends, mid-match, 1-byte chunks, empty chunks, random) must reproduce the
+// AST oracle's per-rule match-end sets exactly — the "byte-identical to a
+// sequential scan" contract of engine/InputParallel.h. A ThreadPool case
+// runs the same property with phase 1 actually concurrent, which the tsan
+// CI leg exercises.
 //
 // The prefilter executor (PrefilterEngine::runInputParallel) gets the same
 // treatment on rulesets mixing literal-gated and residual rules, with extra
@@ -26,7 +26,6 @@
 #include "fsa/LiteralAnalysis.h"
 #include "mfsa/Merge.h"
 #include "regex/Parser.h"
-#include "support/SimdDispatch.h"
 
 #include "TestHelpers.h"
 
@@ -46,11 +45,6 @@ namespace {
 
 using RuleEnds = std::map<uint32_t, std::set<size_t>>;
 
-/// Restores the env-resolved SIMD level on scope exit.
-struct SimdLevelGuard {
-  ~SimdLevelGuard() { simd::resetToEnv(); }
-};
-
 std::string formatCuts(const std::vector<uint64_t> &Cuts) {
   std::string Out = "cuts={";
   for (uint64_t C : Cuts)
@@ -58,8 +52,8 @@ std::string formatCuts(const std::vector<uint64_t> &Cuts) {
   return Out + "}";
 }
 
-/// Compiles \p Patterns once and checks every backend x chunking x SIMD
-/// level against the oracle on every input. \p Seed labels failures and
+/// Compiles \p Patterns once and checks every backend x chunking against
+/// the oracle on every input. \p Seed labels failures and
 /// seeds the adversarial cut generator.
 void checkInputParallel(uint64_t Seed,
                         const std::vector<std::string> &Patterns,
@@ -95,7 +89,6 @@ void checkInputParallel(uint64_t Seed,
   };
 
   Rng Random(Seed ^ 0x9e3779b97f4a7c15ull);
-  SimdLevelGuard Guard;
   for (const std::string &Input : Inputs) {
     const RuleEnds Expected = oracleRuleEnds(Patterns, Input);
     std::vector<std::vector<uint64_t>> CutSets =
@@ -108,41 +101,37 @@ void checkInputParallel(uint64_t Seed,
     for (std::vector<uint64_t> &Cuts : CutSets)
       Chunkings.emplace_back(0u, std::move(Cuts));
 
-    for (simd::Level Lvl : simd::availableLevels()) {
-      ASSERT_TRUE(simd::setLevel(Lvl));
-      for (const auto &[Threads, Cuts] : Chunkings) {
-        const std::string Tag =
-            "seed=" + std::to_string(Seed) + " ruleset=" +
-            formatPatterns(Patterns) + " input=\"" + Input + "\" simd=" +
-            simd::levelName(Lvl) + " T=" + std::to_string(Threads) + " " +
-            formatCuts(Cuts);
+    for (const auto &[Threads, Cuts] : Chunkings) {
+      const std::string Tag =
+          "seed=" + std::to_string(Seed) + " ruleset=" +
+          formatPatterns(Patterns) + " input=\"" + Input +
+          "\" T=" + std::to_string(Threads) + " " + formatCuts(Cuts);
 
-        {
-          InputParallelRun Par(Imfant, MakeOpts(Threads, Cuts));
-          MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-          InputParallelStats Stats;
-          Par.run(Input, Recorder, &Stats);
-          EXPECT_EQ(recorderEnds(Recorder), Expected)
-              << "backend=imfant " << Tag;
-          // Carry re-scans start inside reachable configurations, so the
-          // static width bound dominates their observed frontiers too.
-          EXPECT_GE(Width.MaxActiveStates, Stats.MaxCarryFrontier)
-              << "carry frontier bound " << Tag;
-        }
-        if (UnionDfa.ok()) {
-          InputParallelRun Par(*UnionDfa, MakeOpts(Threads, Cuts));
-          MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-          Par.run(Input, Recorder);
-          EXPECT_EQ(recorderEnds(Recorder), Expected)
-              << "backend=dfa " << Tag;
-        }
-        if (Stride2) {
-          InputParallelRun Par(*Stride2, MakeOpts(Threads, Cuts));
-          MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-          Par.run(Input, Recorder);
-          EXPECT_EQ(recorderEnds(Recorder), Expected)
-              << "backend=stride2 " << Tag;
-        }
+      {
+        InputParallelRun Par(Imfant, MakeOpts(Threads, Cuts));
+        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+        InputParallelStats Stats;
+        Par.run(Input, Recorder, &Stats);
+        EXPECT_EQ(recorderEnds(Recorder), Expected)
+            << "backend=imfant " << Tag;
+        // Carry re-scans start inside reachable configurations, so the
+        // static width bound dominates their observed frontiers too.
+        EXPECT_GE(Width.MaxActiveStates, Stats.MaxCarryFrontier)
+            << "carry frontier bound " << Tag;
+      }
+      if (UnionDfa.ok()) {
+        InputParallelRun Par(*UnionDfa, MakeOpts(Threads, Cuts));
+        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+        Par.run(Input, Recorder);
+        EXPECT_EQ(recorderEnds(Recorder), Expected)
+            << "backend=dfa " << Tag;
+      }
+      if (Stride2) {
+        InputParallelRun Par(*Stride2, MakeOpts(Threads, Cuts));
+        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+        Par.run(Input, Recorder);
+        EXPECT_EQ(recorderEnds(Recorder), Expected)
+            << "backend=stride2 " << Tag;
       }
     }
   }
@@ -342,30 +331,25 @@ TEST(InputParallel, CarryCrossingWholeChunksIsRescanned) {
       adversarialCuts(Random, Input, Expected);
   CutSets.push_back({Input.size() / 4, Input.size() / 2,
                      3 * Input.size() / 4});
-  SimdLevelGuard Guard;
-  for (simd::Level Lvl : simd::availableLevels()) {
-    ASSERT_TRUE(simd::setLevel(Lvl));
-    for (const std::vector<uint64_t> &Cuts : CutSets) {
-      InputParallelOptions Opts;
-      Opts.CutOverride = Cuts;
-      const std::vector<uint64_t> Bounds =
-          inputChunkBounds(Opts, Input.size());
-      uint64_t Crossed = 0, CrossedBytes = 0;
-      for (size_t I = 0; I + 1 < Bounds.size(); ++I)
-        if (Bounds[I] > 0 && Bounds[I + 1] > Bounds[I]) {
-          ++Crossed;
-          CrossedBytes += Bounds[I + 1] - Bounds[I];
-        }
-      const std::string Tag = std::string("simd=") + simd::levelName(Lvl) +
-                              " " + formatCuts(Cuts);
-      InputParallelRun Par(Imfant, Opts);
-      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-      InputParallelStats Stats;
-      Par.run(Input, Recorder, &Stats);
-      EXPECT_EQ(recorderEnds(Recorder), Expected) << Tag;
-      EXPECT_EQ(Stats.RescanFallbackChunks, Crossed) << Tag;
-      EXPECT_EQ(Stats.OverlapBytes, CrossedBytes) << Tag;
-    }
+  for (const std::vector<uint64_t> &Cuts : CutSets) {
+    InputParallelOptions Opts;
+    Opts.CutOverride = Cuts;
+    const std::vector<uint64_t> Bounds =
+        inputChunkBounds(Opts, Input.size());
+    uint64_t Crossed = 0, CrossedBytes = 0;
+    for (size_t I = 0; I + 1 < Bounds.size(); ++I)
+      if (Bounds[I] > 0 && Bounds[I + 1] > Bounds[I]) {
+        ++Crossed;
+        CrossedBytes += Bounds[I + 1] - Bounds[I];
+      }
+    const std::string Tag = formatCuts(Cuts);
+    InputParallelRun Par(Imfant, Opts);
+    MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+    InputParallelStats Stats;
+    Par.run(Input, Recorder, &Stats);
+    EXPECT_EQ(recorderEnds(Recorder), Expected) << Tag;
+    EXPECT_EQ(Stats.RescanFallbackChunks, Crossed) << Tag;
+    EXPECT_EQ(Stats.OverlapBytes, CrossedBytes) << Tag;
   }
 }
 
@@ -416,10 +400,9 @@ literalCuts(const std::vector<std::string> &Patterns,
 
 /// Checks PrefilterEngine::runInputParallel against run() and the oracle on
 /// every input, under the default split at several thread counts, the
-/// shared adversarial cuts and literalCuts, at every SIMD level, with and
-/// without a thread pool: identical sorted (rule, end) lists, total() and
-/// perRule(). The engine is built over one group per rule, as from an M=1
-/// artifact.
+/// shared adversarial cuts and literalCuts, with and without a thread
+/// pool: identical sorted (rule, end) lists, total() and perRule(). The
+/// engine is built over one group per rule, as from an M=1 artifact.
 void checkPrefilterInputParallel(uint64_t Seed,
                                  const std::vector<std::string> &Patterns,
                                  const std::vector<std::string> &Inputs) {
@@ -427,7 +410,6 @@ void checkPrefilterInputParallel(uint64_t Seed,
       PrefilterEngine::create(compileMerged(Patterns, 1), Patterns);
 
   Rng Random(Seed ^ 0x51ed270b4c3a9f1dull);
-  SimdLevelGuard Guard;
   for (const std::string &Input : Inputs) {
     const RuleEnds Expected = oracleRuleEnds(Patterns, Input);
     std::vector<std::pair<unsigned, std::vector<uint64_t>>> Chunkings;
@@ -438,38 +420,34 @@ void checkPrefilterInputParallel(uint64_t Seed,
     for (std::vector<uint64_t> &Cuts : literalCuts(Patterns, Input))
       Chunkings.emplace_back(4u, std::move(Cuts));
 
-    for (simd::Level Lvl : simd::availableLevels()) {
-      ASSERT_TRUE(simd::setLevel(Lvl));
-      MatchRecorder Seq(MatchRecorder::Mode::Collect);
-      Pre.run(Input, Seq);
-      const std::string CaseTag = "seed=" + std::to_string(Seed) +
-                                  " ruleset=" + formatPatterns(Patterns) +
-                                  " input=\"" + Input + "\" simd=" +
-                                  simd::levelName(Lvl);
-      ASSERT_EQ(recorderEnds(Seq), Expected) << "sequential " << CaseTag;
-      const MatchList Want = sortedMatches(Seq);
+    MatchRecorder Seq(MatchRecorder::Mode::Collect);
+    Pre.run(Input, Seq);
+    const std::string CaseTag = "seed=" + std::to_string(Seed) +
+                                " ruleset=" + formatPatterns(Patterns) +
+                                " input=\"" + Input + "\"";
+    ASSERT_EQ(recorderEnds(Seq), Expected) << "sequential " << CaseTag;
+    const MatchList Want = sortedMatches(Seq);
 
-      for (const auto &[Threads, Cuts] : Chunkings)
-        for (bool Pooled : {false, true}) {
-          const std::string Tag = CaseTag + " T=" + std::to_string(Threads) +
-                                  " " + formatCuts(Cuts) +
-                                  (Pooled ? " pooled" : " serial");
-          InputParallelOptions Opts;
-          Opts.Threads = Threads;
-          Opts.MinChunkBytes = 1;
-          Opts.CutOverride = Cuts;
-          Opts.UseThreadPool = Pooled;
-          MatchRecorder Par(MatchRecorder::Mode::Collect);
-          InputParallelStats Stats;
-          Pre.runInputParallel(Input, Par, Opts, &Stats);
-          EXPECT_EQ(sortedMatches(Par), Want) << Tag;
-          EXPECT_EQ(Par.total(), Seq.total()) << Tag;
-          EXPECT_EQ(Par.perRule(), Seq.perRule()) << Tag;
-          EXPECT_EQ(recorderEnds(Par), Expected) << Tag;
-          const size_t Chunks = inputChunkBounds(Opts, Input.size()).size() - 1;
-          EXPECT_EQ(Stats.Chunks, Chunks) << Tag;
-        }
-    }
+    for (const auto &[Threads, Cuts] : Chunkings)
+      for (bool Pooled : {false, true}) {
+        const std::string Tag = CaseTag + " T=" + std::to_string(Threads) +
+                                " " + formatCuts(Cuts) +
+                                (Pooled ? " pooled" : " serial");
+        InputParallelOptions Opts;
+        Opts.Threads = Threads;
+        Opts.MinChunkBytes = 1;
+        Opts.CutOverride = Cuts;
+        Opts.UseThreadPool = Pooled;
+        MatchRecorder Par(MatchRecorder::Mode::Collect);
+        InputParallelStats Stats;
+        Pre.runInputParallel(Input, Par, Opts, &Stats);
+        EXPECT_EQ(sortedMatches(Par), Want) << Tag;
+        EXPECT_EQ(Par.total(), Seq.total()) << Tag;
+        EXPECT_EQ(Par.perRule(), Seq.perRule()) << Tag;
+        EXPECT_EQ(recorderEnds(Par), Expected) << Tag;
+        const size_t Chunks = inputChunkBounds(Opts, Input.size()).size() - 1;
+        EXPECT_EQ(Stats.Chunks, Chunks) << Tag;
+      }
   }
 }
 

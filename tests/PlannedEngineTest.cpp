@@ -5,17 +5,16 @@
 // Builds a PlannedEngineSet for every concrete engine at merging factors 1
 // and "all", and checks both of its scan paths against the AST oracle
 // (fsa/Reference.h): run(), and runInputParallel() under the adversarial cut
-// sets of TestHelpers.h plus even splits, with and without a thread pool, at
-// every available SIMD level. The group count must be K = ceil(N/M), or 1
-// for the prefilter, which covers the whole ruleset. runInputParallel()'s
-// stats must add up the per-group executor stats.
+// sets of TestHelpers.h plus even splits, with and without a thread pool.
+// The group count must be K = ceil(N/M), or 1 for the prefilter, which
+// covers the whole ruleset. runInputParallel()'s stats must add up the
+// per-group executor stats.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Planner.h"
 #include "engine/PlannedEngine.h"
 #include "mfsa/Merge.h"
-#include "support/SimdDispatch.h"
 
 #include "TestHelpers.h"
 
@@ -30,10 +29,6 @@ using namespace mfsa;
 using namespace mfsa::test;
 
 namespace {
-
-struct SimdLevelGuard {
-  ~SimdLevelGuard() { simd::resetToEnv(); }
-};
 
 /// Literal-gated and residual rules, anchors and a loop: every engine is
 /// feasible on it, and the prefilter has both a literal and a residual part.
@@ -72,7 +67,6 @@ TEST_P(PlannedEngineSetTest, RunAndInputParallelMatchOracle) {
   for (int Trial = 0; Trial < 2; ++Trial)
     Inputs.push_back(randomInput(Random, 40 + Random.nextBelow(40)));
 
-  SimdLevelGuard Guard;
   for (const std::string &Input : Inputs) {
     const auto Expected = oracleRuleEnds(Patterns, Input);
     // Each chunking is (Threads, cuts); empty cuts mean an even split.
@@ -82,31 +76,27 @@ TEST_P(PlannedEngineSetTest, RunAndInputParallelMatchOracle) {
     for (std::vector<uint64_t> &Cuts : adversarialCuts(Random, Input, Expected))
       Chunkings.emplace_back(4u, std::move(Cuts));
 
-    for (simd::Level Lvl : simd::availableLevels()) {
-      ASSERT_TRUE(simd::setLevel(Lvl));
-      const std::string Tag = std::string(engineName(Choice)) +
-                              " M=" + std::to_string(M) + " input=\"" +
-                              Input + "\" simd=" + simd::levelName(Lvl);
-      MatchRecorder Seq(MatchRecorder::Mode::Collect);
-      Set->run(Input, Seq);
-      EXPECT_EQ(recorderEnds(Seq), Expected) << "run() " << Tag;
+    const std::string Tag = std::string(engineName(Choice)) + " M=" +
+                            std::to_string(M) + " input=\"" + Input + "\"";
+    MatchRecorder Seq(MatchRecorder::Mode::Collect);
+    Set->run(Input, Seq);
+    EXPECT_EQ(recorderEnds(Seq), Expected) << "run() " << Tag;
 
-      for (const auto &[Threads, Cuts] : Chunkings) {
-        InputParallelOptions Opts;
-        Opts.Threads = Threads;
-        Opts.MinChunkBytes = 1;
-        Opts.CutOverride = Cuts;
-        Opts.UseThreadPool = Pooled;
-        MatchRecorder Par(MatchRecorder::Mode::Collect);
-        InputParallelStats Stats;
-        Set->runInputParallel(Input, Par, Opts, &Stats);
-        std::string Where = "runInputParallel() T=" + std::to_string(Threads) +
-                            " cuts={";
-        for (uint64_t C : Cuts)
-          Where += std::to_string(C) + ",";
-        EXPECT_EQ(recorderEnds(Par), Expected) << Where << "} " << Tag;
-        EXPECT_EQ(Par.total(), Seq.total()) << Where << "} " << Tag;
-      }
+    for (const auto &[Threads, Cuts] : Chunkings) {
+      InputParallelOptions Opts;
+      Opts.Threads = Threads;
+      Opts.MinChunkBytes = 1;
+      Opts.CutOverride = Cuts;
+      Opts.UseThreadPool = Pooled;
+      MatchRecorder Par(MatchRecorder::Mode::Collect);
+      InputParallelStats Stats;
+      Set->runInputParallel(Input, Par, Opts, &Stats);
+      std::string Where = "runInputParallel() T=" + std::to_string(Threads) +
+                          " cuts={";
+      for (uint64_t C : Cuts)
+        Where += std::to_string(C) + ",";
+      EXPECT_EQ(recorderEnds(Par), Expected) << Where << "} " << Tag;
+      EXPECT_EQ(Par.total(), Seq.total()) << Where << "} " << Tag;
     }
   }
 }

@@ -18,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string_view>
 
 using namespace mfsa;
 using namespace mfsa::test;
@@ -92,6 +95,58 @@ TEST(AhoCorasick, RandomAgainstNaive) {
 TEST(AhoCorasick, NoMatches) {
   EXPECT_TRUE(acHits({"xyz"}, "abcabc").empty());
   EXPECT_TRUE(acHits({"abc"}, "").empty());
+}
+
+TEST(AhoCorasick, RootSkipAgreesWithFind) {
+  // 1 start byte takes memchr, 2 and 8 the block compares, 9 turn the skip
+  // off. Lengths straddle 16-byte blocks; start bytes sit at the first
+  // position, the last, both, or nowhere.
+  Rng Random(0x5C1B);
+  for (unsigned NumStarts : {1u, 2u, 8u, 9u}) {
+    std::set<char> Starts;
+    std::vector<std::string> Literals;
+    for (unsigned I = 0; I < NumStarts; ++I) {
+      const char S = static_cast<char>(I * 29 + 3); // never 'x' or 'y'
+      Starts.insert(S);
+      Literals.push_back(std::string{S, 'x', 'y'});
+      if (I % 2 == 0)
+        Literals.push_back(std::string(1, S));
+    }
+    const AhoCorasick Automaton(Literals);
+    ASSERT_EQ(Automaton.rootSkipEnabled(),
+              NumStarts <= AhoCorasick::kMaxRootNeedles);
+
+    for (size_t Len : {0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 200})
+      for (int Placement = 0; Placement < 4; ++Placement) {
+        std::string Input(Len, '\0');
+        for (char &C : Input)
+          do
+            C = static_cast<char>(Random.nextBelow(256));
+          while (Starts.count(C));
+        const std::string &Lit = Literals[Random.nextBelow(Literals.size())];
+        if ((Placement & 1) && Len >= Lit.size())
+          Input.replace(0, Lit.size(), Lit);
+        if ((Placement & 2) && Len >= Lit.size())
+          Input.replace(Len - Lit.size(), Lit.size(), Lit);
+        if (Placement == 3 && Len > 0)
+          for (int Plant = 0; Plant < 3; ++Plant) {
+            const std::string &P = Literals[Random.nextBelow(Literals.size())];
+            const size_t At = Random.nextBelow(Len);
+            Input.replace(At, std::min(P.size(), Len - At), P, 0,
+                          std::min(P.size(), Len - At));
+          }
+
+        std::multiset<std::pair<uint32_t, size_t>> Expected;
+        const std::string_view View(Input);
+        for (uint32_t L = 0; L < Literals.size(); ++L)
+          for (size_t At = View.find(Literals[L]); At != View.npos;
+               At = View.find(Literals[L], At + 1))
+            Expected.emplace(L, At + Literals[L].size());
+        EXPECT_EQ(acHits(Literals, Input), Expected)
+            << "starts=" << NumStarts << " len=" << Len
+            << " placement=" << Placement;
+      }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,7 +6,8 @@ or 2, see docs/observability.md):
 
   - top-level: schema_version in {1, 2}, bench, paper_ref, config, results,
     metrics; v2 additionally requires the provenance fields toolchain,
-    build_type, and simd_level (one of scalar / sse42 / avx2);
+    build_type, and simd_level (one of scalar / sse42 / avx2; avx2 only
+    in reports from older builds);
   - config: stream_bytes / reps / max_threads / metrics_compiled_in;
   - results: a list of {name, value, unit} rows with numeric values;
   - metrics: the registry export with counters (non-negative integers),
