@@ -10,6 +10,15 @@
 // covers the whole ruleset. runInputParallel()'s stats must add up the
 // per-group executor stats.
 //
+// PlannedEngineSetGolden pins the exact Collect-mode match sequence — not
+// the set — that run() and runInputParallel() emit for every engine, at
+// M=1 and M=all, against tests/golden/scan/sequences.txt. The prefilter's
+// residual-then-windows order, `^`/`$` rules, inputs of length 0-3 and
+// stride-2's ragged odd byte are all in it. After an intended change to
+// the emission order, regenerate with
+//   MFSA_UPDATE_SCAN_GOLDENS=1 build/tests/test_planned_engine
+// and review the diff.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Planner.h"
@@ -20,7 +29,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -155,6 +167,95 @@ TEST(PlannedEngineSetStats, InputParallelStatsSumOverGroups) {
       EXPECT_EQ(Total.CarryMatches, Sum.CarryMatches) << Tag;
       EXPECT_GT(Sum.CarryMatches, 0u) << Tag;
     }
+}
+
+/// Two fixed rulesets, each with literal-gated and residual rules for the
+/// prefilter, a `^` and a `$` rule, and fixed inputs of lengths 0-3 and
+/// odd lengths (stride-2's ragged byte).
+struct GoldenCase {
+  const char *Name;
+  std::vector<std::string> Patterns;
+  std::vector<std::string> Inputs;
+};
+
+std::vector<GoldenCase> goldenCases() {
+  std::vector<GoldenCase> Cases;
+  Cases.push_back({"mixed", ruleset(),
+                   {"", "a", "ab", "abc", "abcdabcab", "abxaybabbcd",
+                    "cdabcabbcdxzyabca", "babbabcdabbcd"}});
+  Rng Random(0x901d);
+  for (size_t Len : {41u, 57u})
+    Cases.front().Inputs.push_back(randomInput(Random, Len));
+  Cases.push_back({"web",
+                   {"hello", "^GET /", "wor?ld$", "[0-9]+x", "a.c",
+                    "lo w", "(ab|cd)+e"},
+                   {"", "h", "GE", "GET", "GET /hello world",
+                    "xhello wor", "123x hellohello worldd", "a1c9x0xabcde",
+                    "cdabe hello wold"}});
+  return Cases;
+}
+
+std::string formatSequence(const MatchRecorder &Recorder) {
+  std::string Out;
+  for (const auto &[Rule, End] : Recorder.matches()) {
+    Out += ' ';
+    Out += std::to_string(Rule);
+    Out += '@';
+    Out += std::to_string(End);
+  }
+  return Out;
+}
+
+TEST(PlannedEngineSetGolden, CollectSequencesMatchCommittedGolden) {
+  std::string Actual;
+  for (const GoldenCase &Case : goldenCases()) {
+    std::vector<Nfa> Fsas;
+    for (const std::string &P : Case.Patterns)
+      Fsas.push_back(compileOptimized(P));
+    std::vector<uint32_t> Ids(Fsas.size());
+    std::iota(Ids.begin(), Ids.end(), 0u);
+    for (Engine Choice : {Engine::ImfantDense, Engine::Dfa,
+                          Engine::StridedDfa, Engine::Prefilter})
+      for (uint32_t M : {1u, 0u}) {
+        Result<PlannedEngineSet> Set = PlannedEngineSet::create(
+            Choice, mergeInGroups(Fsas, Ids, M), Case.Patterns);
+        ASSERT_TRUE(Set.ok()) << Set.diag().render();
+        for (const std::string &Input : Case.Inputs) {
+          const std::string Tag = std::string(Case.Name) + " " +
+                                  engineName(Choice) + " M=" +
+                                  std::to_string(M) + " \"" + Input + "\"";
+          MatchRecorder Seq(MatchRecorder::Mode::Collect);
+          Set->run(Input, Seq);
+          Actual += Tag + " run:" + formatSequence(Seq) + "\n";
+
+          InputParallelOptions Even;
+          Even.Threads = 3;
+          Even.MinChunkBytes = 1;
+          InputParallelOptions Cut = Even;
+          Cut.Threads = 4;
+          Cut.CutOverride = {1, 2, 5, 5, 8};
+          for (const InputParallelOptions *Opts : {&Even, &Cut}) {
+            MatchRecorder Par(MatchRecorder::Mode::Collect);
+            Set->runInputParallel(Input, Par, *Opts);
+            Actual += Tag + (Opts == &Even ? " par T=3:" : " par cuts:") +
+                      formatSequence(Par) + "\n";
+          }
+        }
+      }
+  }
+
+  const std::string Path =
+      std::string(MFSA_SCAN_GOLDEN_DIR) + "/sequences.txt";
+  const char *Update = std::getenv("MFSA_UPDATE_SCAN_GOLDENS");
+  if (Update && std::string(Update) == "1") {
+    std::ofstream(Path, std::ios::binary) << Actual;
+    GTEST_SKIP() << "rewrote " << Path;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In) << "missing golden " << Path;
+  std::ostringstream Golden;
+  Golden << In.rdbuf();
+  EXPECT_EQ(Actual, Golden.str()) << "match sequence drifted from " << Path;
 }
 
 std::string paramName(const ::testing::TestParamInfo<Param> &Info) {
