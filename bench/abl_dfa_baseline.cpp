@@ -35,7 +35,7 @@ int main() {
 
     // Per-rule DFAs.
     uint64_t PerRuleStates = 0;
-    std::vector<Dfa> PerRule;
+    std::vector<DfaEngine> PerRule;
     bool PerRuleOk = true;
     for (size_t I = 0; I < Dataset.OptimizedFsas.size(); ++I) {
       Result<Dfa> D = determinize({Dataset.OptimizedFsas[I]},
@@ -45,13 +45,12 @@ int main() {
         break;
       }
       PerRuleStates += D->NumStates;
-      PerRule.push_back(D.take());
+      PerRule.emplace_back(D.take());
     }
     double PerRuleSec = -1;
     if (PerRuleOk) {
       Timer Wall;
-      for (const Dfa &D : PerRule) {
-        DfaEngine Engine(D);
+      for (const DfaEngine &Engine : PerRule) {
         MatchRecorder Recorder;
         Engine.run(Dataset.Stream, Recorder);
       }
@@ -69,7 +68,7 @@ int main() {
     uint64_t UnionStates = 0;
     if (Union.ok()) {
       UnionStates = Union->NumStates;
-      DfaEngine Engine(*Union);
+      DfaEngine Engine(Union.take());
       Engine.setMetrics(&Report.registry());
       MatchRecorder Recorder;
       Timer Wall;

@@ -32,8 +32,8 @@ int main() {
     CompiledDataset Dataset = compileDataset(Spec, streamBytes());
 
     // Per-rule DFAs (the M = 1 style baseline), stride-1 and stride-2.
-    std::vector<Dfa> Plain;
-    std::vector<StridedDfa> Strided;
+    std::vector<DfaEngine> Plain;
+    std::vector<StridedDfaEngine> Strided;
     size_t PlainBytes = 0, StridedBytes = 0;
     bool Ok = true;
     for (size_t I = 0; I < Dataset.OptimizedFsas.size() && Ok; ++I) {
@@ -50,8 +50,10 @@ int main() {
       }
       PlainBytes += D->footprintBytes();
       StridedBytes += S2->footprintBytes();
-      Plain.push_back(D.take());
-      Strided.push_back(S2.take());
+      Plain.emplace_back(D.take());
+      Strided.emplace_back(S2.take());
+      Plain.back().setMetrics(&Report.registry());
+      Strided.back().setMetrics(&Report.registry());
     }
     if (!Ok) {
       std::printf("%-8s | determinization or striding failed (explosion)\n",
@@ -61,9 +63,7 @@ int main() {
 
     uint64_t Matches1 = 0, Matches2 = 0;
     Timer Wall1;
-    for (const Dfa &D : Plain) {
-      DfaEngine Engine(D);
-      Engine.setMetrics(&Report.registry());
+    for (const DfaEngine &Engine : Plain) {
       MatchRecorder Recorder;
       Engine.run(Dataset.Stream, Recorder);
       Matches1 += Recorder.total();
@@ -71,9 +71,7 @@ int main() {
     double Sec1 = Wall1.elapsedSec();
 
     Timer Wall2;
-    for (const StridedDfa &D : Strided) {
-      StridedDfaEngine Engine(D);
-      Engine.setMetrics(&Report.registry());
+    for (const StridedDfaEngine &Engine : Strided) {
       MatchRecorder Recorder;
       Engine.run(Dataset.Stream, Recorder);
       Matches2 += Recorder.total();

@@ -145,8 +145,8 @@ struct LiteralProfile {
   bool RootSkipViable = false;
   /// Per-rule decisions indexed like Z's local rules (empty when no
   /// patterns were supplied). A rule whose GlobalId has no parseable
-  /// pattern is not prefilterable. PrefilterEngine splits its rules by
-  /// exactly these decisions.
+  /// pattern is not prefilterable. A prefilter plan (PlannedEngineSet)
+  /// splits its rules by exactly these decisions.
   std::vector<PrefilterInfo> Rules;
 };
 

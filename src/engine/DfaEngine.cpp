@@ -29,47 +29,23 @@ void DfaEngine::setMetrics(obs::MetricsRegistry *Registry) {
 }
 
 void DfaEngine::run(std::string_view Input, MatchRecorder &Recorder) const {
-  const uint32_t NumAtoms = Automaton.NumAtoms;
-  const uint32_t *Next = Automaton.Next.data();
-  const uint8_t *AtomOf = Automaton.AtomOfByte.data();
-
 #if MFSA_METRICS_ENABLED
-  const bool Observed = Metrics.Bytes != nullptr;
-  const uint32_t SampleEvery = Observed ? obs::scanSampleEvery() : 0;
-  uint32_t MetricsTick = 0;
-  uint64_t MatchesBefore = Recorder.total();
+  const uint64_t MatchesBefore = Recorder.total();
 #endif
-
-  uint32_t State = Automaton.start();
-  for (size_t Pos = 0; Pos < Input.size(); ++Pos) {
-    State = Next[static_cast<size_t>(State) * NumAtoms +
-                 AtomOf[static_cast<unsigned char>(Input[Pos])]];
-    const DynamicBitset &Accept = Automaton.Accept[State];
-    if (Accept.any())
-      Accept.forEach([&](unsigned Rule) {
-        Recorder.onMatch(Automaton.GlobalIds[Rule], Pos + 1);
-      });
-    if (Pos + 1 == Input.size()) {
-      const DynamicBitset &AtEnd = Automaton.AcceptAtEnd[State];
-      if (AtEnd.any())
-        AtEnd.forEach([&](unsigned Rule) {
-          Recorder.onMatch(Automaton.GlobalIds[Rule], Pos + 1);
-        });
-    }
+  scan(Automaton.start(), Input, 0, Input.size(),
+       [&](uint32_t Rule, uint64_t End) { Recorder.onMatch(Rule, End); });
 #if MFSA_METRICS_ENABLED
-    if (Observed && ++MetricsTick >= SampleEvery) {
-      MetricsTick = 0;
+  if (Metrics.Bytes) {
+    // One lookup per byte, and the occupancy histograms sample the constant
+    // 1 every scanSampleEvery() bytes.
+    for (uint64_t Sample = Input.size() / obs::scanSampleEvery(); Sample;
+         --Sample) {
       Metrics.Frontier->observe(1);
       Metrics.ActiveRules->observe(1);
       Metrics.TransitionsPerByte->observe(1);
     }
-#endif
-  }
-
-#if MFSA_METRICS_ENABLED
-  if (Observed) {
     Metrics.Bytes->add(Input.size());
-    Metrics.Transitions->add(Input.size()); // exactly one lookup per byte
+    Metrics.Transitions->add(Input.size());
     Metrics.Matches->add(Recorder.total() - MatchesBefore);
   }
 #endif

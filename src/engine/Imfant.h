@@ -79,9 +79,10 @@ class MetricsRegistry;
 /// simultaneous paths. Within one engine run (one automaton, one DFA or one
 /// Scanner stream) matches arrive in nondecreasing end-offset order, and
 /// within one offset their order is engine-specific and unspecified.
-/// Drivers that scan groups one after another report group by group, each
-/// group in its own offset order: PlannedEngineSet::run (group after group)
-/// and PrefilterEngine::run (its residual first, then each confirm window).
+/// PlannedEngineSet::run scans its groups one after another and reports
+/// group by group, each group in its own offset order; for a prefilter plan
+/// that is the residual group first, then the gate, which reports confirm
+/// window after confirm window.
 class MatchRecorder {
 public:
   enum class Mode : uint8_t {

@@ -93,22 +93,6 @@ void mfsa::recordInputParallelStats(const InputParallelStats &Stats,
       .set(static_cast<int64_t>(Stats.MaxAliveClasses));
 }
 
-//===----------------------------------------------------------------------===//
-// Construction
-//===----------------------------------------------------------------------===//
-
-InputParallelRun::InputParallelRun(const ImfantEngine &Engine,
-                                   InputParallelOptions Options)
-    : Kind(Backend::Imfant), Opts(std::move(Options)), Imfant(&Engine) {}
-
-InputParallelRun::InputParallelRun(const Dfa &Automaton,
-                                   InputParallelOptions Options)
-    : Kind(Backend::Dfa), Opts(std::move(Options)), Automaton(&Automaton) {}
-
-InputParallelRun::InputParallelRun(const StridedDfa &Automaton,
-                                   InputParallelOptions Options)
-    : Kind(Backend::Stride2), Opts(std::move(Options)), Strided(&Automaton) {}
-
 std::vector<uint64_t> mfsa::inputChunkBounds(const InputParallelOptions &Opts,
                                              size_t Len) {
   std::vector<uint64_t> Bounds;
@@ -169,12 +153,10 @@ constexpr size_t UnlimitedCap = std::numeric_limits<size_t>::max();
 
 } // namespace
 
-void InputParallelRun::runImfant(std::string_view Input,
-                                 const std::vector<uint64_t> &Bounds,
-                                 MatchRecorder &Recorder,
-                                 InputParallelStats *Stats,
-                                 ThreadPool *Pool) const {
-  const ImfantEngine &Engine = *Imfant;
+void mfsa::scanChunks(const ImfantEngine &Engine, std::string_view Input,
+                      const std::vector<uint64_t> &Bounds,
+                      MatchRecorder &Recorder, InputParallelStats *Stats,
+                      ThreadPool *Pool) {
   const size_t NumChunks = Bounds.size() - 1;
   const uint64_t StreamEnd = Input.size();
   // `$`-pending flush and AcceptAtEnd both belong to the chunk that
@@ -249,110 +231,6 @@ void InputParallelRun::runImfant(std::string_view Input,
 
 namespace {
 
-/// Single-byte stepping over a scanning Dfa with DfaEngine's exact accept
-/// semantics (Accept probed after every byte; AcceptAtEnd only after the
-/// stream's final byte, via emitAtEnd).
-struct DfaPolicy {
-  const Dfa &D;
-
-  uint32_t numStates() const { return D.NumStates; }
-  size_t stepLen(uint64_t, size_t) const { return 1; }
-
-  template <class EmitT>
-  uint32_t step(uint32_t State, std::string_view Chunk, size_t Pos,
-                uint64_t Base, EmitT &&Emit) const {
-    const uint32_t Next =
-        D.Next[static_cast<size_t>(State) * D.NumAtoms +
-               D.AtomOfByte[static_cast<unsigned char>(Chunk[Pos])]];
-    const DynamicBitset &Accept = D.Accept[Next];
-    if (Accept.any())
-      Accept.forEach([&](unsigned Rule) {
-        Emit(D.GlobalIds[Rule], Base + Pos + 1);
-      });
-    return Next;
-  }
-
-  template <class EmitT>
-  void emitAtEnd(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
-    const DynamicBitset &AtEnd = D.AcceptAtEnd[State];
-    if (AtEnd.any())
-      AtEnd.forEach(
-          [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
-  }
-};
-
-/// Stride-2 stepping aligned to ABSOLUTE pair parity: pairs start at even
-/// stream offsets, so a chunk whose base (or tail) splits a pair takes
-/// single Mid half-steps at the ragged edges — Mid is the stride-1 table,
-/// so the output stays byte-identical to the sequential strided engine
-/// under arbitrary adversarial cuts.
-struct StridedPolicy {
-  const StridedDfa &D;
-
-  uint32_t numStates() const { return D.NumStates; }
-  size_t stepLen(uint64_t AbsPos, size_t Remaining) const {
-    return (AbsPos % 2 == 0 && Remaining >= 2) ? 2 : 1;
-  }
-
-  template <class EmitT>
-  void probeAccept(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
-    const DynamicBitset &Accept = D.Accept[State];
-    if (Accept.any())
-      Accept.forEach(
-          [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
-  }
-
-  template <class EmitT>
-  uint32_t step(uint32_t State, std::string_view Chunk, size_t Pos,
-                uint64_t Base, EmitT &&Emit) const {
-    const uint32_t A = D.NumAtoms;
-    const uint32_t A1 =
-        D.AtomOfByte[static_cast<unsigned char>(Chunk[Pos])];
-    const uint64_t Abs = Base + Pos;
-    if (Abs % 2 == 0 && Pos + 1 < Chunk.size()) {
-      // Full stride: mid-stride accept (odd offset) only when the flag
-      // says the half-step state accepts at all.
-      if (D.MidAcceptAny[static_cast<size_t>(State) * A + A1])
-        probeAccept(D.Mid[static_cast<size_t>(State) * A + A1], Abs + 1,
-                    Emit);
-      const uint32_t A2 =
-          D.AtomOfByte[static_cast<unsigned char>(Chunk[Pos + 1])];
-      const uint32_t Next =
-          D.Next2[(static_cast<size_t>(State) * A + A1) * A + A2];
-      probeAccept(Next, Abs + 2, Emit);
-      return Next;
-    }
-    const uint32_t Next = D.Mid[static_cast<size_t>(State) * A + A1];
-    probeAccept(Next, Abs + 1, Emit);
-    return Next;
-  }
-
-  template <class EmitT>
-  void emitAtEnd(uint32_t State, uint64_t EndOffset, EmitT &&Emit) const {
-    const DynamicBitset &AtEnd = D.AcceptAtEnd[State];
-    if (AtEnd.any())
-      AtEnd.forEach(
-          [&](unsigned Rule) { Emit(D.GlobalIds[Rule], EndOffset); });
-  }
-};
-
-/// Sequential scan of one chunk from a known state; AcceptAtEnd fires only
-/// when the chunk consumes the stream's final byte.
-template <class Policy, class EmitT>
-uint32_t scanChunkFrom(const Policy &P, uint32_t State,
-                       std::string_view Chunk, uint64_t Base,
-                       uint64_t StreamEnd, EmitT &&Emit) {
-  size_t Pos = 0;
-  while (Pos < Chunk.size()) {
-    const size_t Len = P.stepLen(Base + Pos, Chunk.size() - Pos);
-    State = P.step(State, Chunk, Pos, Base, Emit);
-    Pos += Len;
-  }
-  if (!Chunk.empty() && Base + Chunk.size() == StreamEnd)
-    P.emitAtEnd(State, StreamEnd, Emit);
-  return State;
-}
-
 constexpr uint32_t NoClass = std::numeric_limits<uint32_t>::max();
 
 /// PaREM-style per-start outcome map for one chunk, with class collapse:
@@ -371,10 +249,10 @@ struct ChunkStateMap {
   uint32_t MaxAlive = 0;
 };
 
-template <class Policy>
-void buildChunkStateMap(const Policy &P, std::string_view Chunk,
+template <class EngineT>
+void buildChunkStateMap(const EngineT &E, std::string_view Chunk,
                         uint64_t Base, uint64_t StreamEnd, ChunkStateMap &M) {
-  const uint32_t N = P.numStates();
+  const uint32_t N = E.automaton().NumStates;
   const size_t GuardBytes = std::min(Chunk.size(), MapGuardBytes);
   M.Classes.assign(N, {});
   std::vector<uint32_t> Cur(N), Alive(N), NewAlive;
@@ -395,21 +273,22 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
     // engine's and the speedup approach T (bench/fig_input_parallel).
     if (Alive.size() == 1) {
       const uint32_t C = Alive[0];
-      Cur[C] = scanChunkFrom(P, Cur[C], Chunk.substr(Pos), Base + Pos,
-                             StreamEnd, [&](uint32_t Rule, uint64_t End) {
-                               M.Classes[C].Log.emplace_back(Rule, End);
-                             });
+      Cur[C] = E.scan(Cur[C], Chunk.substr(Pos), Base + Pos, StreamEnd,
+                      [&](uint32_t Rule, uint64_t End) {
+                        M.Classes[C].Log.emplace_back(Rule, End);
+                      });
       M.Classes[C].Exit = Cur[C];
       M.Ok = true;
       return;
     }
-    const size_t Len = P.stepLen(Base + Pos, Chunk.size() - Pos);
+    // Every class sits at the same offset, so each step consumes the same
+    // byte count (a stride-2 pair or half-step is chosen by offset alone).
+    size_t Len = 0;
     ++Epoch;
     for (uint32_t C : Alive)
-      Cur[C] = P.step(Cur[C], Chunk, Pos, Base,
-                      [&](uint32_t Rule, uint64_t End) {
-                        M.Classes[C].Log.emplace_back(Rule, End);
-                      });
+      Len = E.step(Cur[C], Chunk, Pos, Base, [&](uint32_t Rule, uint64_t End) {
+        M.Classes[C].Log.emplace_back(Rule, End);
+      });
     Pos += Len;
 
     // Collapse classes that converged. Both a dying class and its parent
@@ -442,7 +321,7 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
 
   if (!Chunk.empty() && Base + Chunk.size() == StreamEnd)
     for (uint32_t C : Alive)
-      P.emitAtEnd(Cur[C], StreamEnd, [&](uint32_t Rule, uint64_t End) {
+      E.emitAtEnd(Cur[C], StreamEnd, [&](uint32_t Rule, uint64_t End) {
         M.Classes[C].Log.emplace_back(Rule, End);
       });
   for (uint32_t C : Alive)
@@ -450,39 +329,12 @@ void buildChunkStateMap(const Policy &P, std::string_view Chunk,
   M.Ok = true;
 }
 
-} // namespace
-
-void InputParallelRun::run(std::string_view Input, MatchRecorder &Recorder,
-                           InputParallelStats *Stats, ThreadPool *Pool) const {
-  const std::vector<uint64_t> Bounds = inputChunkBounds(Opts, Input.size());
-  if (Stats) {
-    Stats->Threads = static_cast<unsigned>(Bounds.size() - 1);
-    Stats->Chunks = Bounds.size() - 1;
-  }
-  std::unique_ptr<ThreadPool> OwnPool;
-  if (!Pool) {
-    OwnPool = makeInputPool(Opts, Bounds.size() - 1);
-    Pool = OwnPool.get();
-  }
-  switch (Kind) {
-  case Backend::Imfant:
-    runImfant(Input, Bounds, Recorder, Stats, Pool);
-    break;
-  case Backend::Dfa:
-    runDfaFamily(DfaPolicy{*Automaton}, Input, Bounds, Recorder, Stats, Pool);
-    break;
-  case Backend::Stride2:
-    runDfaFamily(StridedPolicy{*Strided}, Input, Bounds, Recorder, Stats, Pool);
-    break;
-  }
-}
-
-template <class Policy>
-void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
-                                    const std::vector<uint64_t> &Bounds,
-                                    MatchRecorder &Recorder,
-                                    InputParallelStats *Stats,
-                                    ThreadPool *Pool) const {
+/// The DFA-family executor over \p E's step()/scan().
+template <class EngineT>
+void scanDfaChunks(const EngineT &E, std::string_view Input,
+                   const std::vector<uint64_t> &Bounds,
+                   MatchRecorder &Recorder, InputParallelStats *Stats,
+                   ThreadPool *Pool) {
   const size_t NumChunks = Bounds.size() - 1;
   const uint64_t StreamEnd = Input.size();
 
@@ -496,12 +348,12 @@ void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
     const uint64_t Base = Bounds[I];
     const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
     if (I == 0) {
-      LeadExit = scanChunkFrom(P, 0, Chunk, Base, StreamEnd,
-                               [&](uint32_t Rule, uint64_t End) {
-                                 LeadMatches.emplace_back(Rule, End);
-                               });
+      LeadExit = E.scan(0, Chunk, Base, StreamEnd,
+                        [&](uint32_t Rule, uint64_t End) {
+                          LeadMatches.emplace_back(Rule, End);
+                        });
     } else {
-      buildChunkStateMap(P, Chunk, Base, StreamEnd, Maps[I]);
+      buildChunkStateMap(E, Chunk, Base, StreamEnd, Maps[I]);
     }
   });
 
@@ -540,11 +392,11 @@ void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
     } else {
       // Collapse stalled: correct-but-serial re-scan of this chunk.
       uint64_t Emitted = 0;
-      State = scanChunkFrom(P, State, Chunk, Base, StreamEnd,
-                            [&](uint32_t Rule, uint64_t End) {
-                              ++Emitted;
-                              Recorder.onMatch(Rule, End);
-                            });
+      State = E.scan(State, Chunk, Base, StreamEnd,
+                     [&](uint32_t Rule, uint64_t End) {
+                       ++Emitted;
+                       Recorder.onMatch(Rule, End);
+                     });
       if (Stats) {
         Stats->CarryMatches += Emitted;
         ++Stats->RescanFallbackChunks;
@@ -554,4 +406,20 @@ void InputParallelRun::runDfaFamily(const Policy &P, std::string_view Input,
       }
     }
   }
+}
+
+} // namespace
+
+void mfsa::scanChunks(const DfaEngine &Engine, std::string_view Input,
+                      const std::vector<uint64_t> &Bounds,
+                      MatchRecorder &Recorder, InputParallelStats *Stats,
+                      ThreadPool *Pool) {
+  scanDfaChunks(Engine, Input, Bounds, Recorder, Stats, Pool);
+}
+
+void mfsa::scanChunks(const StridedDfaEngine &Engine, std::string_view Input,
+                      const std::vector<uint64_t> &Bounds,
+                      MatchRecorder &Recorder, InputParallelStats *Stats,
+                      ThreadPool *Pool) {
+  scanDfaChunks(Engine, Input, Bounds, Recorder, Stats, Pool);
 }

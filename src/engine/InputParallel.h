@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Declares InputParallelRun, the input-parallel execution axis the ROADMAP
-/// pairs with the paper's automata-parallel §VI-C2 pool: split ONE input
-/// into T chunks, scan the chunks independently, and stitch the results at
-/// the cut points so the output is byte-identical to a sequential scan.
-/// PaREM and *Simultaneous Finite Automata* (PAPERS.md) are the lineage.
+/// Declares the input-parallel executors, one scanChunks() overload per
+/// group engine: the input-parallel axis the ROADMAP pairs with the paper's
+/// automata-parallel §VI-C2 pool. Split ONE input into T chunks, scan the
+/// chunks independently, and stitch the results at the cut points so the
+/// output is byte-identical to a sequential scan. PaREM and *Simultaneous
+/// Finite Automata* (PAPERS.md) are the lineage. PlannedEngineSet (engine/
+/// PlannedEngine.h) drives them, one group after another on one pool.
 ///
 /// The stitching problem: a chunk i > 0 starts mid-stream, so the scanner
 /// state at its first byte — the *boundary frontier* — is only known once
@@ -37,7 +39,12 @@
 ///    (PaREM's per-start transition function, made cheap by collapse). The
 ///    join threads the real boundary state through the maps: walk the
 ///    class's merge chain emitting log segments — exactly the sequential
-///    matches — and chain the exit state into the next chunk.
+///    matches — and chain the exit state into the next chunk. Every class
+///    steps through the engine's own step()/scan(), the loop its run()
+///    uses, so the two cannot drift apart.
+///
+///  - **Prefilter gate** (engine/Prefilter.h): the literal scan splits by
+///    chunk and the confirm windows by cost; no state crosses a cut.
 ///
 /// Offsets are absolute from construction (`Scanner::startAt`), rule ids
 /// are the dataset global ids, per-chunk (rule, end) dedup mirrors the
@@ -54,9 +61,9 @@
 #ifndef MFSA_ENGINE_INPUTPARALLEL_H
 #define MFSA_ENGINE_INPUTPARALLEL_H
 
+#include "engine/DfaEngine.h"
 #include "engine/Imfant.h"
 #include "engine/MultiStride.h"
-#include "fsa/Determinize.h"
 
 #include <cstdint>
 #include <functional>
@@ -129,54 +136,26 @@ std::unique_ptr<ThreadPool> makeInputPool(const InputParallelOptions &Options,
 void forEachChunk(ThreadPool *Pool, size_t N,
                   const std::function<void(size_t)> &Body);
 
-/// One input-parallel executor bound to a sequential engine. Construction
-/// only binds the engine or automaton; run() is const and allocates only
-/// per-run scratch, so one executor may be shared across threads. The
-/// referenced engine/automaton must outlive the executor.
-class InputParallelRun {
-public:
-  InputParallelRun(const ImfantEngine &Engine,
-                   InputParallelOptions Options = {});
-  InputParallelRun(const Dfa &Automaton, InputParallelOptions Options = {});
-  InputParallelRun(const StridedDfa &Automaton,
-                   InputParallelOptions Options = {});
-
-  /// Scans \p Input, reporting every (global rule, end offset) match into
-  /// \p Recorder — byte-identical to the bound sequential engine, in
-  /// nondecreasing end-offset order. \p Stats, when non-null, additionally
-  /// collects per-chunk traversal statistics (slightly slower on the
-  /// iMFAnt backend; use a separate run for timing sequential baselines).
-  /// \p Pool, when non-null, runs phase 1 instead of a pool of the run's
-  /// own, so a caller scanning several engines over one input starts its
-  /// workers once (see makeInputPool).
-  void run(std::string_view Input, MatchRecorder &Recorder,
-           InputParallelStats *Stats = nullptr,
-           ThreadPool *Pool = nullptr) const;
-
-  const InputParallelOptions &options() const { return Opts; }
-
-private:
-  enum class Backend : uint8_t { Imfant, Dfa, Stride2 };
-
-  void runImfant(std::string_view Input,
-                 const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
-                 InputParallelStats *Stats, ThreadPool *Pool) const;
-  template <class Policy>
-  void runDfaFamily(const Policy &P, std::string_view Input,
-                    const std::vector<uint64_t> &Bounds,
-                    MatchRecorder &Recorder, InputParallelStats *Stats,
-                    ThreadPool *Pool) const;
-
-  Backend Kind;
-  InputParallelOptions Opts;
-
-  // iMFAnt backend.
-  const ImfantEngine *Imfant = nullptr;
-
-  // DFA-family backend.
-  const Dfa *Automaton = nullptr;
-  const StridedDfa *Strided = nullptr;
-};
+/// The input-parallel executors, one overload per group engine (the
+/// prefilter's is in engine/Prefilter.h). Each scans \p Input split at
+/// \p Bounds — inputChunkBounds() of the run's options — running its
+/// per-chunk phase on \p Pool (serially when null) and its join on the
+/// calling thread, and reports every (global rule, end offset) match into
+/// \p Recorder: byte-identical to the engine's run() as a match set, in
+/// nondecreasing end-offset order. \p Stats, when non-null, collects the
+/// executor's work counters (Threads and Chunks are the caller's); on the
+/// iMFAnt backend that costs per-chunk traversal statistics, so time
+/// sequential baselines in a separate run. PlannedEngineSet::runInputParallel
+/// is the driver that calls them.
+void scanChunks(const ImfantEngine &Engine, std::string_view Input,
+                const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
+                InputParallelStats *Stats, ThreadPool *Pool);
+void scanChunks(const DfaEngine &Engine, std::string_view Input,
+                const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
+                InputParallelStats *Stats, ThreadPool *Pool);
+void scanChunks(const StridedDfaEngine &Engine, std::string_view Input,
+                const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
+                InputParallelStats *Stats, ThreadPool *Pool);
 
 } // namespace mfsa
 

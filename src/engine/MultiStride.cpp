@@ -48,22 +48,6 @@ Result<StridedDfa> mfsa::makeStride2(const Dfa &Automaton,
   return Out;
 }
 
-void StridedDfaEngine::reportAt(uint32_t State, size_t EndOffset, bool AtEnd,
-                                MatchRecorder &Recorder) const {
-  const DynamicBitset &Accept = Automaton.Accept[State];
-  if (Accept.any())
-    Accept.forEach([&](unsigned Rule) {
-      Recorder.onMatch(Automaton.GlobalIds[Rule], EndOffset);
-    });
-  if (AtEnd) {
-    const DynamicBitset &AtEndSet = Automaton.AcceptAtEnd[State];
-    if (AtEndSet.any())
-      AtEndSet.forEach([&](unsigned Rule) {
-        Recorder.onMatch(Automaton.GlobalIds[Rule], EndOffset);
-      });
-  }
-}
-
 void StridedDfaEngine::setMetrics(obs::MetricsRegistry *Registry) {
   if (!Registry) {
     Metrics = ScanMetricHandles{};
@@ -86,55 +70,27 @@ void StridedDfaEngine::setMetrics(obs::MetricsRegistry *Registry) {
 
 void StridedDfaEngine::run(std::string_view Input,
                            MatchRecorder &Recorder) const {
-  const uint32_t A = Automaton.NumAtoms;
-  const uint8_t *AtomOf = Automaton.AtomOfByte.data();
-
 #if MFSA_METRICS_ENABLED
-  const bool Observed = Metrics.Bytes != nullptr;
-  const uint32_t SampleEvery = Observed ? obs::scanSampleEvery() : 0;
-  uint32_t MetricsTick = 0;
+  const uint64_t MatchesBefore = Recorder.total();
+#endif
   uint64_t MidProbes = 0;
-  uint64_t MatchesBefore = Recorder.total();
-#endif
-
-  uint32_t State = 0;
-  size_t Pos = 0;
-  const size_t PairedEnd = Input.size() & ~size_t(1);
-  for (; Pos < PairedEnd; Pos += 2) {
-    uint32_t A1 = AtomOf[static_cast<unsigned char>(Input[Pos])];
-    uint32_t A2 = AtomOf[static_cast<unsigned char>(Input[Pos + 1])];
-    // Mid-stride accept: matches ending at the odd offset Pos+1. The flag
-    // keeps the half-step state untouched unless something accepts there.
-    if (Automaton.MidAcceptAny[static_cast<size_t>(State) * A + A1]) {
+  scan(0, Input, 0, Input.size(),
+       [&](uint32_t Rule, uint64_t End) { Recorder.onMatch(Rule, End); },
+       &MidProbes);
 #if MFSA_METRICS_ENABLED
-      ++MidProbes;
-#endif
-      uint32_t MidState = Automaton.Mid[static_cast<size_t>(State) * A + A1];
-      reportAt(MidState, Pos + 1, false, Recorder);
-    }
-    State = Automaton.Next2[(static_cast<size_t>(State) * A + A1) * A + A2];
-    reportAt(State, Pos + 2, Pos + 2 == Input.size(), Recorder);
-#if MFSA_METRICS_ENABLED
-    if (Observed && ++MetricsTick >= SampleEvery) {
-      MetricsTick = 0;
+  if (Metrics.Bytes) {
+    const uint64_t FullStrides = Input.size() / 2;
+    const uint64_t Tail = Input.size() % 2;
+    // The occupancy histograms sample the constant 1 every
+    // scanSampleEvery() full strides. One pair-table touch covers two
+    // bytes; the per-byte histogram reports the cost the stride buys
+    // (integer histogram: 1 rounds the true 0.5 up).
+    for (uint64_t Sample = FullStrides / obs::scanSampleEvery(); Sample;
+         --Sample) {
       Metrics.Frontier->observe(1);
       Metrics.ActiveRules->observe(1);
-      // One pair-table touch covers two bytes; report the per-byte cost
-      // the stride buys (integer histogram: 1 rounds the true 0.5 up).
       Metrics.TransitionsPerByte->observe(1);
     }
-#endif
-  }
-  if (Pos < Input.size()) { // odd trailing byte
-    uint32_t A1 = AtomOf[static_cast<unsigned char>(Input[Pos])];
-    State = Automaton.Mid[static_cast<size_t>(State) * A + A1];
-    reportAt(State, Pos + 1, /*AtEnd=*/true, Recorder);
-  }
-
-#if MFSA_METRICS_ENABLED
-  if (Observed) {
-    const uint64_t FullStrides = PairedEnd / 2;
-    const uint64_t Tail = Input.size() - PairedEnd;
     Metrics.Bytes->add(Input.size());
     Metrics.Strides->add(FullStrides + Tail);
     Metrics.Transitions->add(FullStrides + Tail + MidProbes);

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mfsa {
@@ -77,18 +78,80 @@ Result<StridedDfa> makeStride2(const Dfa &Automaton,
                                const StrideOptions &Options = {});
 
 /// Executes a stride-2 DFA with the library's (rule, end-offset) match
-/// semantics; equivalent to DfaEngine over the original automaton.
+/// semantics; equivalent to DfaEngine over the original automaton. The
+/// engine owns its automaton; run() is const and thread-safe.
 class StridedDfaEngine {
 public:
-  explicit StridedDfaEngine(const StridedDfa &Automaton)
-      : Automaton(Automaton) {}
+  explicit StridedDfaEngine(StridedDfa Automaton)
+      : Automaton(std::move(Automaton)) {}
 
+  /// scan() from state 0 at base 0.
   void run(std::string_view Input, MatchRecorder &Recorder) const;
+
+  /// The stride-2 step at Chunk[Pos], \p Chunk holding the stream bytes
+  /// from absolute offset \p Base on. Pairs sit at EVEN absolute offsets:
+  /// an even offset with both bytes in the chunk takes one pair-table
+  /// stride (probing the mid-stride accepts only when MidAcceptAny says
+  /// the half-step state accepts, counted into \p MidProbes when non-null);
+  /// anything else — a chunk starting or ending inside a pair, or the
+  /// stream's odd last byte — takes one Mid half-step, Mid being the
+  /// stride-1 table. So the output is byte-identical under any chunking.
+  /// Accepts are reported as Emit(global rule, end offset). \returns the
+  /// bytes consumed (2 or 1).
+  template <class EmitT>
+  size_t step(uint32_t &State, std::string_view Chunk, size_t Pos,
+              uint64_t Base, EmitT &&Emit,
+              uint64_t *MidProbes = nullptr) const {
+    const StridedDfa &D = Automaton;
+    const size_t Cell = static_cast<size_t>(State) * D.NumAtoms +
+                        D.AtomOfByte[static_cast<unsigned char>(Chunk[Pos])];
+    const uint64_t Abs = Base + Pos;
+    if (Abs % 2 == 0 && Pos + 1 < Chunk.size()) {
+      if (D.MidAcceptAny[Cell]) {
+        if (MidProbes)
+          ++*MidProbes;
+        emitAccepts(D.Mid[Cell], Abs + 1, Emit);
+      }
+      State = D.Next2[Cell * D.NumAtoms +
+                      D.AtomOfByte[static_cast<unsigned char>(Chunk[Pos + 1])]];
+      emitAccepts(State, Abs + 2, Emit);
+      return 2;
+    }
+    State = D.Mid[Cell];
+    emitAccepts(State, Abs + 1, Emit);
+    return 1;
+  }
+
+  /// Reports the `$`-anchored accepts of \p State at the stream's end.
+  template <class EmitT>
+  void emitAtEnd(uint32_t State, uint64_t StreamEnd, EmitT &&Emit) const {
+    const DynamicBitset &AtEnd = Automaton.AcceptAtEnd[State];
+    if (AtEnd.any())
+      AtEnd.forEach(
+          [&](unsigned Rule) { Emit(Automaton.GlobalIds[Rule], StreamEnd); });
+  }
+
+  /// Steps through all of \p Chunk from \p State; AcceptAtEnd fires only
+  /// when the chunk consumes the final byte of a \p StreamEnd-byte stream.
+  /// \returns the exit state. The input-parallel state map and join
+  /// (engine/InputParallel.cpp) scan through step() and scan() as well.
+  template <class EmitT>
+  uint32_t scan(uint32_t State, std::string_view Chunk, uint64_t Base,
+                uint64_t StreamEnd, EmitT &&Emit,
+                uint64_t *MidProbes = nullptr) const {
+    for (size_t Pos = 0; Pos < Chunk.size();)
+      Pos += step(State, Chunk, Pos, Base, Emit, MidProbes);
+    if (!Chunk.empty() && Base + Chunk.size() == StreamEnd)
+      emitAtEnd(State, StreamEnd, Emit);
+    return State;
+  }
 
   /// Attaches `stride2.*` scan instrumentation: exact stride / table-touch
   /// counters (including mid-stride accept probes, the stride tax) plus the
   /// degenerate occupancy histograms every engine shares.
   void setMetrics(obs::MetricsRegistry *Registry);
+
+  const StridedDfa &automaton() const { return Automaton; }
 
 private:
   struct ScanMetricHandles {
@@ -102,10 +165,15 @@ private:
     obs::Histogram *TransitionsPerByte = nullptr;
   };
 
-  void reportAt(uint32_t State, size_t EndOffset, bool AtEnd,
-                MatchRecorder &Recorder) const;
+  template <class EmitT>
+  void emitAccepts(uint32_t State, uint64_t End, EmitT &Emit) const {
+    const DynamicBitset &Accept = Automaton.Accept[State];
+    if (Accept.any())
+      Accept.forEach(
+          [&](unsigned Rule) { Emit(Automaton.GlobalIds[Rule], End); });
+  }
 
-  const StridedDfa &Automaton;
+  StridedDfa Automaton;
   ScanMetricHandles Metrics;
 };
 

@@ -18,8 +18,7 @@ using namespace mfsa;
 ParallelRunResult mfsa::runParallel(const std::vector<ImfantEngine> &Engines,
                                     std::string_view Input,
                                     unsigned NumThreads,
-                                    std::vector<MatchRecorder> *Recorders,
-                                    const ParallelRunOptions &Options) {
+                                    std::vector<MatchRecorder> *Recorders) {
   assert((!Recorders || Recorders->size() == Engines.size()) &&
          "one recorder per engine");
   // Release-safe twin of the assert above (every engine was already
@@ -36,23 +35,9 @@ ParallelRunResult mfsa::runParallel(const std::vector<ImfantEngine> &Engines,
   if (NumThreads == 0)
     NumThreads = 1;
 
-  const bool Bounded = Options.DeadlineMs > 0 || Options.CancelToken;
-  const size_t ChunkBytes = Options.ChunkBytes ? Options.ChunkBytes
-                                               : size_t(1) << 16;
-
   Timer Wall;
-  auto Expired = [&] {
-    if (Options.DeadlineMs > 0 && Wall.elapsedMs() > Options.DeadlineMs)
-      return true;
-    return Options.CancelToken &&
-           Options.CancelToken->load(std::memory_order_relaxed);
-  };
-
   // Work-stealing by atomic index: each worker claims the next unexecuted
-  // automaton until the queue drains (§VI-C2) — or, in bounded runs, until
-  // the deadline/cancellation token fires. Completion is tracked per worker
-  // and folded into one bitmap after the join, keeping the hot path free of
-  // shared writes.
+  // automaton until the queue drains (§VI-C2).
   //
   // Both atomics are relaxed: NextEngine only hands out indices into the
   // immutable Engines array (nothing is published through the claim), and
@@ -60,67 +45,28 @@ ParallelRunResult mfsa::runParallel(const std::vector<ImfantEngine> &Engines,
   // thread join is the synchronization point, not the atomic.
   std::atomic<size_t> NextEngine{0};
   std::atomic<uint64_t> TotalMatches{0};
-  std::vector<std::vector<size_t>> CompletedPerWorker(NumThreads);
 
-  // Runs one engine; \returns false if abandoned mid-input on expiry.
-  auto RunOne = [&](size_t Index, MatchRecorder &Recorder) {
-    if (!Bounded) {
-      Engines[Index].run(Input, Recorder);
-      return true;
-    }
-    // Bounded: feed the scanner chunk by chunk so expiry is honoured inside
-    // long inputs, not just between automata. run() is exactly feed+finish,
-    // so a completed chunked scan reports the same matches.
-    ImfantEngine::Scanner Scan(Engines[Index]);
-    for (size_t Pos = 0; Pos < Input.size(); Pos += ChunkBytes) {
-      if (Pos != 0 && Expired())
-        return false;
-      Scan.feed(Input.substr(Pos, ChunkBytes), Recorder);
-    }
-    Scan.finish(Recorder);
-    return true;
-  };
-
-  auto Worker = [&](unsigned WorkerId) {
+  auto Worker = [&] {
     for (;;) {
-      if (Bounded && Expired())
-        return;
       size_t Index = NextEngine.fetch_add(1, std::memory_order_relaxed);
       if (Index >= Engines.size())
         return;
-      bool Finished;
-      uint64_t Matches;
-      if (Recorders) {
-        Finished = RunOne(Index, (*Recorders)[Index]);
-        Matches = (*Recorders)[Index].total();
-      } else {
-        MatchRecorder Local;
-        Finished = RunOne(Index, Local);
-        Matches = Local.total();
-      }
-      if (!Finished)
-        return;
-      TotalMatches.fetch_add(Matches, std::memory_order_relaxed);
-      CompletedPerWorker[WorkerId].push_back(Index);
+      MatchRecorder Local;
+      MatchRecorder &Recorder = Recorders ? (*Recorders)[Index] : Local;
+      Engines[Index].run(Input, Recorder);
+      TotalMatches.fetch_add(Recorder.total(), std::memory_order_relaxed);
     }
   };
 
   std::vector<std::thread> Threads;
   Threads.reserve(NumThreads);
   for (unsigned T = 0; T < NumThreads; ++T)
-    Threads.emplace_back(Worker, T);
+    Threads.emplace_back(Worker);
   for (std::thread &T : Threads)
     T.join();
 
   ParallelRunResult Result;
   Result.WallSeconds = Wall.elapsedSec();
   Result.TotalMatches = TotalMatches.load();
-  Result.Completed = DynamicBitset(static_cast<unsigned>(Engines.size()));
-  for (const std::vector<size_t> &Done : CompletedPerWorker)
-    for (size_t Index : Done) {
-      Result.Completed.set(static_cast<unsigned>(Index));
-      ++Result.NumCompleted;
-    }
-  Result.Degraded = Result.NumCompleted < Engines.size();
   return Result;
 }

@@ -12,69 +12,31 @@
 /// remaining ones until all are executed. The measured execution time
 /// represents the latency to compute all the REs of a benchmark."
 ///
-/// On top of the paper's executor this header adds the graceful-degradation
-/// contract a latency-bound service needs: a wall-clock deadline and an
-/// external cancellation token. A worker past the deadline abandons its
-/// current automaton (at chunk granularity) and claims no further ones; the
-/// batch then returns a *partial* ParallelRunResult — Degraded set, with a
-/// per-engine completion bitmap — instead of stalling the whole batch on one
-/// stuck automaton. See DESIGN.md "Degraded-mode semantics".
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef MFSA_ENGINE_PARALLEL_H
 #define MFSA_ENGINE_PARALLEL_H
 
 #include "engine/Imfant.h"
-#include "support/DynamicBitset.h"
 
-#include <atomic>
-#include <cstddef>
 #include <string_view>
 #include <vector>
 
 namespace mfsa {
 
-/// Degradation knobs for one parallel batch execution.
-struct ParallelRunOptions {
-  /// Wall-clock budget for the whole batch in milliseconds; 0 = none.
-  /// Checked before claiming each automaton and between input chunks, so an
-  /// expired deadline is honoured within one chunk's worth of scanning.
-  double DeadlineMs = 0.0;
-
-  /// Optional external cancellation token; when it becomes true workers
-  /// stop exactly like an expired deadline. The flag is only read, with
-  /// relaxed order: cancellation is advisory (workers may finish the chunk
-  /// in flight), so no data is acquired through the load.
-  const std::atomic<bool> *CancelToken = nullptr;
-
-  /// Input-scan granularity of deadline/cancellation checks. Only used when
-  /// a deadline or token is present; otherwise engines run the whole input
-  /// in one pass with zero overhead.
-  size_t ChunkBytes = size_t(1) << 16;
-};
-
-/// Result of one parallel batch execution. When Degraded is false the batch
-/// is complete and the result is exactly the historical contract; when true,
-/// TotalMatches covers completed engines only (an abandoned engine's
-/// recorder may hold a partial prefix of its matches).
+/// Result of one parallel batch execution.
 struct ParallelRunResult {
-  double WallSeconds = 0.0;  ///< Latency to finish (or abandon) the batch.
-  uint64_t TotalMatches = 0; ///< Sum over completed automata.
-  bool Degraded = false;     ///< Deadline or cancellation cut the batch short.
-  uint32_t NumCompleted = 0; ///< Engines that ran to completion.
-  DynamicBitset Completed;   ///< Per-engine completion bitmap (size = #engines).
+  double WallSeconds = 0.0;  ///< Latency to finish the batch.
+  uint64_t TotalMatches = 0; ///< Sum over all automata.
 };
 
 /// Runs every engine in \p Engines over \p Input using \p NumThreads
 /// workers pulling automata from a shared queue. \p Recorders, when
 /// non-null, must have one entry per engine and receives that engine's
-/// matches (counters only unless configured otherwise). \p Options bounds
-/// the batch; the default is unbounded, preserving historical behavior.
+/// matches (counters only unless configured otherwise).
 ParallelRunResult runParallel(const std::vector<ImfantEngine> &Engines,
                               std::string_view Input, unsigned NumThreads,
-                              std::vector<MatchRecorder> *Recorders = nullptr,
-                              const ParallelRunOptions &Options = {});
+                              std::vector<MatchRecorder> *Recorders = nullptr);
 
 } // namespace mfsa
 

@@ -6,10 +6,11 @@
 
 #include "engine/PlannedEngine.h"
 
+#include "analysis/CostModel.h"
 #include "fsa/Determinize.h"
+#include "mfsa/Merge.h"
 #include "support/ThreadPool.h"
 
-#include <type_traits>
 #include <utility>
 
 namespace mfsa {
@@ -40,21 +41,49 @@ PlannedEngineSet::create(Engine Choice, const std::vector<Mfsa> &Mfsas,
       if (!D)
         return D.withContext("group " + std::to_string(G)).takeDiag();
       if (Choice == Engine::Dfa) {
-        Set.Groups.emplace_back(std::move(*D));
+        Set.Groups.emplace_back(std::in_place_type<DfaEngine>, D.take());
         continue;
       }
       Result<StridedDfa> S = makeStride2(*D);
       if (!S)
         return S.withContext("group " + std::to_string(G)).takeDiag();
-      Set.Groups.emplace_back(std::move(*S));
+      Set.Groups.emplace_back(std::in_place_type<StridedDfaEngine>,
+                              S.take());
     }
     return Set;
-  case Engine::Prefilter:
+  case Engine::Prefilter: {
     if (Patterns.empty())
       return Result<PlannedEngineSet>::error(
           "prefilter engine needs the source patterns");
-    Set.Groups.emplace_back(PrefilterEngine::create(Mfsas, Patterns));
+    // profileLiterals decides each rule, the planner's own partition; a
+    // rule without a parseable pattern is not gated.
+    std::vector<Nfa> ResidualFsas;
+    std::vector<uint32_t> ResidualIds;
+    std::vector<PrefilterEngine::GatedRule> Gated;
+    for (const Mfsa &Z : Mfsas) {
+      std::vector<Nfa> RuleFsas = Z.extractAllRules();
+      LiteralProfile Profile = profileLiterals(Z, RuleFsas, Patterns);
+      for (RuleId R = 0; R < Z.numRules(); ++R) {
+        const uint32_t GlobalId = Z.rule(R).GlobalId;
+        if (Profile.Rules.empty() || !Profile.Rules[R].Prefilterable) {
+          ResidualFsas.push_back(std::move(RuleFsas[R]));
+          ResidualIds.push_back(GlobalId);
+          continue;
+        }
+        Gated.push_back({std::move(RuleFsas[R]), GlobalId,
+                         std::move(Profile.Rules[R].Literal),
+                         Profile.Rules[R].MaxMatchLength});
+      }
+    }
+    // The residual scans first, so run() reports its matches before the
+    // gate's windows.
+    if (!ResidualFsas.empty())
+      Set.Groups.emplace_back(std::in_place_type<ImfantEngine>,
+                              mergeFsas(ResidualFsas, ResidualIds));
+    Set.Groups.emplace_back(std::in_place_type<PrefilterEngine>,
+                            std::move(Gated));
     return Set;
+  }
   }
   return Result<PlannedEngineSet>::error("unknown engine choice");
 }
@@ -75,8 +104,6 @@ namespace {
 /// add up, peaks take the maximum.
 void accumulateStats(InputParallelStats &Into,
                      const InputParallelStats &Group) {
-  Into.Threads = std::max(Into.Threads, Group.Threads);
-  Into.Chunks += Group.Chunks;
   Into.RescanFallbackChunks += Group.RescanFallbackChunks;
   Into.OverlapBytes += Group.OverlapBytes;
   Into.MaxCarryFrontier =
@@ -95,39 +122,31 @@ void PlannedEngineSet::runInputParallel(std::string_view Input,
                                         InputParallelStats *Stats) const {
   // Every group splits the same input into the same chunks, so one pool
   // serves them all.
-  const std::unique_ptr<ThreadPool> Pool = makeInputPool(
-      Options, inputChunkBounds(Options, Input.size()).size() - 1);
+  const std::vector<uint64_t> Bounds = inputChunkBounds(Options, Input.size());
+  const size_t NumChunks = Bounds.size() - 1;
+  const std::unique_ptr<ThreadPool> Pool = makeInputPool(Options, NumChunks);
   for (const Group &G : Groups) {
     InputParallelStats GroupStats;
-    InputParallelStats *S = Stats ? &GroupStats : nullptr;
     std::visit(
         [&](const auto &E) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(E)>,
-                                       PrefilterEngine>)
-            E.runInputParallel(Input, Recorder, Options, S, Pool.get());
-          else
-            InputParallelRun(E, Options).run(Input, Recorder, S, Pool.get());
+          scanChunks(E, Input, Bounds, Recorder, Stats ? &GroupStats : nullptr,
+                     Pool.get());
         },
         G);
     if (Stats)
       accumulateStats(*Stats, GroupStats);
+  }
+  if (Stats) {
+    Stats->Threads =
+        std::max(Stats->Threads, static_cast<unsigned>(NumChunks));
+    Stats->Chunks += Groups.size() * NumChunks;
   }
 }
 
 void PlannedEngineSet::run(std::string_view Input,
                            MatchRecorder &Recorder) const {
   for (const Group &G : Groups)
-    std::visit(
-        [&](const auto &E) {
-          using T = std::decay_t<decltype(E)>;
-          if constexpr (std::is_same_v<T, Dfa>)
-            DfaEngine(E).run(Input, Recorder);
-          else if constexpr (std::is_same_v<T, StridedDfa>)
-            StridedDfaEngine(E).run(Input, Recorder);
-          else
-            E.run(Input, Recorder);
-        },
-        G);
+    std::visit([&](const auto &E) { E.run(Input, Recorder); }, G);
 }
 
 } // namespace mfsa

@@ -5,11 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bridges the planner's decision (analysis/Planner.h) to the four concrete
-/// engines: PlannedEngineSet builds whichever engine an EnginePlan chose and
-/// exposes one uniform run() with ImfantEngine's (rule, end offset) match
-/// semantics, so `imfant_run --engine auto`, the planner ablation bench, and
-/// the differential harness can execute any plan through a single driver.
+/// Bridges the planner's decision (analysis/Planner.h) to execution, the
+/// one path from a plan to a scan: PlannedEngineSet builds the groups an
+/// EnginePlan chose — dense iMFAnt, DFA or stride-2 DFA engines, one per
+/// merged group, or for the prefilter a dense residual group followed by
+/// the literal gate — and scans them one after another with ImfantEngine's
+/// (rule, end offset) match semantics, sequentially (run) or input-parallel
+/// (runInputParallel). `imfant_run --engine auto`, the planner ablation
+/// bench, the end-to-end benchmark and the differential harness all
+/// execute plans through it.
 ///
 /// Construction can fail the way the underlying builders fail (DFA blowup,
 /// stride-2 table cap) or when the prefilter has no rule texts; callers get
@@ -31,6 +35,7 @@
 #include "engine/Prefilter.h"
 #include "support/Result.h"
 
+#include <span>
 #include <string_view>
 #include <variant>
 #include <vector>
@@ -43,7 +48,9 @@ public:
   /// Builds \p Choice over the merged \p Mfsas; every engine, the
   /// prefilter included, scans the rules these automata hold. \p Patterns
   /// (the original dataset ruleset indexed by GlobalIds) is required only by
-  /// Engine::Prefilter, which reads each rule's mandatory literal from it.
+  /// Engine::Prefilter, which reads each rule's mandatory literal from it:
+  /// profileLiterals splits the rules, the ones it cannot gate merge into
+  /// one dense group (M=all) placed before the gate, which holds the rest.
   /// Engine::Auto is not a buildable choice — resolve through the planner
   /// first.
   static Result<PlannedEngineSet>
@@ -64,26 +71,29 @@ public:
   void run(std::string_view Input, MatchRecorder &Recorder) const;
 
   /// Input-parallel scan (engine/InputParallel.h), byte-identical to run()
-  /// as a match set. Each dense, DFA or stride-2 group runs through
-  /// InputParallelRun, and the prefilter through
-  /// PrefilterEngine::runInputParallel, all on one pool when
-  /// \p Options.UseThreadPool is set. \p Stats, when non-null, accumulates
-  /// across groups: counters add up (Chunks is numGroups() times the chunk
-  /// count) and peaks take the maximum.
+  /// as a match set: every group runs through its scanChunks() executor
+  /// over the same chunks, all on one pool when \p Options.UseThreadPool is
+  /// set. \p Stats, when non-null, accumulates across groups: counters add
+  /// up (Chunks is numGroups() times the chunk count) and peaks take the
+  /// maximum.
   void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
                         const InputParallelOptions &Options,
                         InputParallelStats *Stats = nullptr) const;
 
+  /// One group's engine. Each has run(Input, Recorder) and a scanChunks()
+  /// executor.
+  using Group = std::variant<ImfantEngine, DfaEngine, StridedDfaEngine,
+                             PrefilterEngine>;
+
   Engine engine() const { return Choice; }
-  /// Merged groups scanned one after another; the prefilter covers the
-  /// whole ruleset as one group.
+  /// Groups scanned one after another: one per merged MFSA, or for the
+  /// prefilter the residual (when any rule is not gated) and the gate.
   size_t numGroups() const { return Groups.size(); }
+  /// The groups in scan order; mutable access is for attaching metrics.
+  std::span<const Group> groups() const { return Groups; }
+  std::span<Group> groups() { return Groups; }
 
 private:
-  /// One group's engine. The DFA family stores its automaton: DfaEngine and
-  /// StridedDfaEngine only borrow one, so they are built per scan.
-  using Group = std::variant<ImfantEngine, Dfa, StridedDfa, PrefilterEngine>;
-
   PlannedEngineSet() = default;
 
   Engine Choice = Engine::ImfantDense;

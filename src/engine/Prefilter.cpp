@@ -6,50 +6,26 @@
 
 #include "engine/Prefilter.h"
 
-#include "analysis/CostModel.h"
 #include "mfsa/Merge.h"
 #include "obs/Metrics.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <limits>
 
 using namespace mfsa;
 
-PrefilterEngine
-PrefilterEngine::create(const std::vector<Mfsa> &Mfsas,
-                        const std::vector<std::string> &Patterns) {
-  PrefilterEngine Engine;
+PrefilterEngine::PrefilterEngine(std::vector<GatedRule> Rules) {
   std::vector<std::string> LiteralList;
-  std::vector<Nfa> ResidualFsas;
-  std::vector<uint32_t> ResidualIds;
-  for (const Mfsa &Z : Mfsas) {
-    std::vector<Nfa> RuleFsas = Z.extractAllRules();
-    LiteralProfile Profile = profileLiterals(Z, RuleFsas, Patterns);
-    for (RuleId R = 0; R < Z.numRules(); ++R) {
-      const uint32_t GlobalId = Z.rule(R).GlobalId;
-      if (Profile.Rules.empty() || !Profile.Rules[R].Prefilterable) {
-        ResidualFsas.push_back(std::move(RuleFsas[R]));
-        ResidualIds.push_back(GlobalId);
-        continue;
-      }
-      PrefilteredRule Rule;
-      Rule.MaxMatchLength = Profile.Rules[R].MaxMatchLength;
-      Rule.Confirm = std::make_unique<ImfantEngine>(
-          mergeFsas({std::move(RuleFsas[R])}, {GlobalId}));
-      Engine.PrefilteredRules.push_back(std::move(Rule));
-      LiteralList.push_back(std::move(Profile.Rules[R].Literal));
-    }
+  for (GatedRule &Rule : Rules) {
+    PrefilteredRule Gated;
+    Gated.MaxMatchLength = Rule.MaxMatchLength;
+    Gated.Confirm = std::make_unique<ImfantEngine>(
+        mergeFsas({std::move(Rule.Fsa)}, {Rule.GlobalId}));
+    PrefilteredRules.push_back(std::move(Gated));
+    LiteralList.push_back(std::move(Rule.Literal));
   }
-
   if (!LiteralList.empty())
-    Engine.Literals = std::make_unique<AhoCorasick>(LiteralList);
-  if (!ResidualFsas.empty()) {
-    Engine.Residual = std::make_unique<ImfantEngine>(
-        mergeFsas(ResidualFsas, ResidualIds));
-    Engine.NumResidualRules = ResidualFsas.size();
-  }
-  return Engine;
+    Literals = std::make_unique<AhoCorasick>(LiteralList);
 }
 
 void PrefilterEngine::setMetrics(obs::MetricsRegistry *Registry) {
@@ -68,8 +44,6 @@ void PrefilterEngine::setMetrics(obs::MetricsRegistry *Registry) {
       &Registry->histogram("prefilter.window_len", obs::pow2Buckets(20));
   Registry->gauge("prefilter.prefiltered_rules")
       .set(static_cast<int64_t>(PrefilteredRules.size()));
-  Registry->gauge("prefilter.residual_rules")
-      .set(static_cast<int64_t>(NumResidualRules));
   // 1 when the literal stage's root-skip fast path is active (at most
   // AhoCorasick::kMaxRootNeedles distinct literal start bytes).
   Registry->gauge("prefilter.literal_root_skip")
@@ -145,10 +119,6 @@ void PrefilterEngine::run(std::string_view Input,
                           MatchRecorder &Recorder) const {
   const uint64_t MatchesBefore = Recorder.total();
 
-  // Residual rules scan the whole stream the ordinary way.
-  if (Residual)
-    Residual->run(Input, Recorder);
-
   // Literal scan, collecting hit end-offsets per prefiltered rule.
   std::vector<std::vector<size_t>> Hits(PrefilteredRules.size());
   if (Literals)
@@ -171,31 +141,18 @@ void PrefilterEngine::run(std::string_view Input,
              Recorder.total() - MatchesBefore);
 }
 
-void PrefilterEngine::runInputParallel(std::string_view Input,
-                                       MatchRecorder &Recorder,
-                                       const InputParallelOptions &Options,
-                                       InputParallelStats *Stats,
-                                       ThreadPool *Pool) const {
+void mfsa::scanChunks(const PrefilterEngine &Gate, std::string_view Input,
+                      const std::vector<uint64_t> &Bounds,
+                      MatchRecorder &Recorder, InputParallelStats *,
+                      ThreadPool *Pool) {
+  using ConfirmWindow = PrefilterEngine::ConfirmWindow;
+  using Match = PrefilterEngine::Match;
   const uint64_t MatchesBefore = Recorder.total();
-  const std::vector<uint64_t> Bounds = inputChunkBounds(Options, Input.size());
   const size_t NumSlices = Bounds.size() - 1;
-  std::unique_ptr<ThreadPool> OwnPool;
-  if (!Pool) {
-    OwnPool = makeInputPool(Options, NumSlices);
-    Pool = OwnPool.get();
-  }
+  const AhoCorasick *Literals = Gate.Literals.get();
+  const size_t NumRules = Gate.PrefilteredRules.size();
 
-  // Phase 1: the residual rules, chunked and stitched by the executor. It
-  // reports straight into the caller's recorder, first, as run() does.
-  if (Residual) {
-    InputParallelRun(*Residual, Options)
-        .run(Input, Recorder, Stats, Pool);
-  } else if (Stats) {
-    Stats->Threads = static_cast<unsigned>(NumSlices);
-    Stats->Chunks = NumSlices;
-  }
-
-  // Phase 2: the literal scan, one slice per chunk. A slice starts
+  // Phase 1: the literal scan, one slice per chunk. A slice starts
   // Lmax - 1 bytes early so it sees every literal ending inside its chunk,
   // and keeps only those: an occurrence ending at a cut belongs to the
   // chunk on its left.
@@ -207,7 +164,7 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
       const size_t Hi = Bounds[I + 1];
       const size_t From = Lo > Lead ? Lo - Lead : 0;
       std::vector<std::vector<size_t>> &Hits = SliceHits[I];
-      Hits.resize(PrefilteredRules.size());
+      Hits.resize(NumRules);
       if (Lo < Hi)
         Literals->scan(Input.substr(From, Hi - From),
                        [&](uint32_t RuleIdx, size_t EndOffset) {
@@ -219,15 +176,15 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
 
   // Slices ascend and each keeps its hits sorted, so concatenating them in
   // slice order gives exactly the sequential per-rule hit lists.
-  std::vector<std::vector<size_t>> Hits(PrefilteredRules.size());
+  std::vector<std::vector<size_t>> Hits(NumRules);
   for (std::vector<std::vector<size_t>> &Slice : SliceHits)
     for (size_t RuleIdx = 0; RuleIdx < Slice.size(); ++RuleIdx)
       Hits[RuleIdx].insert(Hits[RuleIdx].end(), Slice[RuleIdx].begin(),
                            Slice[RuleIdx].end());
   const std::vector<ConfirmWindow> Windows =
-      coalesceWindows(Hits, Input.size());
+      Gate.coalesceWindows(Hits, Input.size());
 
-  // Phase 3: confirmation. The windows are cut into NumSlices contiguous
+  // Phase 2: confirmation. The windows are cut into NumSlices contiguous
   // runs of about equal cost (bytes plus a fixed per-window charge for the
   // automaton's set-up); each worker collects its run's matches privately.
   constexpr uint64_t WindowSetupBytes = 64;
@@ -253,7 +210,7 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
   std::vector<ConfirmRun> Runs(NumSlices);
   forEachChunk(Pool, NumSlices, [&](size_t I) {
     for (size_t W = RunBegin[I]; W < RunBegin[I + 1]; ++W)
-      Runs[I].Confirmed += confirm(Windows[W], Input, Runs[I].Matches);
+      Runs[I].Confirmed += Gate.confirm(Windows[W], Input, Runs[I].Matches);
   });
 
   // Replay in run order, which is run()'s rule and window order.
@@ -263,6 +220,6 @@ void PrefilterEngine::runInputParallel(std::string_view Input,
     for (const Match &M : Run.Matches)
       Recorder.onMatch(M.first, M.second);
   }
-  recordScan(Input.size(), Hits, Windows, Confirmed,
-             Recorder.total() - MatchesBefore);
+  Gate.recordScan(Input.size(), Hits, Windows, Confirmed,
+                  Recorder.total() - MatchesBefore);
 }

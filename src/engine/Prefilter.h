@@ -5,23 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Declares PrefilterEngine, the Hyperscan-style decomposition baseline the
-/// paper positions itself against (§I/§VII, Wang et al. NSDI'19): rules with
-/// a mandatory literal and a bounded match length are matched lazily — an
-/// Aho-Corasick pass over the stream finds literal hits, and each rule's own
-/// automaton runs only inside a bounded window around its hits. Rules the
-/// analysis cannot prefilter (anchored, literal-poor, or unbounded) fall
-/// back to one merged MFSA scanned in full.
+/// Declares PrefilterEngine, the literal gate of the Hyperscan-style
+/// decomposition baseline the paper positions itself against (§I/§VII,
+/// Wang et al. NSDI'19): rules with a mandatory literal and a bounded match
+/// length are matched lazily — an Aho-Corasick pass over the stream finds
+/// literal hits, and each rule's own automaton runs only inside a bounded
+/// window around its hits.
 ///
-/// The engine is built from compiled MFSAs, the same ones every other engine
-/// scans (in memory or loaded from an artifact). Each rule's automaton is
-/// extracted from its group; the rule texts are read only for their
-/// mandatory literals. The prefiltered/residual split is the planner's own
-/// (profileLiterals, analysis/CostModel.h), so the partition it prices is
-/// the partition that runs.
+/// The gate is one group of a prefilter plan (engine/PlannedEngine.h).
+/// PlannedEngineSet splits the plan's rules by profileLiterals
+/// (analysis/CostModel.h), the same partition the planner prices: the
+/// gated rules' automata, extracted from the MFSAs every other engine
+/// scans, build this gate, and the rules it cannot gate (anchored,
+/// literal-poor, or unbounded) merge into one ordinary dense iMFAnt group
+/// scanned before it.
 ///
-/// Match output is identical to running every rule everywhere: every match
-/// of a prefiltered rule contains its mandatory literal, every literal
+/// Match output is identical to running every gated rule everywhere: every
+/// match of a gated rule contains its mandatory literal, every literal
 /// occurrence spawns a window wide enough (± MaxMatchLength) to contain all
 /// matches through it, and overlapping windows are coalesced so no (rule,
 /// end) pair reports twice.
@@ -42,52 +42,41 @@
 
 namespace mfsa {
 
-/// Ruleset matcher combining literal prefiltering with MFSA fallback.
+/// Literal gate over a set of prefilterable rules.
 class PrefilterEngine {
 public:
-  /// Builds the engine over the rules of \p Mfsas. \p Patterns is the
-  /// dataset ruleset indexed by the rules' GlobalIds; a rule without a
-  /// parseable pattern there joins the residual.
-  static PrefilterEngine create(const std::vector<Mfsa> &Mfsas,
-                                const std::vector<std::string> &Patterns);
+  /// One literal-gated rule as profileLiterals judged it: its automaton,
+  /// dataset rule id, mandatory literal and match-length bound.
+  struct GatedRule {
+    Nfa Fsa;
+    uint32_t GlobalId = 0;
+    std::string Literal;
+    uint32_t MaxMatchLength = 0;
+  };
+
+  /// Builds the gate: one Aho-Corasick automaton over the literals and one
+  /// confirmation engine per rule.
+  explicit PrefilterEngine(std::vector<GatedRule> Rules);
 
   /// Scans \p Input with the same (rule, end offset) semantics as
-  /// ImfantEngine over the full ruleset.
+  /// ImfantEngine over the gated rules, reporting window after window in
+  /// rule then window order.
   void run(std::string_view Input, MatchRecorder &Recorder) const;
 
-  /// Input-parallel scan with run()'s match set, in three phases on one
-  /// pool of \p Options.Threads workers (when UseThreadPool is set):
-  ///  1. the residual rules through InputParallelRun over \p Options'
-  ///     chunks;
-  ///  2. the literal scan in the same chunks: slice i scans
-  ///     [b_i - (Lmax - 1), b_{i+1}) and keeps only hits whose end offset
-  ///     lies in (b_i, b_{i+1}], so every occurrence is found by exactly one
-  ///     slice and the per-rule hit lists concatenate, in slice order, to
-  ///     the sequential ones;
-  ///  3. confirmation: the windows are coalesced exactly as in run(), split
-  ///     into contiguous runs of about equal cost, one per worker, and each
-  ///     worker's matches are replayed into \p Recorder in run()'s rule and
-  ///     window order.
-  /// \p Stats, when non-null, receives the residual executor's chunk
-  /// counters (or just the chunk count when every rule is prefiltered).
-  /// \p Pool, when non-null, is used instead of a pool of the call's own.
-  void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
-                        const InputParallelOptions &Options,
-                        InputParallelStats *Stats = nullptr,
-                        ThreadPool *Pool = nullptr) const;
-
   size_t numPrefiltered() const { return PrefilteredRules.size(); }
-  size_t numResidual() const { return NumResidualRules; }
 
   /// Attaches `prefilter.*` instrumentation: literal hits, confirm-window
   /// construction (count, coalesced length, bytes rescanned) and pass/drop
-  /// outcomes, plus the prefiltered/residual rule split as gauges. The
-  /// nested confirm and residual engines keep their own hooks detached;
-  /// only aggregate prefilter behaviour is reported here.
+  /// outcomes, plus the gated rule count as a gauge. The nested confirm
+  /// engines keep their own hooks detached; only aggregate gate behaviour
+  /// is reported here.
   void setMetrics(obs::MetricsRegistry *Registry);
 
 private:
-  PrefilterEngine() = default;
+  friend void scanChunks(const PrefilterEngine &Gate, std::string_view Input,
+                         const std::vector<uint64_t> &Bounds,
+                         MatchRecorder &Recorder, InputParallelStats *Stats,
+                         ThreadPool *Pool);
 
   /// One literal-gated rule: its confirmation engine and window bound.
   struct PrefilteredRule {
@@ -136,10 +125,24 @@ private:
 
   std::vector<PrefilteredRule> PrefilteredRules;
   std::unique_ptr<AhoCorasick> Literals; ///< Index-aligned with the rules.
-  std::unique_ptr<ImfantEngine> Residual;
-  size_t NumResidualRules = 0;
   ScanMetricHandles Metrics;
 };
+
+/// The gate's input-parallel executor (engine/InputParallel.h), run()'s
+/// match sequence exactly, in two phases on \p Pool:
+///  1. the literal scan in \p Bounds' chunks: slice i scans
+///     [b_i - (Lmax - 1), b_{i+1}) and keeps only hits whose end offset
+///     lies in (b_i, b_{i+1}], so every occurrence is found by exactly one
+///     slice and the per-rule hit lists concatenate, in slice order, to
+///     the sequential ones;
+///  2. confirmation: the windows are coalesced exactly as in run(), split
+///     into contiguous runs of about equal cost, one per chunk, and each
+///     run's matches are replayed into \p Recorder in run()'s rule and
+///     window order.
+/// No state crosses a cut, so the gate adds nothing to \p Stats.
+void scanChunks(const PrefilterEngine &Gate, std::string_view Input,
+                const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
+                InputParallelStats *Stats, ThreadPool *Pool);
 
 } // namespace mfsa
 

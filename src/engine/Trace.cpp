@@ -6,89 +6,68 @@
 
 #include "engine/Trace.h"
 
+#include "engine/Imfant.h"
 #include "obs/Metrics.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <numeric>
 
 using namespace mfsa;
 
 std::vector<TraceStep> mfsa::traceActivation(const Mfsa &Z,
                                              std::string_view Input) {
-  const uint32_t NumRules = Z.numRules();
+  const ImfantEngine Engine(Z);
+  ImfantEngine::Scanner Scan(Engine);
 
-  // Per-rule metadata.
-  std::vector<DynamicBitset> InitialAt(Z.numStates(),
-                                       DynamicBitset(NumRules));
-  std::vector<DynamicBitset> FinalAt(Z.numStates(), DynamicBitset(NumRules));
-  DynamicBitset NotAnchoredStart(NumRules), NotAnchoredEnd(NumRules);
-  for (RuleId Rule = 0; Rule < NumRules; ++Rule) {
-    const Mfsa::RuleInfo &Info = Z.rule(Rule);
-    InitialAt[Info.Initial].set(Rule);
-    for (StateId F : Info.Finals)
-      FinalAt[F].set(Rule);
-    if (!Info.AnchoredStart)
-      NotAnchoredStart.set(Rule);
-    if (!Info.AnchoredEnd)
-      NotAnchoredEnd.set(Rule);
-  }
+  // Global id -> local rules, ascending; rules sharing a global id are
+  // attributed in local order.
+  std::multimap<uint32_t, RuleId> LocalOf;
+  for (RuleId Rule = 0; Rule < Engine.numRules(); ++Rule)
+    LocalOf.emplace(Engine.globalIds()[Rule], Rule);
 
-  std::map<StateId, DynamicBitset> Current;
   std::vector<TraceStep> Trace;
   Trace.reserve(Input.size());
-
   for (size_t Pos = 0; Pos < Input.size(); ++Pos) {
-    const unsigned char C = static_cast<unsigned char>(Input[Pos]);
-    const bool AtStart = (Pos == 0);
-    const bool AtEnd = (Pos + 1 == Input.size());
+    // One byte per feed; the `$` matches finish() flushes belong to the
+    // last step.
+    MatchRecorder Step(MatchRecorder::Mode::Collect);
+    Step.Cap = std::numeric_limits<size_t>::max();
+    Scan.feed(Input.substr(Pos, 1), Step);
+    if (Pos + 1 == Input.size())
+      Scan.finish(Step);
 
-    std::map<StateId, DynamicBitset> Next;
-    DynamicBitset Matched(NumRules);
-
-    for (const MfsaTransition &T : Z.transitions()) {
-      if (!T.Label.contains(C))
-        continue;
-      // Rule (6): propagation prunes rules not owning this transition.
-      DynamicBitset Crossing(NumRules);
-      auto It = Current.find(T.From);
-      if (It != Current.end())
-        Crossing = It->second & T.Bel;
-      // Rule (4): rules whose initial state is the source inject here.
-      DynamicBitset Inject = InitialAt[T.From] & T.Bel;
-      if (!AtStart)
-        Inject &= NotAnchoredStart;
-      Crossing |= Inject;
-      if (Crossing.none())
-        continue;
-
-      auto [Slot, Inserted] = Next.emplace(T.To, Crossing);
-      if (!Inserted)
-        Slot->second |= Crossing;
-
-      // Rule (5): arrival in a final state of an active rule is a match.
-      DynamicBitset Hits = Crossing & FinalAt[T.To];
-      if (!AtEnd)
-        Hits &= NotAnchoredEnd;
-      Matched |= Hits;
-    }
-
-    TraceStep Step;
-    Step.Offset = Pos + 1;
-    Step.Symbol = C;
-    for (const auto &[State, Rules] : Next) {
-      TraceStep::ActiveEntry Entry;
-      Entry.State = State;
-      Rules.forEach([&](unsigned Rule) {
-        Entry.ActiveRules.push_back(static_cast<RuleId>(Rule));
-      });
-      Step.Active.push_back(std::move(Entry));
-    }
-    Matched.forEach([&](unsigned Rule) {
-      Step.Matches.emplace_back(static_cast<RuleId>(Rule),
-                                Z.rule(Rule).GlobalId);
+    TraceStep Out;
+    Out.Offset = Pos + 1;
+    Out.Symbol = static_cast<unsigned char>(Input[Pos]);
+    const ActivationSet Active = Scan.captureActivation();
+    std::vector<size_t> Order(Active.size());
+    std::iota(Order.begin(), Order.end(), size_t(0));
+    std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+      return Active.States[A] < Active.States[B];
     });
-    Trace.push_back(std::move(Step));
-    Current = std::move(Next);
+    for (size_t I : Order) {
+      TraceStep::ActiveEntry Entry;
+      Entry.State = Active.States[I];
+      const uint64_t *Block = Active.block(I);
+      for (uint32_t Word = 0; Word < Active.Words; ++Word)
+        for (uint64_t Bits = Block[Word]; Bits; Bits &= Bits - 1)
+          Entry.ActiveRules.push_back(static_cast<RuleId>(
+              Word * 64 + static_cast<unsigned>(__builtin_ctzll(Bits))));
+      Out.Active.push_back(std::move(Entry));
+    }
+
+    // A local rule reports at most once per offset, so the k-th report of a
+    // global id this step is that id's k-th local rule.
+    std::map<uint32_t, unsigned> Seen;
+    for (const auto &[GlobalId, End] : Step.matches()) {
+      auto Local = LocalOf.lower_bound(GlobalId);
+      std::advance(Local, Seen[GlobalId]++);
+      Out.Matches.emplace_back(Local->second, GlobalId);
+    }
+    std::sort(Out.Matches.begin(), Out.Matches.end());
+    Trace.push_back(std::move(Out));
   }
   return Trace;
 }

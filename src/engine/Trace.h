@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Declares traceActivation(), a clarity-first re-execution of the iMFAnt
-/// algorithm that records, per consumed symbol, every active state with its
-/// activation set J and every match — the information the paper's Fig. 3
-/// and Fig. 6 walkthroughs display. Intended for debugging merged rulesets
-/// and for teaching the activation-function rules; the optimized engine is
-/// ImfantEngine.
+/// Declares traceActivation(), which records, per consumed symbol, every
+/// active state with its activation set J and every match — the
+/// information the paper's Fig. 3 and Fig. 6 walkthroughs display. The
+/// trace comes from the scanner that runs: an ImfantEngine::Scanner fed one
+/// byte at a time, its activation captured after each byte, so Eq. 4-6
+/// exist once, in the engine. Intended for debugging merged rulesets and
+/// for teaching the activation-function rules.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +43,8 @@ struct TraceStep {
   std::vector<std::pair<RuleId, uint32_t>> Matches;
 };
 
-/// Executes \p Z over \p Input with full bookkeeping. Match semantics are
-/// identical to ImfantEngine (including `$` rules reporting only at the
-/// final offset).
+/// Scans \p Z over \p Input with ImfantEngine, one byte per step; the
+/// `$` rules report at the final offset, on the last step.
 std::vector<TraceStep> traceActivation(const Mfsa &Z, std::string_view Input);
 
 namespace obs {
@@ -78,7 +78,7 @@ public:
 
 /// Replays \p Z over \p Input through \p Sink in the event order documented
 /// on TraceSink. Built on traceActivation(), so it shares its exact match
-/// semantics — and its clarity-over-speed cost model.
+/// semantics — and its byte-at-a-time cost.
 void replayTrace(const Mfsa &Z, std::string_view Input, TraceSink &Sink);
 
 /// TraceSink that folds the event stream into `trace.*` metrics of a

@@ -25,7 +25,7 @@
 #include "engine/DfaEngine.h"
 #include "engine/Imfant.h"
 #include "engine/MultiStride.h"
-#include "engine/Prefilter.h"
+#include "engine/PlannedEngine.h"
 #include "fsa/Determinize.h"
 #include "obs/Metrics.h"
 #include "support/Checksum.h"
@@ -292,11 +292,14 @@ TEST(ArtifactDifferential, FiveEnginesFromArtifactMatchOracle) {
   ASSERT_TRUE(UnionDfa.ok()) << UnionDfa.diag().render();
   Result<StridedDfa> Stride2 = makeStride2(*UnionDfa);
   ASSERT_TRUE(Stride2.ok()) << Stride2.diag().render();
+  const DfaEngine Dfa(UnionDfa.take());
+  const StridedDfaEngine Strided(Stride2.take());
 
-  // Prefilter from the artifact MFSAs, with literals from the embedded
+  // Prefilter plan from the artifact MFSAs, with literals from the embedded
   // pattern text.
-  const PrefilterEngine Prefilter =
-      PrefilterEngine::create(Mfsas, Loaded->patterns());
+  Result<PlannedEngineSet> Prefilter =
+      PlannedEngineSet::create(Engine::Prefilter, Mfsas, Loaded->patterns());
+  ASSERT_TRUE(Prefilter.ok()) << Prefilter.diag().render();
 
   Rng Random(20260808);
   std::vector<std::string> Inputs = {"", "abcabc"};
@@ -309,20 +312,18 @@ TEST(ArtifactDifferential, FiveEnginesFromArtifactMatchOracle) {
 
     EXPECT_EQ(imfantEnds(Mfsas, Input), Expected) << "engine=imfant " << Tag;
     {
-      DfaEngine Engine(*UnionDfa);
       MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-      Engine.run(Input, Recorder);
+      Dfa.run(Input, Recorder);
       EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=dfa " << Tag;
     }
     {
-      StridedDfaEngine Engine(*Stride2);
       MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-      Engine.run(Input, Recorder);
+      Strided.run(Input, Recorder);
       EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=stride2 " << Tag;
     }
     {
       MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-      Prefilter.run(Input, Recorder);
+      Prefilter->run(Input, Recorder);
       EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=prefilter "
                                                   << Tag;
     }

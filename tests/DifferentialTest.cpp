@@ -43,7 +43,6 @@
 #include "engine/InputParallel.h"
 #include "engine/MultiStride.h"
 #include "engine/PlannedEngine.h"
-#include "engine/Prefilter.h"
 #include "fsa/Determinize.h"
 #include "mfsa/Merge.h"
 
@@ -101,16 +100,17 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
                             << ": " << Planned.diag().render() << " "
                             << formatPatterns(Patterns);
 
-  Result<Dfa> UnionDfa = determinize(Fsas, Ids);
-  std::optional<StridedDfa> Stride2;
-  if (UnionDfa.ok()) {
-    Result<StridedDfa> S2 = makeStride2(*UnionDfa);
-    if (S2.ok())
-      Stride2.emplace(std::move(*S2));
+  std::optional<DfaEngine> UnionDfa;
+  std::optional<StridedDfaEngine> Stride2;
+  if (Result<Dfa> D = determinize(Fsas, Ids); D.ok()) {
+    if (Result<StridedDfa> S2 = makeStride2(*D); S2.ok())
+      Stride2.emplace(S2.take());
+    UnionDfa.emplace(D.take());
   }
 
-  const PrefilterEngine Prefilter =
-      PrefilterEngine::create(MergedVec, Patterns);
+  Result<PlannedEngineSet> Prefilter =
+      PlannedEngineSet::create(Engine::Prefilter, MergedVec, Patterns);
+  ASSERT_TRUE(Prefilter.ok()) << Prefilter.diag().render();
 
   // Input-parallel leg: the chunked executor over the dense engine must
   // reproduce the sequential match set, and its speculative per-chunk
@@ -118,7 +118,6 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
   InputParallelOptions ParOpts;
   ParOpts.Threads = 3;
   ParOpts.MinChunkBytes = 1;
-  InputParallelRun Par(Imfant, ParOpts);
   InputParallelOptions PlannedParOpts;
   PlannedParOpts.Threads = 3;
   PlannedParOpts.MinChunkBytes = 1;
@@ -151,22 +150,20 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
       EXPECT_EQ(recorderEnds(Recorder), Expected)
           << "engine=imfant-streamed cuts=" << Cuts.size() << " " << Tag;
     }
-    if (UnionDfa.ok()) {
-      DfaEngine Engine(*UnionDfa);
+    if (UnionDfa) {
       MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-      Engine.run(Input, Recorder);
+      UnionDfa->run(Input, Recorder);
       EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=dfa " << Tag;
     }
     if (Stride2) {
-      StridedDfaEngine Engine(*Stride2);
       MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-      Engine.run(Input, Recorder);
+      Stride2->run(Input, Recorder);
       EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=stride2 "
                                                   << Tag;
     }
     {
       MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-      Prefilter.run(Input, Recorder);
+      Prefilter->run(Input, Recorder);
       EXPECT_EQ(recorderEnds(Recorder), Expected) << "engine=prefilter "
                                                   << Tag;
     }
@@ -179,7 +176,7 @@ void checkRuleset(uint64_t Seed, const std::vector<std::string> &Patterns,
     {
       MatchRecorder Recorder(MatchRecorder::Mode::Collect);
       InputParallelStats ParStats;
-      Par.run(Input, Recorder, &ParStats);
+      runInputParallel(Imfant, Input, Recorder, ParOpts, &ParStats);
       EXPECT_EQ(recorderEnds(Recorder), Expected)
           << "engine=input-parallel " << Tag;
       EXPECT_GE(Width.MaxActiveStates, ParStats.MaxCarryFrontier)

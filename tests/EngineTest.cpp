@@ -318,44 +318,11 @@ TEST(Parallel, UnboundedRunReportsFullCompletion) {
   std::vector<ImfantEngine> Engines;
   for (const Mfsa &Z : Groups)
     Engines.emplace_back(Z);
-  ParallelRunResult Result = runParallel(Engines, "abcdef", 2);
-  EXPECT_FALSE(Result.Degraded);
-  EXPECT_EQ(Result.NumCompleted, Engines.size());
-  EXPECT_EQ(Result.Completed.count(), Engines.size());
-}
-
-TEST(Parallel, GenerousDeadlineChunkedRunMatchesUnbounded) {
-  // A non-expiring deadline routes execution through the chunked Scanner
-  // path; results must be byte-identical to the unbounded fast path even
-  // when chunk boundaries fall inside matches.
-  std::vector<std::string> Patterns = {"abc", "bcd", "ab", "cd"};
-  std::vector<Nfa> Fsas;
-  for (const std::string &P : Patterns)
-    Fsas.push_back(compileOptimized(P));
-  std::vector<Mfsa> Groups = mergeInGroups(Fsas, 2);
-  std::vector<ImfantEngine> Engines;
-  for (const Mfsa &Z : Groups)
-    Engines.emplace_back(Z);
-
-  Rng Random(5150);
-  std::string Input = randomInput(Random, 3000);
-
-  uint64_t SequentialTotal = 0;
-  for (const ImfantEngine &Engine : Engines) {
-    MatchRecorder Recorder;
-    Engine.run(Input, Recorder);
-    SequentialTotal += Recorder.total();
-  }
-
-  ParallelRunOptions Options;
-  Options.DeadlineMs = 1e9;
-  Options.ChunkBytes = 7; // force many chunk boundaries
   std::vector<MatchRecorder> Recorders(Engines.size());
-  ParallelRunResult Result =
-      runParallel(Engines, Input, 3, &Recorders, Options);
-  EXPECT_FALSE(Result.Degraded);
-  EXPECT_EQ(Result.NumCompleted, Engines.size());
-  EXPECT_EQ(Result.TotalMatches, SequentialTotal);
+  ParallelRunResult Result = runParallel(Engines, "abcdef", 2, &Recorders);
+  EXPECT_EQ(Result.TotalMatches, Engines.size());
+  for (const MatchRecorder &Recorder : Recorders)
+    EXPECT_EQ(Recorder.total(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -736,12 +703,14 @@ TEST(Imfant, FootprintGrowsWithAutomaton) {
 }
 
 //===----------------------------------------------------------------------===//
-// Activation tracing agrees with the engine
+// Activation tracing agrees with the AST oracle
 //===----------------------------------------------------------------------===//
 
 #include "engine/Trace.h"
 
 TEST(Trace, MatchesAgreeWithEngine) {
+  // The trace is read off the engine's own scanner, so it is checked
+  // against the independent AST oracle, not against ImfantEngine::run.
   Rng Random(1234);
   for (int Round = 0; Round < 6; ++Round) {
     std::vector<std::string> Patterns;
@@ -749,20 +718,18 @@ TEST(Trace, MatchesAgreeWithEngine) {
     for (unsigned I = 0; I < Count; ++I)
       Patterns.push_back(randomPattern(Random));
     Mfsa Z = mergePatterns(Patterns);
-    ImfantEngine Engine(Z);
     for (int Trial = 0; Trial < 4; ++Trial) {
       std::string Input = randomInput(Random, 18);
-      // Engine view.
-      MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-      Engine.run(Input, Recorder);
-      std::multiset<std::pair<uint32_t, uint64_t>> FromEngine(
-          Recorder.matches().begin(), Recorder.matches().end());
-      // Trace view.
-      std::multiset<std::pair<uint32_t, uint64_t>> FromTrace;
+      std::map<uint32_t, std::set<size_t>> FromTrace;
       for (const TraceStep &Step : traceActivation(Z, Input))
-        for (const auto &[Rule, GlobalId] : Step.Matches)
-          FromTrace.emplace(GlobalId, Step.Offset);
-      EXPECT_EQ(FromEngine, FromTrace) << Input;
+        for (const auto &[Rule, GlobalId] : Step.Matches) {
+          EXPECT_EQ(Z.rule(Rule).GlobalId, GlobalId) << Input;
+          EXPECT_TRUE(FromTrace[GlobalId].insert(Step.Offset).second)
+              << "duplicate (rule, end) " << GlobalId << "," << Step.Offset
+              << " " << Input;
+        }
+      EXPECT_EQ(FromTrace, oracleRuleEnds(Patterns, Input))
+          << formatPatterns(Patterns) << " input=" << Input;
     }
   }
 }

@@ -2,8 +2,8 @@
 //
 // Part of the mfsa project. MIT License.
 //
-// Property: the match set of InputParallelRun is invariant under the
-// chunking. Every backend (dense iMFAnt, union DFA, stride-2 DFA) x every
+// Property: the match set of the input-parallel executors (scanChunks) is
+// invariant under the chunking. Every backend (dense iMFAnt, union DFA, stride-2 DFA) x every
 // thread count x every adversarial cut set (TestHelpers.h: cuts at match
 // ends, mid-match, 1-byte chunks, empty chunks, random) must reproduce the
 // AST oracle's per-rule match-end sets exactly — the "byte-identical to a
@@ -11,17 +11,17 @@
 // runs the same property with phase 1 actually concurrent, which the tsan
 // CI leg exercises.
 //
-// The prefilter executor (PrefilterEngine::runInputParallel) gets the same
-// treatment on rulesets mixing literal-gated and residual rules, with extra
-// cuts aimed at its literal slices and confirm windows, and is compared
-// against PrefilterEngine::run as well as the oracle.
+// The prefilter plan (PlannedEngineSet: the residual group, then the
+// literal gate) gets the same treatment on rulesets mixing literal-gated and
+// residual rules, with extra cuts aimed at its literal slices and confirm
+// windows, and runInputParallel() is compared against run() as well as the
+// oracle.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CostModel.h"
 #include "engine/InputParallel.h"
 #include "engine/MultiStride.h"
-#include "engine/Prefilter.h"
 #include "fsa/Determinize.h"
 #include "fsa/LiteralAnalysis.h"
 #include "mfsa/Merge.h"
@@ -70,16 +70,14 @@ void checkInputParallel(uint64_t Seed,
   ImfantEngine Imfant(Merged);
   const WidthBound Width = boundActivationWidth(Merged);
 
-  Result<Dfa> UnionDfa = determinize(Fsas, Ids);
-  std::optional<StridedDfa> Stride2;
-  if (UnionDfa.ok()) {
-    Result<StridedDfa> S2 = makeStride2(*UnionDfa);
-    if (S2.ok())
-      Stride2.emplace(std::move(*S2));
+  std::optional<DfaEngine> UnionDfa;
+  std::optional<StridedDfaEngine> Stride2;
+  if (Result<Dfa> D = determinize(Fsas, Ids); D.ok()) {
+    if (Result<StridedDfa> S2 = makeStride2(*D); S2.ok())
+      Stride2.emplace(S2.take());
+    UnionDfa.emplace(D.take());
   }
 
-  // One executor per (backend, options) pair: construction precomputes the
-  // speculative frontier, run() is const and reusable across inputs.
   auto MakeOpts = [&](unsigned Threads, std::vector<uint64_t> Cuts) {
     InputParallelOptions Opts;
     Opts.Threads = Threads;
@@ -108,10 +106,10 @@ void checkInputParallel(uint64_t Seed,
           "\" T=" + std::to_string(Threads) + " " + formatCuts(Cuts);
 
       {
-        InputParallelRun Par(Imfant, MakeOpts(Threads, Cuts));
         MatchRecorder Recorder(MatchRecorder::Mode::Collect);
         InputParallelStats Stats;
-        Par.run(Input, Recorder, &Stats);
+        runInputParallel(Imfant, Input, Recorder, MakeOpts(Threads, Cuts),
+                         &Stats);
         EXPECT_EQ(recorderEnds(Recorder), Expected)
             << "backend=imfant " << Tag;
         // Carry re-scans start inside reachable configurations, so the
@@ -119,17 +117,15 @@ void checkInputParallel(uint64_t Seed,
         EXPECT_GE(Width.MaxActiveStates, Stats.MaxCarryFrontier)
             << "carry frontier bound " << Tag;
       }
-      if (UnionDfa.ok()) {
-        InputParallelRun Par(*UnionDfa, MakeOpts(Threads, Cuts));
+      if (UnionDfa) {
         MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Par.run(Input, Recorder);
+        runInputParallel(*UnionDfa, Input, Recorder, MakeOpts(Threads, Cuts));
         EXPECT_EQ(recorderEnds(Recorder), Expected)
             << "backend=dfa " << Tag;
       }
       if (Stride2) {
-        InputParallelRun Par(*Stride2, MakeOpts(Threads, Cuts));
         MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-        Par.run(Input, Recorder);
+        runInputParallel(*Stride2, Input, Recorder, MakeOpts(Threads, Cuts));
         EXPECT_EQ(recorderEnds(Recorder), Expected)
             << "backend=stride2 " << Tag;
       }
@@ -200,9 +196,8 @@ TEST(InputParallel, MatchAcrossThreeConsecutiveBoundaries) {
   InputParallelOptions Opts;
   Opts.MinChunkBytes = 1;
   Opts.CutOverride = {3, 4, 5}; // "xxa|b|c|dxx" — cuts inside the match.
-  InputParallelRun Par(Imfant, Opts);
   MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-  Par.run(Input, Recorder);
+  runInputParallel(Imfant, Input, Recorder, Opts);
   EXPECT_EQ(recorderEnds(Recorder), Expected);
 }
 
@@ -253,19 +248,18 @@ TEST(InputParallel, ThreadPoolPhaseOneIsRaceFree) {
   Opts.MinChunkBytes = 1;
   Opts.UseThreadPool = true;
   {
-    InputParallelRun Par(Imfant, Opts);
     MatchRecorder Recorder(MatchRecorder::Mode::Collect);
     InputParallelStats Stats;
-    Par.run(Input, Recorder, &Stats);
+    runInputParallel(Imfant, Input, Recorder, Opts, &Stats);
     EXPECT_EQ(recorderEnds(Recorder), Expected);
     EXPECT_EQ(Stats.Chunks, 4u);
   }
   Result<Dfa> UnionDfa = determinize(Fsas, Ids);
   ASSERT_TRUE(UnionDfa.ok());
   {
-    InputParallelRun Par(*UnionDfa, Opts);
+    const DfaEngine Engine(UnionDfa.take());
     MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-    Par.run(Input, Recorder);
+    runInputParallel(Engine, Input, Recorder, Opts);
     EXPECT_EQ(recorderEnds(Recorder), Expected);
   }
 }
@@ -289,10 +283,9 @@ TEST(InputParallel, StatsClassifyChunks) {
   InputParallelOptions Opts;
   Opts.Threads = 4;
   Opts.MinChunkBytes = 1;
-  InputParallelRun Par(Imfant, Opts);
   MatchRecorder Recorder(MatchRecorder::Mode::Collect);
   InputParallelStats Stats;
-  Par.run(Input, Recorder, &Stats);
+  runInputParallel(Imfant, Input, Recorder, Opts, &Stats);
   EXPECT_EQ(recorderEnds(Recorder), oracleRuleEnds(Patterns, Input));
   EXPECT_EQ(Stats.Chunks, 4u);
   EXPECT_EQ(Stats.RescanFallbackChunks, 0u);
@@ -343,10 +336,9 @@ TEST(InputParallel, CarryCrossingWholeChunksIsRescanned) {
         CrossedBytes += Bounds[I + 1] - Bounds[I];
       }
     const std::string Tag = formatCuts(Cuts);
-    InputParallelRun Par(Imfant, Opts);
     MatchRecorder Recorder(MatchRecorder::Mode::Collect);
     InputParallelStats Stats;
-    Par.run(Input, Recorder, &Stats);
+    runInputParallel(Imfant, Input, Recorder, Opts, &Stats);
     EXPECT_EQ(recorderEnds(Recorder), Expected) << Tag;
     EXPECT_EQ(Stats.RescanFallbackChunks, Crossed) << Tag;
     EXPECT_EQ(Stats.OverlapBytes, CrossedBytes) << Tag;
@@ -354,13 +346,23 @@ TEST(InputParallel, CarryCrossingWholeChunksIsRescanned) {
 }
 
 //===----------------------------------------------------------------------===//
-// Prefilter executor: residual rules through the iMFAnt executor, literal
-// slices over the same chunks, confirm windows spread across workers.
+// Prefilter plan: the residual group through the iMFAnt executor, the
+// gate's literal slices over the same chunks, confirm windows spread across
+// workers.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 using MatchList = std::vector<std::pair<uint32_t, uint64_t>>;
+
+/// The prefilter plan over \p Patterns merged in groups of \p M.
+PlannedEngineSet prefilterPlan(const std::vector<std::string> &Patterns,
+                               uint32_t M) {
+  Result<PlannedEngineSet> Set = PlannedEngineSet::create(
+      Engine::Prefilter, compileMerged(Patterns, M), Patterns);
+  EXPECT_TRUE(Set.ok()) << Set.diag().render();
+  return Set.take();
+}
 
 MatchList sortedMatches(const MatchRecorder &Recorder) {
   MatchList Out = Recorder.matches();
@@ -398,16 +400,15 @@ literalCuts(const std::vector<std::string> &Patterns,
   return {Inside, AtEnds, InWindows, {0, 0, Len / 3, Len / 3, Len, Len}};
 }
 
-/// Checks PrefilterEngine::runInputParallel against run() and the oracle on
-/// every input, under the default split at several thread counts, the
-/// shared adversarial cuts and literalCuts, with and without a thread
-/// pool: identical sorted (rule, end) lists, total() and perRule(). The
-/// engine is built over one group per rule, as from an M=1 artifact.
+/// Checks the prefilter plan's runInputParallel() against run() and the
+/// oracle on every input, under the default split at several thread counts,
+/// the shared adversarial cuts and literalCuts, with and without a thread
+/// pool: identical sorted (rule, end) lists, total() and perRule(). The plan
+/// is built over one group per rule, as from an M=1 artifact.
 void checkPrefilterInputParallel(uint64_t Seed,
                                  const std::vector<std::string> &Patterns,
                                  const std::vector<std::string> &Inputs) {
-  const PrefilterEngine Pre =
-      PrefilterEngine::create(compileMerged(Patterns, 1), Patterns);
+  const PlannedEngineSet Pre = prefilterPlan(Patterns, 1);
 
   Rng Random(Seed ^ 0x51ed270b4c3a9f1dull);
   for (const std::string &Input : Inputs) {
@@ -446,7 +447,7 @@ void checkPrefilterInputParallel(uint64_t Seed,
         EXPECT_EQ(Par.perRule(), Seq.perRule()) << Tag;
         EXPECT_EQ(recorderEnds(Par), Expected) << Tag;
         const size_t Chunks = inputChunkBounds(Opts, Input.size()).size() - 1;
-        EXPECT_EQ(Stats.Chunks, Chunks) << Tag;
+        EXPECT_EQ(Stats.Chunks, Pre.numGroups() * Chunks) << Tag;
       }
   }
 }
@@ -465,10 +466,9 @@ const std::vector<std::string> &mixedRuleset() {
 } // namespace
 
 TEST(InputParallelPrefilter, MixedRulesetUnderAdversarialCuts) {
-  const PrefilterEngine Pre =
-      PrefilterEngine::create(compileMerged(mixedRuleset(), 1), mixedRuleset());
-  ASSERT_GT(Pre.numPrefiltered(), 0u);
-  ASSERT_GT(Pre.numResidual(), 0u);
+  const PrefilterSplit Split = prefilterSplit(prefilterPlan(mixedRuleset(), 1));
+  ASSERT_GT(Split.Gated, 0u);
+  ASSERT_GT(Split.Residual, 0u);
 
   Rng Random(4401);
   std::vector<std::string> Inputs = {
@@ -522,8 +522,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InputParallelPrefilterProperty,
                          ::testing::Range<uint64_t>(9200, 9210));
 
 TEST(InputParallelPrefilter, PrefilterOnlyAndResidualOnly) {
-  // No residual MFSA: the chunk counters come from the literal slices. No
-  // literal: the residual executor alone.
+  // No residual group: the gate alone. No literal: the residual group and
+  // an empty gate.
   Rng Random(4402);
   std::vector<std::string> Inputs = {"", "abcdabcab", randomInput(Random, 60)};
   checkPrefilterInputParallel(4402, {"abc", "dab[a-c]?", "bca"}, Inputs);
@@ -531,7 +531,7 @@ TEST(InputParallelPrefilter, PrefilterOnlyAndResidualOnly) {
 }
 
 TEST(InputParallelPrefilter, PooledPhasesAreRaceFree) {
-  // All three phases concurrent on one pool (the tsan leg's target): each
+  // Every phase concurrent on one pool (the tsan leg's target): each
   // residual chunk, literal slice and confirm run writes only its own slot,
   // and the caller's recorder is touched by the calling thread alone.
   Rng Random(4404);
@@ -541,8 +541,7 @@ TEST(InputParallelPrefilter, PooledPhasesAreRaceFree) {
                                   : randomInput(Random, 24);
   // Groups of three rules: confirm automata are extracted from multi-rule
   // MFSAs.
-  const PrefilterEngine Pre =
-      PrefilterEngine::create(compileMerged(mixedRuleset(), 3), mixedRuleset());
+  const PlannedEngineSet Pre = prefilterPlan(mixedRuleset(), 3);
   MatchRecorder Seq(MatchRecorder::Mode::Collect);
   Pre.run(Input, Seq);
   ASSERT_GT(Seq.total(), 0u);
@@ -557,7 +556,7 @@ TEST(InputParallelPrefilter, PooledPhasesAreRaceFree) {
     Pre.runInputParallel(Input, Par, Opts, &Stats);
     EXPECT_EQ(sortedMatches(Par), sortedMatches(Seq));
     EXPECT_EQ(Par.perRule(), Seq.perRule());
-    EXPECT_EQ(Stats.Chunks, 4u);
+    EXPECT_EQ(Stats.Chunks, Pre.numGroups() * 4u);
     EXPECT_EQ(Stats.RescanFallbackChunks, 0u);
   }
 }

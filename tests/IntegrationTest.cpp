@@ -14,7 +14,7 @@
 #include "engine/DfaEngine.h"
 #include "engine/Imfant.h"
 #include "engine/Parallel.h"
-#include "engine/Prefilter.h"
+#include "engine/PlannedEngine.h"
 #include "fsa/Determinize.h"
 #include "fsa/Reference.h"
 #include "workload/Datasets.h"
@@ -110,10 +110,11 @@ TEST_P(DatasetIntegration, AllEnginesAgree) {
   auto FromDense = runEngine(Dense, Stream);
 
   // Literal prefilter over the same MFSA, literals from the source patterns.
-  const PrefilterEngine Prefilter =
-      PrefilterEngine::create(Artifacts->Mfsas, Rules);
+  Result<PlannedEngineSet> Prefilter =
+      PlannedEngineSet::create(Engine::Prefilter, Artifacts->Mfsas, Rules);
+  ASSERT_TRUE(Prefilter.ok()) << Prefilter.diag().render();
   MatchRecorder PrefilterRecorder(MatchRecorder::Mode::Collect);
-  Prefilter.run(Stream, PrefilterRecorder);
+  Prefilter->run(Stream, PrefilterRecorder);
   EXPECT_EQ(FromDense, recorderEnds(PrefilterRecorder));
 
   // Union DFA.
@@ -124,7 +125,7 @@ TEST_P(DatasetIntegration, AllEnginesAgree) {
   Capped.MaxStates = 1u << 16;
   Result<Dfa> D = determinize(Artifacts->OptimizedFsas, Ids, Capped);
   if (D.ok()) { // .*-heavy slices may legitimately explode
-    DfaEngine DfaEng(*D);
+    const DfaEngine DfaEng(D.take());
     MatchRecorder DfaRecorder(MatchRecorder::Mode::Collect);
     DfaEng.run(Stream, DfaRecorder);
     std::map<uint32_t, std::set<size_t>> FromDfa;

@@ -6,9 +6,9 @@
 // and "all", and checks both of its scan paths against the AST oracle
 // (fsa/Reference.h): run(), and runInputParallel() under the adversarial cut
 // sets of TestHelpers.h plus even splits, with and without a thread pool.
-// The group count must be K = ceil(N/M), or 1 for the prefilter, which
-// covers the whole ruleset. runInputParallel()'s stats must add up the
-// per-group executor stats.
+// The group count must be K = ceil(N/M), or 2 for the prefilter: its
+// residual group and the literal gate. runInputParallel()'s stats must add
+// up the per-group executor stats.
 //
 // PlannedEngineSetGolden pins the exact Collect-mode match sequence — not
 // the set — that run() and runInputParallel() emit for every engine, at
@@ -72,7 +72,8 @@ TEST_P(PlannedEngineSetTest, RunAndInputParallelMatchOracle) {
   EXPECT_EQ(Set->engine(), Choice);
   const size_t N = Patterns.size();
   const size_t K = M == 0 ? 1 : (N + M - 1) / M;
-  EXPECT_EQ(Set->numGroups(), Choice == Engine::Prefilter ? 1u : K);
+  // The prefilter plan is its residual group and the gate.
+  EXPECT_EQ(Set->numGroups(), Choice == Engine::Prefilter ? 2u : K);
 
   Rng Random(0x5eed + M);
   std::vector<std::string> Inputs = {"", "abcdabcab", "abxaybabbcd"};

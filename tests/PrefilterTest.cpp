@@ -232,10 +232,19 @@ TEST(LiteralAnalysis, PrefilterDecision) {
 
 namespace {
 
+/// The prefilter plan over \p Groups: the residual group, then the gate.
+PlannedEngineSet prefilterPlan(const std::vector<Mfsa> &Groups,
+                               const std::vector<std::string> &Patterns) {
+  Result<PlannedEngineSet> Set =
+      PlannedEngineSet::create(Engine::Prefilter, Groups, Patterns);
+  EXPECT_TRUE(Set.ok()) << Set.diag().render();
+  return Set.take();
+}
+
 std::map<uint32_t, std::set<size_t>>
-prefilterEnds(const PrefilterEngine &Engine, const std::string &Input) {
+prefilterEnds(const PlannedEngineSet &Plan, const std::string &Input) {
   MatchRecorder Recorder(MatchRecorder::Mode::Collect);
-  Engine.run(Input, Recorder);
+  Plan.run(Input, Recorder);
   std::map<uint32_t, std::set<size_t>> Ends;
   for (const auto &[Rule, End] : Recorder.matches()) {
     // Engine-level dedup only holds within a window; assert pairs unique.
@@ -274,11 +283,12 @@ TEST(PrefilterEngine, SplitsRulesAndMatchesOracle) {
   // One rule per group, groups of two, and one group: the split and the
   // matches must not depend on how the rules were merged.
   for (uint32_t M : {1u, 2u, 0u}) {
-    PrefilterEngine Engine =
-        PrefilterEngine::create(compileMerged(Patterns, M), Patterns);
-    EXPECT_EQ(Engine.numPrefiltered(), 2u) << "M=" << M;
-    EXPECT_EQ(Engine.numResidual(), 3u) << "M=" << M;
-    EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input))
+    const PlannedEngineSet Plan =
+        prefilterPlan(compileMerged(Patterns, M), Patterns);
+    EXPECT_EQ(Plan.numGroups(), 2u) << "M=" << M;
+    EXPECT_EQ(prefilterSplit(Plan).Gated, 2u) << "M=" << M;
+    EXPECT_EQ(prefilterSplit(Plan).Residual, 3u) << "M=" << M;
+    EXPECT_EQ(prefilterEnds(Plan, Input), oracleEnds(Patterns, Input))
         << "M=" << M;
   }
 }
@@ -286,29 +296,31 @@ TEST(PrefilterEngine, SplitsRulesAndMatchesOracle) {
 TEST(PrefilterEngine, OverlappingHitsDoNotDuplicate) {
   // Repeated adjacent literals force window coalescing.
   std::vector<std::string> Patterns = {"abab[xy]?"};
-  PrefilterEngine Engine =
-      PrefilterEngine::create(compileMerged(Patterns, 1), Patterns);
-  ASSERT_EQ(Engine.numPrefiltered(), 1u);
+  const PlannedEngineSet Plan =
+      prefilterPlan(compileMerged(Patterns, 1), Patterns);
+  ASSERT_EQ(prefilterSplit(Plan).Gated, 1u);
   std::string Input = "ababababababx";
-  EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input));
+  EXPECT_EQ(prefilterEnds(Plan, Input), oracleEnds(Patterns, Input));
 }
 
 TEST(PrefilterEngine, AllResidualStillWorks) {
   std::vector<std::string> Patterns = {"a.*b", "^cd"};
-  PrefilterEngine Engine =
-      PrefilterEngine::create(compileMerged(Patterns, 0), Patterns);
-  EXPECT_EQ(Engine.numPrefiltered(), 0u);
+  const PlannedEngineSet Plan =
+      prefilterPlan(compileMerged(Patterns, 0), Patterns);
+  EXPECT_EQ(prefilterSplit(Plan).Gated, 0u);
+  EXPECT_EQ(prefilterSplit(Plan).Residual, 2u);
   std::string Input = "cdaxxb";
-  EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input));
+  EXPECT_EQ(prefilterEnds(Plan, Input), oracleEnds(Patterns, Input));
 }
 
 TEST(PrefilterEngine, AllPrefilteredNoResidual) {
   std::vector<std::string> Patterns = {"alpha", "beta[0-9]"};
-  PrefilterEngine Engine =
-      PrefilterEngine::create(compileMerged(Patterns, 0), Patterns);
-  EXPECT_EQ(Engine.numResidual(), 0u);
+  const PlannedEngineSet Plan =
+      prefilterPlan(compileMerged(Patterns, 0), Patterns);
+  EXPECT_EQ(Plan.numGroups(), 1u); // the gate alone
+  EXPECT_EQ(prefilterSplit(Plan).Residual, 0u);
   std::string Input = "xxalphayy beta7 alpha";
-  EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input));
+  EXPECT_EQ(prefilterEnds(Plan, Input), oracleEnds(Patterns, Input));
 }
 
 TEST(PrefilterEngine, RejectsMalformedRules) {
@@ -330,10 +342,10 @@ TEST(PrefilterEngine, RuleWithoutPatternTextJoinsResidual) {
       {"alpha[0-9]", "beta(", "gamma"} // rule 1's text does not parse
   };
   for (const std::vector<std::string> &T : Texts) {
-    PrefilterEngine Engine = PrefilterEngine::create(Groups, T);
-    EXPECT_EQ(Engine.numPrefiltered(), 2u);
-    EXPECT_EQ(Engine.numResidual(), 1u);
-    EXPECT_EQ(prefilterEnds(Engine, Input), oracleEnds(Patterns, Input));
+    const PlannedEngineSet Plan = prefilterPlan(Groups, T);
+    EXPECT_EQ(prefilterSplit(Plan).Gated, 2u);
+    EXPECT_EQ(prefilterSplit(Plan).Residual, 1u);
+    EXPECT_EQ(prefilterEnds(Plan, Input), oracleEnds(Patterns, Input));
   }
 }
 
@@ -379,7 +391,6 @@ TEST(PrefilterEngine, DatasetSliceAgainstFullScan) {
   Rules.resize(30);
   std::string Stream = generateStream(Spec, Rules, 8192);
 
-  PrefilterEngine Engine =
-      PrefilterEngine::create(compileMerged(Rules, 1), Rules);
-  EXPECT_EQ(prefilterEnds(Engine, Stream), oracleEnds(Rules, Stream));
+  const PlannedEngineSet Plan = prefilterPlan(compileMerged(Rules, 1), Rules);
+  EXPECT_EQ(prefilterEnds(Plan, Stream), oracleEnds(Rules, Stream));
 }

@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 
 using namespace mfsa;
@@ -263,42 +262,6 @@ TEST(Robustness, ExpansionBombIsQuarantinedNotFatal) {
   EXPECT_NE(Artifacts->Quarantined[0].Reason.Message.find("state budget"),
             std::string::npos);
   EXPECT_EQ(Artifacts->CompiledRuleIds, (std::vector<uint32_t>{0}));
-}
-
-TEST(Robustness, ParallelRunExpiredDeadlineReturnsFlaggedPartialResult) {
-  // An already-expired deadline must come back promptly with Degraded set and
-  // a truthful completion bitmap — never block on the full input.
-  std::vector<std::string> Patterns = {"ab", "cd", "ef", "gh"};
-  CompileOptions Options;
-  Options.MergingFactor = 1; // one engine per rule
-  Result<CompileArtifacts> Artifacts = compileRuleset(Patterns, Options);
-  ASSERT_TRUE(Artifacts.ok());
-  std::vector<ImfantEngine> Engines;
-  for (const Mfsa &Z : Artifacts->Mfsas)
-    Engines.emplace_back(Z);
-
-  Rng Random(2011);
-  std::string Input = randomBytes(Random, 1 << 20);
-
-  ParallelRunOptions Run;
-  Run.DeadlineMs = 1e-6; // expired before any worker can claim
-  Run.ChunkBytes = 4096;
-  ParallelRunResult Partial = runParallel(Engines, Input, 2, nullptr, Run);
-  EXPECT_TRUE(Partial.Degraded);
-  EXPECT_LT(Partial.NumCompleted, Engines.size());
-  EXPECT_EQ(Partial.Completed.size(), Engines.size());
-  EXPECT_EQ(Partial.Completed.count(), Partial.NumCompleted);
-
-  // A pre-tripped cancellation token behaves the same way.
-  std::atomic<bool> Cancel{true};
-  ParallelRunOptions Cancelled;
-  Cancelled.CancelToken = &Cancel;
-  Cancelled.ChunkBytes = 4096;
-  ParallelRunResult Stopped =
-      runParallel(Engines, Input, 2, nullptr, Cancelled);
-  EXPECT_TRUE(Stopped.Degraded);
-  EXPECT_EQ(Stopped.NumCompleted, 0u);
-  EXPECT_EQ(Stopped.TotalMatches, 0u);
 }
 
 TEST(Robustness, HugeClassAndDeepNesting) {

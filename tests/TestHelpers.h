@@ -15,24 +15,64 @@
 #define MFSA_TESTS_TESTHELPERS_H
 
 #include "engine/Imfant.h"
+#include "engine/InputParallel.h"
+#include "engine/PlannedEngine.h"
 #include "fsa/Builder.h"
 #include "fsa/Passes.h"
 #include "fsa/Reference.h"
 #include "mfsa/Merge.h"
 #include "regex/Parser.h"
 #include "support/Rng.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace mfsa::test {
+
+/// Runs one engine's scanChunks() executor over \p Options' chunks on a
+/// pool of its own — one group of PlannedEngineSet::runInputParallel —
+/// filling in \p Stats' Threads and Chunks as the set does.
+template <class EngineT>
+void runInputParallel(const EngineT &Engine, std::string_view Input,
+                      MatchRecorder &Recorder,
+                      const InputParallelOptions &Options,
+                      InputParallelStats *Stats = nullptr) {
+  const std::vector<uint64_t> Bounds = inputChunkBounds(Options, Input.size());
+  const size_t Chunks = Bounds.size() - 1;
+  if (Stats) {
+    Stats->Threads = static_cast<unsigned>(Chunks);
+    Stats->Chunks = Chunks;
+  }
+  const std::unique_ptr<ThreadPool> Pool = makeInputPool(Options, Chunks);
+  scanChunks(Engine, Input, Bounds, Recorder, Stats, Pool.get());
+}
+
+/// A prefilter plan's rule split, read off its groups: the dense residual
+/// group's rules and the gate's.
+struct PrefilterSplit {
+  size_t Gated = 0;
+  size_t Residual = 0;
+};
+
+inline PrefilterSplit prefilterSplit(const PlannedEngineSet &Set) {
+  PrefilterSplit Split;
+  for (const PlannedEngineSet::Group &G : Set.groups()) {
+    if (const auto *Gate = std::get_if<PrefilterEngine>(&G))
+      Split.Gated += Gate->numPrefiltered();
+    else if (const auto *Dense = std::get_if<ImfantEngine>(&G))
+      Split.Residual += Dense->numRules();
+  }
+  return Split;
+}
 
 /// Generates a random syntactically valid ERE over a tiny alphabet
 /// ({a,b,c,d} plus classes) so random inputs hit matches often.
