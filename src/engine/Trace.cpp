@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <numeric>
 
 using namespace mfsa;
 
@@ -42,12 +41,7 @@ std::vector<TraceStep> mfsa::traceActivation(const Mfsa &Z,
     Out.Offset = Pos + 1;
     Out.Symbol = static_cast<unsigned char>(Input[Pos]);
     const ActivationSet Active = Scan.captureActivation();
-    std::vector<size_t> Order(Active.size());
-    std::iota(Order.begin(), Order.end(), size_t(0));
-    std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-      return Active.States[A] < Active.States[B];
-    });
-    for (size_t I : Order) {
+    for (size_t I = 0; I < Active.size(); ++I) {
       TraceStep::ActiveEntry Entry;
       Entry.State = Active.States[I];
       const uint64_t *Block = Active.block(I);
@@ -57,6 +51,11 @@ std::vector<TraceStep> mfsa::traceActivation(const Mfsa &Z,
               Word * 64 + static_cast<unsigned>(__builtin_ctzll(Bits))));
       Out.Active.push_back(std::move(Entry));
     }
+    std::sort(Out.Active.begin(), Out.Active.end(),
+              [](const TraceStep::ActiveEntry &A,
+                 const TraceStep::ActiveEntry &B) {
+                return A.State < B.State;
+              });
 
     // A local rule reports at most once per offset, so the k-th report of a
     // global id this step is that id's k-th local rule.
