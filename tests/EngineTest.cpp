@@ -711,27 +711,33 @@ TEST(Imfant, FootprintGrowsWithAutomaton) {
 TEST(Trace, MatchesAgreeWithEngine) {
   // The trace is read off the engine's own scanner, so it is checked
   // against the independent AST oracle, not against ImfantEngine::run.
+  auto Check = [](const std::vector<std::string> &Patterns,
+                  const std::string &Input) {
+    Mfsa Z = mergePatterns(Patterns);
+    std::map<uint32_t, std::set<size_t>> FromTrace;
+    for (const TraceStep &Step : traceActivation(Z, Input))
+      for (const auto &[Rule, GlobalId] : Step.Matches) {
+        EXPECT_EQ(Z.rule(Rule).GlobalId, GlobalId) << Input;
+        EXPECT_TRUE(FromTrace[GlobalId].insert(Step.Offset).second)
+            << "duplicate (rule, end) " << GlobalId << "," << Step.Offset
+            << " " << Input;
+      }
+    EXPECT_EQ(FromTrace, oracleRuleEnds(Patterns, Input))
+        << formatPatterns(Patterns) << " input=" << Input;
+  };
   Rng Random(1234);
   for (int Round = 0; Round < 6; ++Round) {
     std::vector<std::string> Patterns;
     unsigned Count = 2 + Random.nextBelow(3);
     for (unsigned I = 0; I < Count; ++I)
       Patterns.push_back(randomPattern(Random));
-    Mfsa Z = mergePatterns(Patterns);
-    for (int Trial = 0; Trial < 4; ++Trial) {
-      std::string Input = randomInput(Random, 18);
-      std::map<uint32_t, std::set<size_t>> FromTrace;
-      for (const TraceStep &Step : traceActivation(Z, Input))
-        for (const auto &[Rule, GlobalId] : Step.Matches) {
-          EXPECT_EQ(Z.rule(Rule).GlobalId, GlobalId) << Input;
-          EXPECT_TRUE(FromTrace[GlobalId].insert(Step.Offset).second)
-              << "duplicate (rule, end) " << GlobalId << "," << Step.Offset
-              << " " << Input;
-        }
-      EXPECT_EQ(FromTrace, oracleRuleEnds(Patterns, Input))
-          << formatPatterns(Patterns) << " input=" << Input;
-    }
+    for (int Trial = 0; Trial < 4; ++Trial)
+      Check(Patterns, randomInput(Random, 18));
   }
+  // The scanner reports `$` matches at finish(); the trace puts them on
+  // the last step.
+  for (const char *Input : {"ab", "xab", "abab", "b"})
+    Check({"ab$", "^ab", "b$", "a(b|c)"}, Input);
 }
 
 TEST(Trace, FormatShowsActivationSets) {
