@@ -64,6 +64,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mfsa {
@@ -105,6 +106,11 @@ public:
   const std::vector<uint64_t> &perRule() const { return PerRule; }
   const std::vector<std::pair<uint32_t, uint64_t>> &matches() const {
     return Matches;
+  }
+  /// Moves the retained pairs out, leaving none retained; the counters
+  /// stay.
+  std::vector<std::pair<uint32_t, uint64_t>> takeMatches() {
+    return std::exchange(Matches, {});
   }
 
   /// Maximum number of retained pairs in Collect mode.

@@ -10,7 +10,9 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -27,20 +29,22 @@ using Match = std::pair<uint32_t, uint64_t>; ///< (global rule, end offset).
 constexpr uint32_t MapClassCap = 64;
 constexpr size_t MapGuardBytes = 4096;
 
-/// Sorts \p Matches into sequential emission order — nondecreasing end
-/// offset, rule id within an offset — drops duplicate (rule, end) pairs
-/// (the iso scan and the boundary carry can realize the same match), and
-/// forwards the survivors.
-void forwardSortedUnique(std::vector<Match> &Matches,
-                         MatchRecorder &Recorder) {
-  std::sort(Matches.begin(), Matches.end(),
-            [](const Match &A, const Match &B) {
-              return A.second != B.second ? A.second < B.second
-                                          : A.first < B.first;
-            });
-  Matches.erase(std::unique(Matches.begin(), Matches.end()), Matches.end());
-  for (const Match &M : Matches)
-    Recorder.onMatch(M.first, M.second);
+/// Sequential emission order: nondecreasing end offset, rule id within an
+/// offset.
+bool emitsBefore(const Match &A, const Match &B) {
+  return A.second != B.second ? A.second < B.second : A.first < B.first;
+}
+
+/// Adds one scan's stats into the caller's: counters add up, peaks take the
+/// maximum.
+void accumulateStats(InputParallelStats &Into, const InputParallelStats &Scan) {
+  Into.RescanFallbackChunks += Scan.RescanFallbackChunks;
+  Into.OverlapBytes += Scan.OverlapBytes;
+  Into.MaxCarryFrontier =
+      std::max(Into.MaxCarryFrontier, Scan.MaxCarryFrontier);
+  Into.MaxAliveClasses = std::max(Into.MaxAliveClasses, Scan.MaxAliveClasses);
+  Into.IsoMatches += Scan.IsoMatches;
+  Into.CarryMatches += Scan.CarryMatches;
 }
 
 /// Pointwise union of two activation configurations (either may be empty).
@@ -124,16 +128,52 @@ mfsa::makeInputPool(const InputParallelOptions &Options, size_t Chunks) {
       std::min<size_t>(Options.Threads, Chunks)));
 }
 
-void mfsa::forEachChunk(ThreadPool *Pool, size_t N,
-                        const std::function<void(size_t)> &Body) {
-  if (!Pool || N < 2) {
-    for (size_t I = 0; I < N; ++I)
-      Body(I);
-    return;
+void mfsa::runChunkScans(std::vector<std::unique_ptr<ChunkScan>> Scans,
+                         ThreadPool *Pool, MatchRecorder &Recorder,
+                         InputParallelStats *Stats) {
+  // Per scan: a countdown of its current phase's unfinished tasks, and a
+  // done flag the calling thread waits on.
+  std::vector<std::atomic<size_t>> Pending(Scans.size());
+  std::vector<std::atomic<bool>> Done(Scans.size());
+  // Queues (without a pool, runs) Tasks tasks of scan G's current phase;
+  // the task that brings the countdown to zero runs the join as its
+  // continuation.
+  std::function<void(size_t, size_t)> Start = [&](size_t G, size_t Tasks) {
+    ChunkScan *S = Scans[G].get();
+    Pending[G] = Tasks;
+    for (size_t I = 0; I < Tasks; ++I) {
+      auto Task = [&, S, G, I] {
+        S->runTask(I);
+        if (--Pending[G] != 0)
+          return;
+        if (const size_t Next = S->join())
+          return Start(G, Next);
+        Done[G] = true;
+        Done[G].notify_one();
+      };
+      if (Pool)
+        Pool->submit(Task);
+      else
+        Task();
+    }
+  };
+  auto Forward = [&](size_t G) {
+    Done[G].wait(false);
+    Scans[G]->forward(Recorder);
+    if (Stats)
+      accumulateStats(*Stats, Scans[G]->Stats);
+    Scans[G].reset();
+  };
+  for (size_t G = 0; G < Scans.size(); ++G) {
+    Start(G, Scans[G]->numChunks());
+    if (!Pool)
+      Forward(G);
   }
-  for (size_t I = 0; I < N; ++I)
-    Pool->submit([I, &Body] { Body(I); });
-  Pool->wait();
+  for (size_t G = 0; Pool && G < Scans.size(); ++G)
+    Forward(G);
+  // A finishing task may still be returning from its notify.
+  if (Pool)
+    Pool->wait();
 }
 
 //===----------------------------------------------------------------------===//
@@ -142,87 +182,99 @@ void mfsa::forEachChunk(ThreadPool *Pool, size_t N,
 
 namespace {
 
-/// What phase 1's iso scan leaves for the join: the chunk's own matches
-/// (global ids, absolute offsets) and its exit activation.
-struct IsoScan {
-  std::vector<Match> Matches;
-  ActivationSet Exit;
-};
-
 constexpr size_t UnlimitedCap = std::numeric_limits<size_t>::max();
 
-} // namespace
+class ImfantChunkScan final : public ChunkScan {
+public:
+  ImfantChunkScan(const ImfantEngine &Engine, std::string_view Input,
+                  const std::vector<uint64_t> &Bounds)
+      : ChunkScan(Input, Bounds), Engine(Engine), Iso(numChunks()) {}
 
-void mfsa::scanChunks(const ImfantEngine &Engine, std::string_view Input,
-                      const std::vector<uint64_t> &Bounds,
-                      MatchRecorder &Recorder, InputParallelStats *Stats,
-                      ThreadPool *Pool) {
-  const size_t NumChunks = Bounds.size() - 1;
-  const uint64_t StreamEnd = Input.size();
-  // `$`-pending flush and AcceptAtEnd both belong to the chunk that
-  // consumes the stream's final byte — NOT to a trailing empty chunk.
-  auto FlushesEnd = [&](std::string_view Chunk, uint64_t Base) {
-    return !Chunk.empty() && Base + Chunk.size() == StreamEnd;
-  };
-
-  // Phase 1 — per chunk, independent (parallel on a pool): the iso scan.
-  // Injection on, empty start, absolute offsets: exact for every match
-  // attempt that begins inside the chunk.
-  std::vector<IsoScan> Iso(NumChunks);
-  forEachChunk(Pool, NumChunks, [&](size_t I) {
-    const uint64_t Base = Bounds[I];
-    const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
+  /// The iso scan: injection on, empty start, absolute offsets — exact for
+  /// every match attempt that begins inside the chunk — sorted into
+  /// emission order.
+  void runTask(size_t I) override {
     MatchRecorder Out(MatchRecorder::Mode::Collect);
     Out.Cap = UnlimitedCap;
     ImfantEngine::Scanner Scan(Engine);
-    Scan.startAt(Base);
-    Scan.feed(Chunk, Out);
-    if (FlushesEnd(Chunk, Base))
+    Scan.startAt(Bounds[I]);
+    Scan.feed(chunk(I), Out);
+    if (flushesEnd(I))
       Scan.finish(Out);
     Iso[I].Exit = Scan.captureActivation();
-    Iso[I].Matches = Out.matches();
-  });
-
-  // Phase 2 — sequential join: the attempts that began before chunk I are
-  // the real boundary frontier, propagated with injection off. The scanner
-  // stops where that frontier dies, normally within bytes of the cut, so
-  // the join re-scans a whole chunk only while a carry stays alive across
-  // it. The chunk's exit is then the union of both exits.
-  ActivationSet Carry;
-  for (size_t I = 0; I < NumChunks; ++I) {
-    const uint64_t Base = Bounds[I];
-    const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
-    std::vector<Match> Joined = std::move(Iso[I].Matches);
-    if (Stats)
-      Stats->IsoMatches += Joined.size();
-    ActivationSet CarryExit;
-    if (!Carry.empty()) {
-      ImfantEngine::Scanner Scan(Engine);
-      Scan.startAt(Base);
-      Scan.setInjection(false);
-      Scan.seedActivation(Carry);
-      MatchRecorder Out(MatchRecorder::Mode::Collect);
-      Out.Cap = UnlimitedCap;
-      RunStats CarryStats;
-      Scan.feed(Chunk, Out, Stats ? &CarryStats : nullptr);
-      const bool Alive = !Chunk.empty() && !Scan.frontierEmpty();
-      if (FlushesEnd(Chunk, Base))
-        Scan.finish(Out);
-      CarryExit = Scan.captureActivation();
-      if (Stats) {
-        Stats->CarryMatches += Out.matches().size();
-        Stats->OverlapBytes += Scan.offset() - Base;
-        Stats->RescanFallbackChunks += Alive;
-        Stats->MaxCarryFrontier =
-            std::max(Stats->MaxCarryFrontier, CarryStats.MaxFrontier);
-      }
-      Joined.insert(Joined.end(), Out.matches().begin(), Out.matches().end());
-    }
-    // Per-chunk (rule, end) dedup across the iso scan and the carry — the
-    // sequential engine's per-step dedup, reconstructed at the join.
-    forwardSortedUnique(Joined, Recorder);
-    Carry = unionActivations(Iso[I].Exit, CarryExit);
+    Iso[I].Matches = Out.takeMatches();
+    std::sort(Iso[I].Matches.begin(), Iso[I].Matches.end(), emitsBefore);
   }
+
+  /// The attempts that began before chunk I are the real boundary
+  /// frontier, propagated with injection off. The scanner stops where that
+  /// frontier dies, normally within bytes of the cut, so the join re-scans
+  /// a whole chunk only while a carry stays alive across it. The chunk's
+  /// exit is then the union of both exits.
+  size_t join() override {
+    ActivationSet Carry;
+    for (size_t I = 0; I < numChunks(); ++I) {
+      const uint64_t Base = Bounds[I];
+      const std::string_view Chunk = chunk(I);
+      std::vector<Match> &Joined = Iso[I].Matches;
+      Stats.IsoMatches += Joined.size();
+      ActivationSet CarryExit;
+      if (!Carry.empty()) {
+        ImfantEngine::Scanner Scan(Engine);
+        Scan.startAt(Base);
+        Scan.setInjection(false);
+        Scan.seedActivation(Carry);
+        MatchRecorder Out(MatchRecorder::Mode::Collect);
+        Out.Cap = UnlimitedCap;
+        RunStats CarryStats;
+        Scan.feed(Chunk, Out, &CarryStats);
+        const bool Alive = !Chunk.empty() && !Scan.frontierEmpty();
+        if (flushesEnd(I))
+          Scan.finish(Out);
+        CarryExit = Scan.captureActivation();
+        Stats.CarryMatches += Out.matches().size();
+        Stats.OverlapBytes += Scan.offset() - Base;
+        Stats.RescanFallbackChunks += Alive;
+        Stats.MaxCarryFrontier =
+            std::max(Stats.MaxCarryFrontier, CarryStats.MaxFrontier);
+        const size_t Mid = Joined.size();
+        Joined.insert(Joined.end(), Out.matches().begin(), Out.matches().end());
+        std::sort(Joined.begin() + Mid, Joined.end(), emitsBefore);
+        std::inplace_merge(Joined.begin(), Joined.begin() + Mid, Joined.end(),
+                           emitsBefore);
+      }
+      // Per-chunk (rule, end) dedup across the iso scan and the carry — the
+      // sequential engine's per-step dedup, reconstructed at the join.
+      Joined.erase(std::unique(Joined.begin(), Joined.end()), Joined.end());
+      Carry = unionActivations(Iso[I].Exit, CarryExit);
+      Iso[I].Exit = {};
+    }
+    return 0;
+  }
+
+  void forward(MatchRecorder &Recorder) override {
+    for (const IsoScan &Chunk : Iso)
+      for (const auto &[Rule, End] : Chunk.Matches)
+        Recorder.onMatch(Rule, End);
+  }
+
+private:
+  /// A chunk's iso matches (joined in place) and its iso exit activation.
+  struct IsoScan {
+    std::vector<Match> Matches;
+    ActivationSet Exit;
+  };
+
+  const ImfantEngine &Engine;
+  std::vector<IsoScan> Iso;
+};
+
+} // namespace
+
+std::unique_ptr<ChunkScan>
+mfsa::makeChunkScan(const ImfantEngine &Engine, std::string_view Input,
+                    const std::vector<uint64_t> &Bounds) {
+  return std::make_unique<ImfantChunkScan>(Engine, Input, Bounds);
 }
 
 //===----------------------------------------------------------------------===//
@@ -329,97 +381,99 @@ void buildChunkStateMap(const EngineT &E, std::string_view Chunk,
   M.Ok = true;
 }
 
-/// The DFA-family executor over \p E's step()/scan().
-template <class EngineT>
-void scanDfaChunks(const EngineT &E, std::string_view Input,
-                   const std::vector<uint64_t> &Bounds,
-                   MatchRecorder &Recorder, InputParallelStats *Stats,
-                   ThreadPool *Pool) {
-  const size_t NumChunks = Bounds.size() - 1;
-  const uint64_t StreamEnd = Input.size();
-
-  // Phase 1: chunk 0 scans normally from the start state; chunks 1..T-1
-  // build per-start state maps (all results buffered — the user recorder
-  // is only touched by the sequential join).
-  std::vector<Match> LeadMatches;
-  uint32_t LeadExit = 0;
-  std::vector<ChunkStateMap> Maps(NumChunks);
-  forEachChunk(Pool, NumChunks, [&](size_t I) {
-    const uint64_t Base = Bounds[I];
-    const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
-    if (I == 0) {
-      LeadExit = E.scan(0, Chunk, Base, StreamEnd,
-                        [&](uint32_t Rule, uint64_t End) {
-                          LeadMatches.emplace_back(Rule, End);
-                        });
-    } else {
-      buildChunkStateMap(E, Chunk, Base, StreamEnd, Maps[I]);
-    }
-  });
-
-  // Phase 2: thread the single live DFA state through the maps, emitting
-  // each chunk's log chain — exactly the sequential match sequence.
-  for (const Match &M : LeadMatches)
-    Recorder.onMatch(M.first, M.second);
-  if (Stats)
-    Stats->IsoMatches += LeadMatches.size();
-  uint32_t State = LeadExit;
-  for (size_t I = 1; I < NumChunks; ++I) {
-    const ChunkStateMap &Map = Maps[I];
-    const uint64_t Base = Bounds[I];
-    const std::string_view Chunk = Input.substr(Base, Bounds[I + 1] - Base);
-    if (Map.Ok) {
-      uint32_t C = State;
-      size_t From = 0;
-      uint64_t Emitted = 0;
-      while (true) {
-        const ChunkStateMap::Cls &Cls = Map.Classes[C];
-        for (size_t L = From; L < Cls.Log.size(); ++L)
-          Recorder.onMatch(Cls.Log[L].first, Cls.Log[L].second);
-        Emitted += Cls.Log.size() - From;
-        if (Cls.MergedInto == NoClass) {
-          State = Cls.Exit;
-          break;
-        }
-        From = Cls.MergedAtParentSize;
-        C = Cls.MergedInto;
-      }
-      if (Stats) {
-        Stats->CarryMatches += Emitted;
-        Stats->MaxAliveClasses =
-            std::max(Stats->MaxAliveClasses, Map.MaxAlive);
-      }
-    } else {
-      // Collapse stalled: correct-but-serial re-scan of this chunk.
-      uint64_t Emitted = 0;
-      State = E.scan(State, Chunk, Base, StreamEnd,
-                     [&](uint32_t Rule, uint64_t End) {
-                       ++Emitted;
-                       Recorder.onMatch(Rule, End);
-                     });
-      if (Stats) {
-        Stats->CarryMatches += Emitted;
-        ++Stats->RescanFallbackChunks;
-        Stats->OverlapBytes += Chunk.size();
-        Stats->MaxAliveClasses =
-            std::max(Stats->MaxAliveClasses, Map.MaxAlive);
-      }
-    }
+/// Walks \p Map's merge chain from start state \p C, handing each class's
+/// log tail to Segment(Log, From) in emission order. \returns the exit
+/// state.
+template <class SegmentT>
+uint32_t walkChain(const ChunkStateMap &Map, uint32_t C, SegmentT &&Segment) {
+  for (size_t From = 0;; C = Map.Classes[C].MergedInto) {
+    const ChunkStateMap::Cls &Cls = Map.Classes[C];
+    Segment(Cls.Log, From);
+    if (Cls.MergedInto == NoClass)
+      return Cls.Exit;
+    From = Cls.MergedAtParentSize;
   }
 }
 
+/// The DFA-family executor over \p E's step()/scan().
+template <class EngineT> class DfaChunkScan final : public ChunkScan {
+public:
+  DfaChunkScan(const EngineT &E, std::string_view Input,
+               const std::vector<uint64_t> &Bounds)
+      : ChunkScan(Input, Bounds), E(E), Maps(numChunks()),
+        Entry(numChunks(), 0) {}
+
+  /// Chunk 0 scans normally from the start state; chunks 1..T-1 build
+  /// per-start state maps.
+  void runTask(size_t I) override {
+    if (I == 0)
+      scanFrom(0, 0);
+    else
+      buildChunkStateMap(E, chunk(I), Bounds[I], Input.size(), Maps[I]);
+  }
+
+  /// Threads the single live DFA state through the maps: each chunk's entry
+  /// state picks its class, whose log chain is exactly the sequential match
+  /// sequence and whose exit enters the next chunk.
+  size_t join() override {
+    Stats.IsoMatches += Maps[0].Classes[0].Log.size();
+    uint32_t State = Maps[0].Classes[0].Exit;
+    for (size_t I = 1; I < numChunks(); ++I) {
+      Stats.MaxAliveClasses = std::max(Stats.MaxAliveClasses, Maps[I].MaxAlive);
+      if (Maps[I].Ok) {
+        Entry[I] = State;
+      } else {
+        // Collapse stalled: correct-but-serial re-scan of this chunk.
+        scanFrom(I, State);
+        ++Stats.RescanFallbackChunks;
+        Stats.OverlapBytes += chunk(I).size();
+      }
+      State = walkChain(Maps[I], Entry[I],
+                        [&](const std::vector<Match> &Log, size_t From) {
+                          Stats.CarryMatches += Log.size() - From;
+                        });
+    }
+    return 0;
+  }
+
+  void forward(MatchRecorder &Recorder) override {
+    for (size_t I = 0; I < numChunks(); ++I)
+      walkChain(Maps[I], Entry[I],
+                [&](const std::vector<Match> &Log, size_t From) {
+                  for (size_t L = From; L < Log.size(); ++L)
+                    Recorder.onMatch(Log[L].first, Log[L].second);
+                });
+  }
+
+private:
+  /// Replaces chunk \p I's map by one class: the sequential scan from
+  /// \p State.
+  void scanFrom(size_t I, uint32_t State) {
+    ChunkStateMap &Map = Maps[I];
+    Map.Classes.assign(1, {});
+    std::vector<Match> &Log = Map.Classes[0].Log;
+    Map.Classes[0].Exit = E.scan(
+        State, chunk(I), Bounds[I], Input.size(),
+        [&](uint32_t Rule, uint64_t End) { Log.emplace_back(Rule, End); });
+    Map.Ok = true;
+  }
+
+  const EngineT &E;
+  std::vector<ChunkStateMap> Maps;
+  std::vector<uint32_t> Entry; ///< The class each chunk is entered in.
+};
+
 } // namespace
 
-void mfsa::scanChunks(const DfaEngine &Engine, std::string_view Input,
-                      const std::vector<uint64_t> &Bounds,
-                      MatchRecorder &Recorder, InputParallelStats *Stats,
-                      ThreadPool *Pool) {
-  scanDfaChunks(Engine, Input, Bounds, Recorder, Stats, Pool);
+std::unique_ptr<ChunkScan>
+mfsa::makeChunkScan(const DfaEngine &Engine, std::string_view Input,
+                    const std::vector<uint64_t> &Bounds) {
+  return std::make_unique<DfaChunkScan<DfaEngine>>(Engine, Input, Bounds);
 }
 
-void mfsa::scanChunks(const StridedDfaEngine &Engine, std::string_view Input,
-                      const std::vector<uint64_t> &Bounds,
-                      MatchRecorder &Recorder, InputParallelStats *Stats,
-                      ThreadPool *Pool) {
-  scanDfaChunks(Engine, Input, Bounds, Recorder, Stats, Pool);
+std::unique_ptr<ChunkScan>
+mfsa::makeChunkScan(const StridedDfaEngine &Engine, std::string_view Input,
+                    const std::vector<uint64_t> &Bounds) {
+  return std::make_unique<DfaChunkScan<StridedDfaEngine>>(Engine, Input,
+                                                          Bounds);
 }

@@ -5,13 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Declares the input-parallel executors, one scanChunks() overload per
-/// group engine: the input-parallel axis the ROADMAP pairs with the paper's
-/// automata-parallel §VI-C2 pool. Split ONE input into T chunks, scan the
-/// chunks independently, and stitch the results at the cut points so the
-/// output is byte-identical to a sequential scan. PaREM and *Simultaneous
-/// Finite Automata* (PAPERS.md) are the lineage. PlannedEngineSet (engine/
-/// PlannedEngine.h) drives them, one group after another on one pool.
+/// Declares the input-parallel executors, one makeChunkScan() overload per
+/// group engine, and runChunkScans(), the driver that schedules them: the
+/// input-parallel axis the ROADMAP pairs with the paper's automata-parallel
+/// §VI-C2 pool. Split ONE input into T chunks, scan the chunks
+/// independently, and stitch the results at the cut points so the output
+/// is byte-identical to a sequential scan. PaREM and *Simultaneous Finite
+/// Automata* (PAPERS.md) are the lineage. PlannedEngineSet (engine/
+/// PlannedEngine.h) runs every group of a plan in one pool round: the
+/// (group, chunk) tasks share one queue, as the paper's workers share the
+/// remaining automata, and each group's join runs on the worker that
+/// finishes its last chunk.
 ///
 /// The stitching problem: a chunk i > 0 starts mid-stream, so the scanner
 /// state at its first byte — the *boundary frontier* — is only known once
@@ -24,7 +28,7 @@
 ///    full scan decomposes into (a) an *iso scan* — empty start, injection
 ///    on, which is exact for every match attempt beginning inside the chunk
 ///    — plus (b) the propagation of the incoming boundary frontier with
-///    injection off. Phase 1 runs (a) per chunk in parallel. The join runs
+///    injection off. The chunk tasks run (a) in parallel. The join runs
 ///    (b) in order: it seeds the real carried frontier and re-scans until
 ///    that frontier dies, which the scanner detects on its own, then unions
 ///    the two exits into the next chunk's carry. A carry that outlives its
@@ -37,11 +41,12 @@
 ///    class keeps an accept log plus a pointer into its surviving parent's
 ///    log, so every start state's full outcome remains reconstructible
 ///    (PaREM's per-start transition function, made cheap by collapse). The
-///    join threads the real boundary state through the maps: walk the
-///    class's merge chain emitting log segments — exactly the sequential
-///    matches — and chain the exit state into the next chunk. Every class
-///    steps through the engine's own step()/scan(), the loop its run()
-///    uses, so the two cannot drift apart.
+///    join threads the real boundary state through the maps: the state
+///    entering a chunk selects a class, whose merge chain of log segments
+///    is exactly the sequential matches (forwarded later) and whose exit
+///    enters the next chunk. Every class steps through the engine's own
+///    step()/scan(), the loop its run() uses, so the two cannot drift
+///    apart.
 ///
 ///  - **Prefilter gate** (engine/Prefilter.h): the literal scan splits by
 ///    chunk and the confirm windows by cost; no state crosses a cut.
@@ -66,7 +71,6 @@
 #include "engine/MultiStride.h"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -91,8 +95,9 @@ struct InputParallelOptions {
   /// Test hook: explicit interior cut offsets (ascending, duplicates give
   /// empty chunks). Overrides Threads/MinChunkBytes chunking when set.
   std::vector<uint64_t> CutOverride;
-  /// Run phase 1 on a ThreadPool of Threads workers; off runs the chunks
-  /// one after another on the calling thread (same output, no speedup).
+  /// Run every task and join on a ThreadPool of up to Threads workers; off
+  /// runs them on the calling thread, group after group (same output, no
+  /// speedup).
   bool UseThreadPool = true;
 };
 
@@ -130,32 +135,80 @@ std::vector<uint64_t> inputChunkBounds(const InputParallelOptions &Options,
 std::unique_ptr<ThreadPool> makeInputPool(const InputParallelOptions &Options,
                                           size_t Chunks);
 
-/// Runs \p Body(I) for I in [0, N) on \p Pool, or serially on the calling
-/// thread when \p Pool is null. Bodies must write only their own result
-/// slot; the call returns once every body has finished.
-void forEachChunk(ThreadPool *Pool, size_t N,
-                  const std::function<void(size_t)> &Body);
+/// One group's input-parallel scan of \p Input split at \p Bounds
+/// (inputChunkBounds() of the run's options), as the work runChunkScans()
+/// schedules: phases of independent tasks, each phase closed by a join.
+/// Phase 0 has one task per chunk. The task that finishes a phase runs the
+/// join, which either ends the scan or opens the next phase (the gate's
+/// confirm runs). Matches carry global rule ids and absolute end offsets.
+class ChunkScan {
+public:
+  ChunkScan(std::string_view Input, const std::vector<uint64_t> &Bounds)
+      : Input(Input), Bounds(Bounds) {}
+  ChunkScan(const ChunkScan &) = delete;
+  ChunkScan &operator=(const ChunkScan &) = delete;
+  virtual ~ChunkScan() = default;
+
+  size_t numChunks() const { return Bounds.size() - 1; }
+
+  /// Runs task \p I of the current phase. Tasks of one phase write only
+  /// their own slot and may run concurrently on any thread.
+  virtual void runTask(size_t I) = 0;
+
+  /// Runs once every task of the current phase has returned. \returns the
+  /// next phase's task count, 0 when the scan is done.
+  virtual size_t join() = 0;
+
+  /// Reports the finished scan's matches into \p Recorder, in the order
+  /// the engine's executor defines (below and engine/Prefilter.h).
+  virtual void forward(MatchRecorder &Recorder) = 0;
+
+  /// The joins' work counters; Threads and Chunks are the caller's.
+  InputParallelStats Stats;
+
+protected:
+  std::string_view chunk(size_t I) const {
+    return Input.substr(Bounds[I], Bounds[I + 1] - Bounds[I]);
+  }
+  /// Whether chunk \p I consumes the stream's final byte: `$`-pending
+  /// flushes and AcceptAtEnd belong to it, NOT to a trailing empty chunk.
+  bool flushesEnd(size_t I) const {
+    return Bounds[I] < Bounds[I + 1] && Bounds[I + 1] == Input.size();
+  }
+
+  const std::string_view Input;
+  const std::vector<uint64_t> &Bounds;
+};
+
+/// Runs \p Scans, the groups of one plan over the same chunks, in one pool
+/// round: every scan's phase-0 tasks are queued group-major on \p Pool, the
+/// worker that finishes a phase runs that scan's join, and the calling
+/// thread forwards each scan's matches into \p Recorder in group order as
+/// soon as that scan is done, then releases it. With a null \p Pool every
+/// task and join runs on the calling thread, group after group. \p Stats,
+/// when non-null, accumulates the scans' counters (peaks take the maximum).
+void runChunkScans(std::vector<std::unique_ptr<ChunkScan>> Scans,
+                   ThreadPool *Pool, MatchRecorder &Recorder,
+                   InputParallelStats *Stats);
 
 /// The input-parallel executors, one overload per group engine (the
-/// prefilter's is in engine/Prefilter.h). Each scans \p Input split at
-/// \p Bounds — inputChunkBounds() of the run's options — running its
-/// per-chunk phase on \p Pool (serially when null) and its join on the
-/// calling thread, and reports every (global rule, end offset) match into
-/// \p Recorder: byte-identical to the engine's run() as a match set, in
-/// nondecreasing end-offset order. \p Stats, when non-null, collects the
-/// executor's work counters (Threads and Chunks are the caller's); on the
-/// iMFAnt backend that costs per-chunk traversal statistics, so time
-/// sequential baselines in a separate run. PlannedEngineSet::runInputParallel
-/// is the driver that calls them.
-void scanChunks(const ImfantEngine &Engine, std::string_view Input,
-                const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
-                InputParallelStats *Stats, ThreadPool *Pool);
-void scanChunks(const DfaEngine &Engine, std::string_view Input,
-                const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
-                InputParallelStats *Stats, ThreadPool *Pool);
-void scanChunks(const StridedDfaEngine &Engine, std::string_view Input,
-                const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
-                InputParallelStats *Stats, ThreadPool *Pool);
+/// prefilter's is in engine/Prefilter.h); each scan's forward() reports
+/// the engine's run() match set in nondecreasing end-offset order.
+///  - iMFAnt: a chunk task is the chunk's iso scan, sorted; the join re-scans
+///    each boundary carry until it dies and merges its matches in, with
+///    per-chunk (rule, end) dedup.
+///  - DFA / stride-2: chunk 0's task scans from the start state, the others
+///    build state maps; the join threads the live state through the maps,
+///    re-scanning a chunk whose map stalled.
+std::unique_ptr<ChunkScan> makeChunkScan(const ImfantEngine &Engine,
+                                         std::string_view Input,
+                                         const std::vector<uint64_t> &Bounds);
+std::unique_ptr<ChunkScan> makeChunkScan(const DfaEngine &Engine,
+                                         std::string_view Input,
+                                         const std::vector<uint64_t> &Bounds);
+std::unique_ptr<ChunkScan> makeChunkScan(const StridedDfaEngine &Engine,
+                                         std::string_view Input,
+                                         const std::vector<uint64_t> &Bounds);
 
 } // namespace mfsa
 

@@ -98,44 +98,21 @@ Result<PlannedEngineSet> PlannedEngineSet::createFromRuleset(
                 Patterns);
 }
 
-namespace {
-
-/// Accumulates one group's input-parallel stats into the caller's: counters
-/// add up, peaks take the maximum.
-void accumulateStats(InputParallelStats &Into,
-                     const InputParallelStats &Group) {
-  Into.RescanFallbackChunks += Group.RescanFallbackChunks;
-  Into.OverlapBytes += Group.OverlapBytes;
-  Into.MaxCarryFrontier =
-      std::max(Into.MaxCarryFrontier, Group.MaxCarryFrontier);
-  Into.MaxAliveClasses =
-      std::max(Into.MaxAliveClasses, Group.MaxAliveClasses);
-  Into.IsoMatches += Group.IsoMatches;
-  Into.CarryMatches += Group.CarryMatches;
-}
-
-} // namespace
-
 void PlannedEngineSet::runInputParallel(std::string_view Input,
                                         MatchRecorder &Recorder,
                                         const InputParallelOptions &Options,
                                         InputParallelStats *Stats) const {
   // Every group splits the same input into the same chunks, so one pool
-  // serves them all.
+  // round serves them all.
   const std::vector<uint64_t> Bounds = inputChunkBounds(Options, Input.size());
   const size_t NumChunks = Bounds.size() - 1;
+  std::vector<std::unique_ptr<ChunkScan>> Scans;
+  Scans.reserve(Groups.size());
+  for (const Group &G : Groups)
+    Scans.push_back(std::visit(
+        [&](const auto &E) { return makeChunkScan(E, Input, Bounds); }, G));
   const std::unique_ptr<ThreadPool> Pool = makeInputPool(Options, NumChunks);
-  for (const Group &G : Groups) {
-    InputParallelStats GroupStats;
-    std::visit(
-        [&](const auto &E) {
-          scanChunks(E, Input, Bounds, Recorder, Stats ? &GroupStats : nullptr,
-                     Pool.get());
-        },
-        G);
-    if (Stats)
-      accumulateStats(*Stats, GroupStats);
-  }
+  runChunkScans(std::move(Scans), Pool.get(), Recorder, Stats);
   if (Stats) {
     Stats->Threads =
         std::max(Stats->Threads, static_cast<unsigned>(NumChunks));

@@ -71,17 +71,20 @@ public:
   void run(std::string_view Input, MatchRecorder &Recorder) const;
 
   /// Input-parallel scan (engine/InputParallel.h), byte-identical to run()
-  /// as a match set: every group runs through its scanChunks() executor
-  /// over the same chunks, all on one pool when \p Options.UseThreadPool is
-  /// set. \p Stats, when non-null, accumulates across groups: counters add
-  /// up (Chunks is numGroups() times the chunk count) and peaks take the
-  /// maximum.
+  /// as a match set: every group's makeChunkScan() executor runs over the
+  /// same chunks in one pool round (runChunkScans) when
+  /// \p Options.UseThreadPool is set — all groups' chunk tasks share one
+  /// queue and each group's join runs on the worker finishing its last
+  /// chunk. \p Recorder gets the groups' matches in group order, each group
+  /// as soon as it is done, from the calling thread only. \p Stats, when
+  /// non-null, accumulates across groups: counters add up (Chunks is
+  /// numGroups() times the chunk count) and peaks take the maximum.
   void runInputParallel(std::string_view Input, MatchRecorder &Recorder,
                         const InputParallelOptions &Options,
                         InputParallelStats *Stats = nullptr) const;
 
-  /// One group's engine. Each has run(Input, Recorder) and a scanChunks()
-  /// executor.
+  /// One group's engine. Each has run(Input, Recorder) and a
+  /// makeChunkScan() executor.
   using Group = std::variant<ImfantEngine, DfaEngine, StridedDfaEngine,
                              PrefilterEngine>;
 

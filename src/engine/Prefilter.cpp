@@ -141,85 +141,107 @@ void PrefilterEngine::run(std::string_view Input,
              Recorder.total() - MatchesBefore);
 }
 
-void mfsa::scanChunks(const PrefilterEngine &Gate, std::string_view Input,
-                      const std::vector<uint64_t> &Bounds,
-                      MatchRecorder &Recorder, InputParallelStats *,
-                      ThreadPool *Pool) {
-  using ConfirmWindow = PrefilterEngine::ConfirmWindow;
-  using Match = PrefilterEngine::Match;
-  const uint64_t MatchesBefore = Recorder.total();
-  const size_t NumSlices = Bounds.size() - 1;
-  const AhoCorasick *Literals = Gate.Literals.get();
-  const size_t NumRules = Gate.PrefilteredRules.size();
+/// The gate's ChunkScan: phase 0 is the literal scan, one slice per
+/// chunk; its join coalesces the windows and opens phase 1, one confirm run
+/// per chunk.
+class PrefilterEngine::GateScan final : public ChunkScan {
+public:
+  GateScan(const PrefilterEngine &Gate, std::string_view Input,
+           const std::vector<uint64_t> &Bounds)
+      : ChunkScan(Input, Bounds), Gate(Gate), SliceHits(numChunks()),
+        Runs(numChunks()) {}
 
-  // Phase 1: the literal scan, one slice per chunk. A slice starts
-  // Lmax - 1 bytes early so it sees every literal ending inside its chunk,
-  // and keeps only those: an occurrence ending at a cut belongs to the
-  // chunk on its left.
-  std::vector<std::vector<std::vector<size_t>>> SliceHits(NumSlices);
-  if (Literals) {
+  void runTask(size_t I) override {
+    if (Confirming) {
+      for (size_t W = RunBegin[I]; W < RunBegin[I + 1]; ++W)
+        Runs[I].Confirmed += Gate.confirm(Windows[W], Input, Runs[I].Matches);
+      return;
+    }
+    // A slice starts Lmax - 1 bytes early so it sees every literal ending
+    // inside its chunk, and keeps only those: an occurrence ending at a cut
+    // belongs to the chunk on its left.
+    const AhoCorasick *Literals = Gate.Literals.get();
+    std::vector<std::vector<size_t>> &Hits = SliceHits[I];
+    Hits.resize(Gate.PrefilteredRules.size());
+    const size_t Lo = Bounds[I];
+    const size_t Hi = Bounds[I + 1];
+    if (!Literals || Lo == Hi)
+      return;
     const size_t Lead = Literals->maxLiteralLength() - 1;
-    forEachChunk(Pool, NumSlices, [&](size_t I) {
-      const size_t Lo = Bounds[I];
-      const size_t Hi = Bounds[I + 1];
-      const size_t From = Lo > Lead ? Lo - Lead : 0;
-      std::vector<std::vector<size_t>> &Hits = SliceHits[I];
-      Hits.resize(NumRules);
-      if (Lo < Hi)
-        Literals->scan(Input.substr(From, Hi - From),
-                       [&](uint32_t RuleIdx, size_t EndOffset) {
-                         if (From + EndOffset > Lo)
-                           Hits[RuleIdx].push_back(From + EndOffset);
-                       });
-    });
+    const size_t From = Lo > Lead ? Lo - Lead : 0;
+    Literals->scan(Input.substr(From, Hi - From),
+                   [&](uint32_t RuleIdx, size_t EndOffset) {
+                     if (From + EndOffset > Lo)
+                       Hits[RuleIdx].push_back(From + EndOffset);
+                   });
   }
 
-  // Slices ascend and each keeps its hits sorted, so concatenating them in
-  // slice order gives exactly the sequential per-rule hit lists.
-  std::vector<std::vector<size_t>> Hits(NumRules);
-  for (std::vector<std::vector<size_t>> &Slice : SliceHits)
-    for (size_t RuleIdx = 0; RuleIdx < Slice.size(); ++RuleIdx)
-      Hits[RuleIdx].insert(Hits[RuleIdx].end(), Slice[RuleIdx].begin(),
-                           Slice[RuleIdx].end());
-  const std::vector<ConfirmWindow> Windows =
-      Gate.coalesceWindows(Hits, Input.size());
+  size_t join() override {
+    if (Confirming)
+      return 0;
+    // Slices ascend and each keeps its hits sorted, so concatenating them
+    // in slice order gives exactly the sequential per-rule hit lists.
+    Hits.resize(Gate.PrefilteredRules.size());
+    for (std::vector<std::vector<size_t>> &Slice : SliceHits)
+      for (size_t RuleIdx = 0; RuleIdx < Slice.size(); ++RuleIdx)
+        Hits[RuleIdx].insert(Hits[RuleIdx].end(), Slice[RuleIdx].begin(),
+                             Slice[RuleIdx].end());
+    SliceHits.clear();
+    Windows = Gate.coalesceWindows(Hits, Input.size());
 
-  // Phase 2: confirmation. The windows are cut into NumSlices contiguous
-  // runs of about equal cost (bytes plus a fixed per-window charge for the
-  // automaton's set-up); each worker collects its run's matches privately.
-  constexpr uint64_t WindowSetupBytes = 64;
-  auto Cost = [&](const ConfirmWindow &W) {
-    return W.End - W.Begin + WindowSetupBytes;
-  };
-  uint64_t TotalCost = 0;
-  for (const ConfirmWindow &W : Windows)
-    TotalCost += Cost(W);
-  std::vector<size_t> RunBegin(NumSlices + 1, Windows.size());
-  RunBegin[0] = 0;
-  uint64_t Acc = 0;
-  for (size_t W = 0, Next = 1; W < Windows.size() && Next < NumSlices; ++W) {
-    Acc += Cost(Windows[W]);
-    while (Next < NumSlices && Acc * NumSlices >= TotalCost * Next)
-      RunBegin[Next++] = W + 1;
+    // The windows are cut into one contiguous run per chunk, of about equal
+    // cost (bytes plus a fixed per-window charge for the automaton's
+    // set-up); each run collects its matches privately.
+    constexpr uint64_t WindowSetupBytes = 64;
+    auto Cost = [](const ConfirmWindow &W) {
+      return W.End - W.Begin + WindowSetupBytes;
+    };
+    const size_t NumRuns = numChunks();
+    uint64_t TotalCost = 0;
+    for (const ConfirmWindow &W : Windows)
+      TotalCost += Cost(W);
+    RunBegin.assign(NumRuns + 1, Windows.size());
+    RunBegin[0] = 0;
+    uint64_t Acc = 0;
+    for (size_t W = 0, Next = 1; W < Windows.size() && Next < NumRuns; ++W) {
+      Acc += Cost(Windows[W]);
+      while (Next < NumRuns && Acc * NumRuns >= TotalCost * Next)
+        RunBegin[Next++] = W + 1;
+    }
+    Confirming = true;
+    return NumRuns;
   }
 
+  /// Replays the runs in order, which is run()'s rule and window order.
+  void forward(MatchRecorder &Recorder) override {
+    uint64_t Confirmed = 0, Matches = 0;
+    for (const ConfirmRun &Run : Runs) {
+      Confirmed += Run.Confirmed;
+      Matches += Run.Matches.size();
+      for (const Match &M : Run.Matches)
+        Recorder.onMatch(M.first, M.second);
+    }
+    Gate.recordScan(Input.size(), Hits, Windows, Confirmed, Matches);
+  }
+
+private:
   struct ConfirmRun {
     std::vector<Match> Matches;
     uint64_t Confirmed = 0;
   };
-  std::vector<ConfirmRun> Runs(NumSlices);
-  forEachChunk(Pool, NumSlices, [&](size_t I) {
-    for (size_t W = RunBegin[I]; W < RunBegin[I + 1]; ++W)
-      Runs[I].Confirmed += Gate.confirm(Windows[W], Input, Runs[I].Matches);
-  });
 
-  // Replay in run order, which is run()'s rule and window order.
-  uint64_t Confirmed = 0;
-  for (const ConfirmRun &Run : Runs) {
-    Confirmed += Run.Confirmed;
-    for (const Match &M : Run.Matches)
-      Recorder.onMatch(M.first, M.second);
-  }
-  Gate.recordScan(Input.size(), Hits, Windows, Confirmed,
-                  Recorder.total() - MatchesBefore);
+  const PrefilterEngine &Gate;
+  /// Phase 1 runs the confirm runs; set by phase 0's join.
+  bool Confirming = false;
+  std::vector<std::vector<std::vector<size_t>>> SliceHits;
+  std::vector<std::vector<size_t>> Hits;
+  std::vector<ConfirmWindow> Windows;
+  std::vector<size_t> RunBegin;
+  std::vector<ConfirmRun> Runs;
+};
+
+std::unique_ptr<ChunkScan>
+mfsa::makeChunkScan(const PrefilterEngine &Gate, std::string_view Input,
+                    const std::vector<uint64_t> &Bounds) {
+  return std::make_unique<PrefilterEngine::GateScan>(Gate, Input, Bounds);
 }

@@ -73,10 +73,10 @@ public:
   void setMetrics(obs::MetricsRegistry *Registry);
 
 private:
-  friend void scanChunks(const PrefilterEngine &Gate, std::string_view Input,
-                         const std::vector<uint64_t> &Bounds,
-                         MatchRecorder &Recorder, InputParallelStats *Stats,
-                         ThreadPool *Pool);
+  class GateScan;
+  friend std::unique_ptr<ChunkScan>
+  makeChunkScan(const PrefilterEngine &Gate, std::string_view Input,
+                const std::vector<uint64_t> &Bounds);
 
   /// One literal-gated rule: its confirmation engine and window bound.
   struct PrefilteredRule {
@@ -129,20 +129,20 @@ private:
 };
 
 /// The gate's input-parallel executor (engine/InputParallel.h), run()'s
-/// match sequence exactly, in two phases on \p Pool:
-///  1. the literal scan in \p Bounds' chunks: slice i scans
-///     [b_i - (Lmax - 1), b_{i+1}) and keeps only hits whose end offset
-///     lies in (b_i, b_{i+1}], so every occurrence is found by exactly one
-///     slice and the per-rule hit lists concatenate, in slice order, to
-///     the sequential ones;
-///  2. confirmation: the windows are coalesced exactly as in run(), split
-///     into contiguous runs of about equal cost, one per chunk, and each
-///     run's matches are replayed into \p Recorder in run()'s rule and
-///     window order.
-/// No state crosses a cut, so the gate adds nothing to \p Stats.
-void scanChunks(const PrefilterEngine &Gate, std::string_view Input,
-                const std::vector<uint64_t> &Bounds, MatchRecorder &Recorder,
-                InputParallelStats *Stats, ThreadPool *Pool);
+/// match sequence exactly:
+///  - phase 0, the literal scan in \p Bounds' chunks: slice i scans
+///    [b_i - (Lmax - 1), b_{i+1}) and keeps only hits whose end offset
+///    lies in (b_i, b_{i+1}], so every occurrence is found by exactly one
+///    slice and the per-rule hit lists concatenate, in slice order, to
+///    the sequential ones;
+///  - its join coalesces the windows exactly as in run() and splits them
+///    into contiguous runs of about equal cost, one per chunk;
+///  - phase 1 confirms one run per task, and forward() replays the runs'
+///    matches in run()'s rule and window order.
+/// No state crosses a cut, so the gate adds nothing to the stats.
+std::unique_ptr<ChunkScan> makeChunkScan(const PrefilterEngine &Gate,
+                                         std::string_view Input,
+                                         const std::vector<uint64_t> &Bounds);
 
 } // namespace mfsa
 

@@ -38,7 +38,7 @@
 
 namespace mfsa::test {
 
-/// Runs one engine's scanChunks() executor over \p Options' chunks on a
+/// Runs one engine's makeChunkScan() executor over \p Options' chunks on a
 /// pool of its own — one group of PlannedEngineSet::runInputParallel —
 /// filling in \p Stats' Threads and Chunks as the set does.
 template <class EngineT>
@@ -53,7 +53,9 @@ void runInputParallel(const EngineT &Engine, std::string_view Input,
     Stats->Chunks = Chunks;
   }
   const std::unique_ptr<ThreadPool> Pool = makeInputPool(Options, Chunks);
-  scanChunks(Engine, Input, Bounds, Recorder, Stats, Pool.get());
+  std::vector<std::unique_ptr<ChunkScan>> Scans;
+  Scans.push_back(makeChunkScan(Engine, Input, Bounds));
+  runChunkScans(std::move(Scans), Pool.get(), Recorder, Stats);
 }
 
 /// A prefilter plan's rule split, read off its groups: the dense residual
