@@ -2,14 +2,15 @@
 //
 // Part of the mfsa project. MIT License.
 //
-// Property: the match set of the input-parallel executors (scanChunks) is
-// invariant under the chunking. Every backend (dense iMFAnt, union DFA, stride-2 DFA) x every
-// thread count x every adversarial cut set (TestHelpers.h: cuts at match
-// ends, mid-match, 1-byte chunks, empty chunks, random) must reproduce the
-// AST oracle's per-rule match-end sets exactly — the "byte-identical to a
-// sequential scan" contract of engine/InputParallel.h. A ThreadPool case
-// runs the same property with phase 1 actually concurrent, which the tsan
-// CI leg exercises.
+// Property: the match set of the input-parallel executors (makeChunkScan)
+// is invariant under the chunking. Every backend (dense iMFAnt, union DFA,
+// stride-2 DFA) x every thread count x every adversarial cut set
+// (TestHelpers.h: cuts at match ends, mid-match, 1-byte chunks, empty
+// chunks, random) must reproduce the AST oracle's per-rule match-end sets
+// exactly — the "byte-identical to a sequential scan" contract of
+// engine/InputParallel.h. A ThreadPool case runs the same property with the
+// chunk tasks actually concurrent, which the tsan CI leg exercises.
+// Stride-2's pairing at even absolute offsets is pinned on step() itself.
 //
 // The prefilter plan (PlannedEngineSet: the residual group, then the
 // literal gate) gets the same treatment on rulesets mixing literal-gated and
@@ -228,8 +229,9 @@ TEST(InputParallel, WideRulesetMultiWordActivation) {
 }
 
 TEST(InputParallel, ThreadPoolPhaseOneIsRaceFree) {
-  // Phase 1 actually concurrent (the tsan leg's target): per-chunk results
-  // land in disjoint slots, the join is sequential.
+  // Chunk tasks actually concurrent (the tsan leg's target): per-chunk
+  // results land in disjoint slots, and the join runs on the worker that
+  // finishes the last chunk.
   Rng Random(4304);
   std::vector<std::string> Patterns = {"ab(c|d)*", "bc", "a{2,}", "cd$"};
   std::string Input = randomInput(Random, 4096);
@@ -343,6 +345,62 @@ TEST(InputParallel, CarryCrossingWholeChunksIsRescanned) {
     EXPECT_EQ(Stats.RescanFallbackChunks, Crossed) << Tag;
     EXPECT_EQ(Stats.OverlapBytes, CrossedBytes) << Tag;
   }
+}
+
+TEST(InputParallel, Stride2PairsAtEvenAbsoluteOffsets) {
+  // StridedDfaEngine::step() pairs bytes at EVEN ABSOLUTE offsets, whatever
+  // the chunk's base: at an odd base it half-steps once to realign, at an
+  // even base it pairs at once, and a chunk's last byte at an even offset
+  // half-steps. Pairing at chunk-relative offsets reports the same matches,
+  // so only the bytes each step consumes show the difference.
+  const std::vector<std::string> Patterns = {"ab", "bab", "a$", "c[ab]*d"};
+  std::vector<Nfa> Fsas;
+  std::vector<uint32_t> Ids;
+  for (size_t I = 0; I < Patterns.size(); ++I) {
+    Fsas.push_back(compileOptimized(Patterns[I]));
+    Ids.push_back(static_cast<uint32_t>(I));
+  }
+  Result<Dfa> D = determinize(Fsas, Ids);
+  ASSERT_TRUE(D.ok());
+  Result<StridedDfa> S2 = makeStride2(*D);
+  ASSERT_TRUE(S2.ok());
+  const StridedDfaEngine Engine(S2.take());
+
+  const std::string Chunk = "babab";
+  auto Ignore = [](uint32_t, uint64_t) {};
+  uint32_t State = 0;
+  // Based at 7: byte 0 sits at odd offset 7, byte 1 at 8.
+  EXPECT_EQ(Engine.step(State, Chunk, 0, 7, Ignore), 1u);
+  EXPECT_EQ(Engine.step(State, Chunk, 1, 7, Ignore), 2u);
+  EXPECT_EQ(Engine.step(State, Chunk, 3, 7, Ignore), 2u);
+  // Based at 8: pairs from byte 0; byte 4 (offset 12) has no partner.
+  State = 0;
+  EXPECT_EQ(Engine.step(State, Chunk, 0, 8, Ignore), 2u);
+  EXPECT_EQ(Engine.step(State, Chunk, 2, 8, Ignore), 2u);
+  EXPECT_EQ(Engine.step(State, Chunk, 4, 8, Ignore), 1u);
+
+  // Through the executor under odd cuts, pooled and not: run()'s exact
+  // Collect sequence, and the oracle's set.
+  Rng Random(4312);
+  const std::string Input = randomInput(Random, 257);
+  MatchRecorder Seq(MatchRecorder::Mode::Collect);
+  Engine.run(Input, Seq);
+  ASSERT_EQ(recorderEnds(Seq), oracleRuleEnds(Patterns, Input));
+  ASSERT_GT(Seq.total(), 0u);
+  const std::vector<std::vector<uint64_t>> CutSets = {
+      {1, 3, 7, 101}, {5, 5, 131, 255}, {2, 3, 129, 201}};
+  for (const std::vector<uint64_t> &Cuts : CutSets)
+    for (bool Pooled : {false, true}) {
+      InputParallelOptions Opts;
+      Opts.Threads = 4;
+      Opts.MinChunkBytes = 1;
+      Opts.CutOverride = Cuts;
+      Opts.UseThreadPool = Pooled;
+      MatchRecorder Par(MatchRecorder::Mode::Collect);
+      runInputParallel(Engine, Input, Par, Opts);
+      EXPECT_EQ(Par.matches(), Seq.matches())
+          << formatCuts(Cuts) << (Pooled ? " pooled" : " serial");
+    }
 }
 
 //===----------------------------------------------------------------------===//

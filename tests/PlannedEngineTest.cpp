@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <numeric>
@@ -168,6 +169,72 @@ TEST(PlannedEngineSetStats, InputParallelStatsSumOverGroups) {
       EXPECT_EQ(Total.CarryMatches, Sum.CarryMatches) << Tag;
       EXPECT_GT(Sum.CarryMatches, 0u) << Tag;
     }
+}
+
+/// Every field of \p Stats, for comparing two runs' stats.
+std::vector<uint64_t> statFields(const InputParallelStats &Stats) {
+  return {Stats.Threads,              Stats.Chunks,
+          Stats.RescanFallbackChunks, Stats.OverlapBytes,
+          Stats.MaxCarryFrontier,     Stats.MaxAliveClasses,
+          Stats.IsoMatches,           Stats.CarryMatches};
+}
+
+std::vector<std::pair<uint32_t, uint64_t>>
+sortedMatches(const MatchRecorder &Recorder) {
+  std::vector<std::pair<uint32_t, uint64_t>> Out = Recorder.matches();
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// Dozens of groups in one pool round: a dense M=1 plan over 48 rules and
+/// a prefilter plan (residual + gate), scanned at T=4. The pooled Collect
+/// sequence must be the unpooled one, whose sorted set must be run()'s, and
+/// the stats must not depend on the pool.
+TEST(PlannedEngineSetManyGroups, PooledRoundMatchesUnpooled) {
+  Rng Random(0x3a4f);
+  std::vector<std::string> Patterns = ruleset();
+  while (Patterns.size() < 48)
+    Patterns.push_back(randomPattern(Random, 3));
+  std::vector<Nfa> Fsas;
+  for (const std::string &P : Patterns)
+    Fsas.push_back(compileOptimized(P));
+  std::vector<uint32_t> Ids(Fsas.size());
+  std::iota(Ids.begin(), Ids.end(), 0u);
+  std::string Input;
+  while (Input.size() < (1u << 15))
+    Input += Random.nextBool(0.1) ? Patterns[Random.nextBelow(8)]
+                                  : randomInput(Random, 32);
+
+  for (Engine Choice : {Engine::ImfantDense, Engine::Prefilter}) {
+    Result<PlannedEngineSet> Set = PlannedEngineSet::create(
+        Choice, mergeInGroups(Fsas, Ids, 1), Patterns);
+    ASSERT_TRUE(Set.ok()) << Set.diag().render();
+    const std::string Tag = engineName(Choice);
+    EXPECT_GE(Set->numGroups(), Choice == Engine::Prefilter ? 2u : 40u)
+        << Tag;
+    MatchRecorder Seq(MatchRecorder::Mode::Collect);
+    Set->run(Input, Seq);
+    ASSERT_GT(Seq.total(), 0u) << Tag;
+
+    InputParallelOptions Opts;
+    Opts.Threads = 4;
+    MatchRecorder Serial(MatchRecorder::Mode::Collect);
+    InputParallelStats SerialStats;
+    Opts.UseThreadPool = false;
+    Set->runInputParallel(Input, Serial, Opts, &SerialStats);
+    EXPECT_EQ(sortedMatches(Serial), sortedMatches(Seq)) << Tag;
+    EXPECT_EQ(Serial.perRule(), Seq.perRule()) << Tag;
+    EXPECT_EQ(SerialStats.Chunks, Set->numGroups() * 4u) << Tag;
+
+    Opts.UseThreadPool = true;
+    for (int Rep = 0; Rep < 3; ++Rep) {
+      MatchRecorder Pooled(MatchRecorder::Mode::Collect);
+      InputParallelStats PooledStats;
+      Set->runInputParallel(Input, Pooled, Opts, &PooledStats);
+      EXPECT_EQ(Pooled.matches(), Serial.matches()) << Tag;
+      EXPECT_EQ(statFields(PooledStats), statFields(SerialStats)) << Tag;
+    }
+  }
 }
 
 /// Two fixed rulesets, each with literal-gated and residual rules for the
