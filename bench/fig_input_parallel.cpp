@@ -3,10 +3,10 @@
 // Part of the mfsa project. MIT License.
 //
 // Input-parallel scanning of ONE stream (engine/InputParallel.h): the
-// stream is split into T chunks, phase 1 runs them on a thread pool, and a
-// join stitches the results at the cuts. Every row times
-// PlannedEngineSet::runInputParallel() at T = 2 and 4 against
-// PlannedEngineSet::run() by wall clock — the calls e2ebench's
+// stream is split into T chunks, every group's chunks run as tasks in one
+// thread-pool round, and each group's join stitches its results at the
+// cuts. Every row times PlannedEngineSet::runInputParallel() at T = 2 and
+// 4 against PlannedEngineSet::run() by wall clock — the calls e2ebench's
 // offline_table1 workload times. Each of MFSA_REPS repetitions repeats
 // every timed scan until the calls span MinSampleSec and keeps the fastest
 // call; the row is the best over repetitions. Four rows per Table I
