@@ -111,7 +111,7 @@ double probeM50Ms(const CompiledDataset &Dataset,
                   const std::vector<uint32_t> &Ids) {
   const std::vector<Mfsa> Groups =
       mergeInGroups(Dataset.OptimizedFsas, Ids, 50);
-  const DfaProbeOptions Probe = PlannerOptions().Cost.Probe;
+  const DfaProbeOptions Probe = PlannerOptions().Probe;
   double Best = 0.0;
   for (unsigned Rep = 0; Rep < std::max(5u, repetitions()); ++Rep) {
     Timer Wall;

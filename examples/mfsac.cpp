@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Planner.h"
 #include "anml/Anml.h"
 #include "artifact/Writer.h"
 #include "compiler/Pipeline.h"

@@ -22,6 +22,10 @@ namespace mfsa {
 
 namespace {
 
+/// The stride-2 table ceiling (entries = states × atom-pairs) a completed
+/// probe is judged against, matching StrideOptions::MaxTableEntries.
+constexpr uint64_t kMaxStride2Entries = 1u << 26;
+
 /// A \ B over the fixed-width symbol alphabet.
 SymbolSet symbolDifference(const SymbolSet &A, const SymbolSet &B) {
   std::array<uint64_t, SymbolSet::NumWords> W = A.words();
@@ -346,7 +350,7 @@ DfaEstimate probeDfaBlowup(const Mfsa &Z, const DfaProbeOptions &Options) {
     Est.Stride2Entries = static_cast<uint64_t>(Est.DfaStates) * Est.NumAtoms *
                          Est.NumAtoms;
     Est.Stride2Feasible =
-        Est.NumAtoms > 0 && Est.Stride2Entries <= Options.MaxStride2Entries;
+        Est.NumAtoms > 0 && Est.Stride2Entries <= kMaxStride2Entries;
   } else {
     Est = blowupEstimate(Options);
   }

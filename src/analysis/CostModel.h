@@ -99,9 +99,6 @@ struct DfaProbeOptions {
   /// Subset-construction state budget. Far below DeterminizeOptions'
   /// default — the probe wants a cheap verdict, not a usable DFA.
   uint32_t MaxStates = 1u << 14;
-  /// Stride-2 table ceiling (entries = states × atom-pairs), matching
-  /// StrideOptions::MaxTableEntries.
-  uint64_t MaxStride2Entries = 1u << 26;
 };
 
 /// Outcome of the budgeted determinization probe.
@@ -115,6 +112,8 @@ struct DfaEstimate {
   /// Estimated stride-2 table entries (DfaStates × NumAtoms²; the real
   /// pair alphabet is never larger).
   uint64_t Stride2Entries = 0;
+  /// Stride2Entries is within the stride-2 table ceiling,
+  /// StrideOptions::MaxTableEntries' default.
   bool Stride2Feasible = false;
   /// True when the planner proved the blowup without probing: another
   /// group holding a subset of these rules already blew the same budget,
@@ -176,11 +175,6 @@ struct MfsaShape {
 
 /// Computes the structural shape of \p Z.
 MfsaShape computeShape(const Mfsa &Z);
-
-/// Knobs for the combined analysis.
-struct CostOptions {
-  DfaProbeOptions Probe;
-};
 
 /// The combined static-analysis report for one Mfsa: its computeShape,
 /// probeDfaBlowup and profileLiterals results (the planner's inputs, which

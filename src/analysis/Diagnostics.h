@@ -115,7 +115,6 @@ public:
   const std::vector<Finding> &findings() const { return Findings; }
   size_t numErrors() const { return NumErrors; }
   size_t numWarnings() const { return NumWarnings; }
-  bool hasErrors() const { return NumErrors != 0; }
   bool empty() const { return Findings.empty(); }
   void clear();
 

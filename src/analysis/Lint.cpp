@@ -45,6 +45,26 @@
 
 using namespace mfsa;
 
+namespace {
+
+/// Warn when the estimated structural expansion of bounded repeats exceeds
+/// this many states (compare CompileBudget::MaxFsaStates, whose default is
+/// far higher — lint warns well before the budget kills).
+constexpr uint64_t kExpansionWarnStates = 1u << 14;
+
+/// Duplicate/subsumption oracle caps: automata above this many optimized
+/// states are never cross-checked (the oracle is brute force)...
+constexpr uint32_t kOracleMaxStates = 64;
+/// ...probe strings are enumerated up to this length...
+constexpr uint32_t kOracleMaxLength = 4;
+/// ...over at most this many representative symbols.
+constexpr uint32_t kOracleMaxAlphabet = 4;
+
+/// Macrostate cap per exact pairwise proof (see InclusionOptions).
+constexpr uint64_t kExactCheckMaxMacrostates = 1u << 14;
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // AST layer
 //===----------------------------------------------------------------------===//
@@ -367,12 +387,12 @@ LintSummary mfsa::lintRuleset(const std::vector<std::string> &Patterns,
           SourceSpan::forRule(I),
           "make the inner repetition fixed-count or unroll the outer one");
     uint64_t Estimate = estimateExpandedStates(*R.Re.Root);
-    if (Estimate > Options.ExpansionWarnStates) {
+    if (Estimate > kExpansionWarnStates) {
       Diags.report(Severity::Warning, "lint.expansion.state-blowup",
                    "bounded-repeat expansion allocates ~" +
                        std::to_string(Estimate) +
                        " states (lint threshold " +
-                       std::to_string(Options.ExpansionWarnStates) + ")",
+                       std::to_string(kExpansionWarnStates) + ")",
                    SourceSpan::forRule(I),
                    "lower the repeat bounds or raise the compile budget "
                    "knowingly");
@@ -479,8 +499,8 @@ LintSummary mfsa::lintRuleset(const std::vector<std::string> &Patterns,
           A.Optimized.numStates() <= Options.ExactCheckMaxStates &&
           B.Optimized.numStates() <= Options.ExactCheckMaxStates;
       const bool OracleEligible =
-          A.Optimized.numStates() <= Options.OracleMaxStates &&
-          B.Optimized.numStates() <= Options.OracleMaxStates;
+          A.Optimized.numStates() <= kOracleMaxStates &&
+          B.Optimized.numStates() <= kOracleMaxStates;
       if (!ExactEligible && !OracleEligible)
         continue;
       if (A.Optimized.anchoredStart() != B.Optimized.anchoredStart() ||
@@ -499,7 +519,7 @@ LintSummary mfsa::lintRuleset(const std::vector<std::string> &Patterns,
 
       if (ExactEligible) {
         InclusionOptions Exact;
-        Exact.MaxMacrostates = Options.ExactCheckMaxMacrostates;
+        Exact.MaxMacrostates = kExactCheckMaxMacrostates;
         const EquivalenceResult E =
             checkEquivalence(A.Optimized, B.Optimized, Exact);
         const bool AInB = E.AInB.included();
@@ -541,11 +561,11 @@ LintSummary mfsa::lintRuleset(const std::vector<std::string> &Patterns,
       if (!OracleEligible || A.Alphabet != B.Alphabet)
         continue;
       std::vector<unsigned char> Symbols =
-          representativeSymbols(A.Alphabet, Options.OracleMaxAlphabet);
+          representativeSymbols(A.Alphabet, kOracleMaxAlphabet);
       if (Symbols.empty())
         continue;
       OracleVerdict V = runOracle(A.Optimized, B.Optimized, Symbols,
-                                  Options.OracleMaxLength);
+                                  kOracleMaxLength);
       if (Options.CheckDuplicates && V.Equal) {
         Report(Severity::Warning, "lint.duplicate-rule",
                "likely duplicate of rule " + std::to_string(I) +

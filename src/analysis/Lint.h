@@ -110,29 +110,14 @@ struct LintOptions {
   /// Front-end options used when the linter parses patterns itself.
   ParseOptions Parse;
 
-  /// Warn when the estimated structural expansion of bounded repeats
-  /// exceeds this many states (compare CompileBudget::MaxFsaStates, whose
-  /// default is far higher — lint warns well before the budget kills).
-  uint64_t ExpansionWarnStates = 1u << 14;
-
-  /// Duplicate/subsumption oracle caps: automata above this many optimized
-  /// states are never cross-checked (the oracle is brute force)...
-  uint32_t OracleMaxStates = 64;
-  /// ...probe strings are enumerated up to this length...
-  uint32_t OracleMaxLength = 4;
-  /// ...over at most this many representative symbols.
-  uint32_t OracleMaxAlphabet = 4;
-
   /// Exact pairwise checking: pairs where both optimized automata have at
   /// most this many states are decided by the antichain language-inclusion
   /// prover (analysis/Inclusion.h) — findings become proofs, tagged
   /// `"method":"exact"` in JSON — before any oracle probing. Pairs above
-  /// the cutoff (or whose proof hits ExactCheckMaxMacrostates) fall back to
-  /// the brute-force oracle, tagged `"method":"heuristic"`. 0 disables the
+  /// the cutoff (or whose proof hits its macrostate cap) fall back to the
+  /// brute-force oracle, tagged `"method":"heuristic"`. 0 disables the
   /// exact path entirely.
   uint32_t ExactCheckMaxStates = 512;
-  /// Macrostate cap per exact pairwise proof (see InclusionOptions).
-  uint64_t ExactCheckMaxMacrostates = 1u << 14;
 
   /// Master switches for the pairwise passes (quadratic in ruleset size).
   bool CheckDuplicates = true;

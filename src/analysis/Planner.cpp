@@ -6,6 +6,7 @@
 
 #include "analysis/Planner.h"
 
+#include "analysis/Diagnostics.h"
 #include "obs/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -48,6 +49,51 @@ bool engineFromName(std::string_view Name, Engine &Out) {
 
 namespace {
 
+// Per-unit cost constants, in nanoseconds, fitted to the committed
+// bench/baselines/BENCH_*.json numbers (docs/performance.md shows the
+// derivation). They only need to get *ratios* right: the planner compares
+// candidate engines against each other, never against the wall clock.
+
+/// Dense iMFAnt: per per-symbol table entry evaluated per input byte
+/// (BENCH_engine_throughput dense rows / avg table row).
+constexpr double kDenseNsPerEntry = 1.2;
+/// Dense iMFAnt: per 64-bit belonging word combined per entry.
+constexpr double kBitsetNsPerWord = 0.4;
+/// DFA: one table lookup + accept probe per byte.
+constexpr double kDfaNsPerByte = 1.0;
+/// Stride-2 DFA: one lookup per byte *pair*.
+constexpr double kStride2NsPerStep = 1.3;
+/// AC prefilter: literal-scan cost per byte (root-skip fast path).
+constexpr double kPrefilterNsPerByte = 0.6;
+/// Residual (non-prefilterable) rules scan every byte with a dense engine;
+/// this scales that engine's estimate by the residual fraction. Fitted at
+/// ~2×: the baselines show the prefilter's residual path costing about
+/// twice the tuned dense engine per residual rule share (abl_planner:
+/// prefilter/dense ≈ 2.0-3.3 × (1 - prefilterable fraction) across the
+/// Table I datasets), which flips literal-poor rulesets (DS9) back to dense
+/// while keeping literal-heavy ones (PEN/RG1/TCP) on the prefilter.
+constexpr double kResidualPenalty = 2.0;
+/// Confirm-window cost: a prefilter hit reruns an automaton over the
+/// window, and hit probability rises steeply as the mandatory literal
+/// shortens. This charges the prefilterable share of the dense cost
+/// inversely to the average literal length (abl_planner: PRO's 4.4-byte
+/// average literal makes its prefilter slower than plain dense, while BRO's
+/// 11-byte literals keep the confirm path cold).
+constexpr double kConfirmPenalty = 1.0;
+/// Tables larger than this spill the last-level working set; their
+/// estimate is multiplied by kCacheSpillFactor (baselines show the dense
+/// engine degrading ~2-3× once the table leaves L2).
+constexpr double kCacheBytes = 1.5e6;
+constexpr double kCacheSpillFactor = 2.5;
+
+/// Cap on fully-analyzed groups per candidate: beyond it, an evenly spaced
+/// sample is analyzed and the summed cost terms are scaled by the real
+/// group count (a K=300 candidate would otherwise pay 300 DFA probes per
+/// plan). Each analyzed group costs two planner tasks (shape and literal
+/// profile; DFA probe), and a probe is skipped when a blown group of a
+/// candidate with more groups holds a subset of its rules.
+constexpr uint32_t kMaxAnalyzedGroups = 8;
+
 /// Bytes of the dense per-symbol table: ~12 bytes per (transition, symbol)
 /// entry plus the belonging pool.
 double denseFootprint(const CostReport &R) {
@@ -55,35 +101,35 @@ double denseFootprint(const CostReport &R) {
          static_cast<double>(R.Shape.NumTransitions) * R.Shape.BelWords * 8.0;
 }
 
-double spillFactor(double Bytes, const CostCoefficients &C) {
-  return Bytes > C.CacheBytes ? C.CacheSpillFactor : 1.0;
+double spillFactor(double Bytes) {
+  return Bytes > kCacheBytes ? kCacheSpillFactor : 1.0;
 }
 
 /// Evaluates every engine for one candidate configuration (a fixed set of
 /// merged groups). Costs are summed over groups because execution is
 /// group-sequential: each group's engine scans the whole input.
 void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
-                     bool HavePatterns, const CostCoefficients &C) {
+                     bool HavePatterns) {
   double DenseNs = 0.0, DfaNs = 0.0, Stride2Ns = 0.0;
   double DenseBytes = 0.0, DfaBytes = 0.0, Stride2Bytes = 0.0, RowSum = 0.0;
   bool DfaOk = true, Stride2Ok = true;
   for (const CostReport &G : Cand.Groups) {
     const double PerEntry =
-        C.DenseNsPerEntry + G.Shape.BelWords * C.BitsetNsPerWord;
+        kDenseNsPerEntry + G.Shape.BelWords * kBitsetNsPerWord;
     RowSum += G.Shape.AvgTableRow;
     DenseNs += G.Shape.AvgTableRow * PerEntry;
     DenseBytes += denseFootprint(G);
     DfaOk = DfaOk && G.Dfa.Completed;
-    DfaNs += C.DfaNsPerByte;
+    DfaNs += kDfaNsPerByte;
     DfaBytes +=
         static_cast<double>(G.Dfa.DfaStates) * G.Dfa.NumAtoms * 4.0;
     Stride2Ok = Stride2Ok && G.Dfa.Stride2Feasible;
-    Stride2Ns += C.Stride2NsPerStep / 2.0;
+    Stride2Ns += kStride2NsPerStep / 2.0;
     Stride2Bytes += static_cast<double>(G.Dfa.Stride2Entries) * 4.0;
   }
-  // When only a sample of the groups was analyzed (PlannerOptions::
-  // MaxAnalyzedGroups), extrapolate every summed term to the real group
-  // count. The sample is evenly spaced, so group-size skew averages out.
+  // When only a sample of the groups was analyzed (kMaxAnalyzedGroups),
+  // extrapolate every summed term to the real group count. The sample is
+  // evenly spaced, so group-size skew averages out.
   const double Scale =
       Cand.Groups.empty() ? 1.0
                           : static_cast<double>(Cand.NumGroups) /
@@ -95,9 +141,9 @@ void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
   DfaBytes *= Scale;
   Stride2Bytes *= Scale;
   RowSum *= Scale;
-  DenseNs *= spillFactor(DenseBytes, C);
-  DfaNs *= spillFactor(DfaBytes, C);
-  Stride2Ns *= spillFactor(Stride2Bytes, C);
+  DenseNs *= spillFactor(DenseBytes);
+  DfaNs *= spillFactor(DfaBytes);
+  Stride2Ns *= spillFactor(Stride2Bytes);
 
   auto Add = [&](Engine E, double Ns, bool Feasible, std::string Why) {
     EngineCostEstimate Est;
@@ -134,13 +180,12 @@ void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
     // Literal scan over every byte plus a dense scan of the residual
     // (non-prefilterable) rules; confirm windows are rare on non-adversarial
     // input, so the residual term dominates when literal density is low.
-    double Pre = C.PrefilterNsPerByte * (Literals.RootSkipViable ? 1.0 : 1.5);
-    Pre += (1.0 - Literals.PrefilterableFraction) * C.ResidualPenalty *
-           DenseNs;
+    double Pre = kPrefilterNsPerByte * (Literals.RootSkipViable ? 1.0 : 1.5);
+    Pre += (1.0 - Literals.PrefilterableFraction) * kResidualPenalty * DenseNs;
     // Confirm-window reruns: charged inversely to the average mandatory
     // literal length, since shorter literals hit far more often.
     if (Literals.AvgLiteralLength > 0.0)
-      Pre += C.ConfirmPenalty * Literals.PrefilterableFraction * DenseNs /
+      Pre += kConfirmPenalty * Literals.PrefilterableFraction * DenseNs /
              Literals.AvgLiteralLength;
     std::snprintf(Buf, sizeof(Buf),
                   "%u/%u rules literal-gated, avg literal %.1fB",
@@ -159,11 +204,10 @@ void estimateEngines(CandidatePlan &Cand, const LiteralProfile &Literals,
 }
 
 /// Indices of the groups a candidate of \p NumGroups groups analyzes: all of
-/// them, or an evenly spaced sample of \p Limit (0 = no limit) beyond it. A
-/// K=300 candidate would otherwise pay 300 DFA probes per plan;
+/// them, or an evenly spaced sample of kMaxAnalyzedGroups beyond it;
 /// estimateEngines extrapolates the sample's summed cost terms.
-std::vector<size_t> sampleGroups(size_t NumGroups, uint32_t Limit) {
-  const size_t N = Limit && Limit < NumGroups ? Limit : NumGroups;
+std::vector<size_t> sampleGroups(size_t NumGroups) {
+  const size_t N = std::min<size_t>(NumGroups, kMaxAnalyzedGroups);
   std::vector<size_t> Sampled(N);
   for (size_t I = 0; I < N; ++I)
     Sampled[I] = I * NumGroups / N;
@@ -172,8 +216,7 @@ std::vector<size_t> sampleGroups(size_t NumGroups, uint32_t Limit) {
 
 /// Aggregates \p Cand's analyzed groups' literal profiles and prices its
 /// engines.
-void summarize(CandidatePlan &Cand, bool HavePatterns,
-               const CostCoefficients &C) {
+void summarize(CandidatePlan &Cand, bool HavePatterns) {
   LiteralProfile Aggregate;
   double LiteralLenSum = 0.0;
   for (const CostReport &G : Cand.Groups) {
@@ -193,7 +236,7 @@ void summarize(CandidatePlan &Cand, bool HavePatterns,
         LiteralLenSum / static_cast<double>(Aggregate.PrefilterableRules);
   Aggregate.RootSkipViable = Aggregate.DistinctFirstBytes >= 1 &&
                              Aggregate.DistinctFirstBytes <= 8;
-  estimateEngines(Cand, Aggregate, HavePatterns, C);
+  estimateEngines(Cand, Aggregate, HavePatterns);
 }
 
 /// One candidate merging factor while it is evaluated.
@@ -363,14 +406,14 @@ private:
           continue;
         }
         DfaEstimate &Dfa = Work[I].Reports[J].Dfa;
-        Dfa = blowupEstimate(Options.Cost.Probe);
+        Dfa = blowupEstimate(Options.Probe);
         Dfa.Implied = true;
       }
     Waves[W].ProbesLeft = Probes.size() + 1;
     for (const auto &[I, J] : Probes)
       submit([this, W, I = I, J = J] {
         Work[I].Reports[J].Dfa =
-            probeDfaBlowup(group(I, J), Options.Cost.Probe);
+            probeDfaBlowup(group(I, J), Options.Probe);
         probeDone(W);
       });
     probeDone(W);
@@ -395,7 +438,7 @@ void evaluateCandidates(EnginePlan &Plan, std::vector<CandidateWork> &Work,
                         const std::vector<std::string> &Patterns,
                         const PlannerOptions &Options, bool AllowImplied) {
   for (CandidateWork &C : Work) {
-    C.Sampled = sampleGroups(C.NumGroups, Options.MaxAnalyzedGroups);
+    C.Sampled = sampleGroups(C.NumGroups);
     C.Reports.resize(C.Sampled.size());
     C.RuleIds.resize(C.Sampled.size());
   }
@@ -407,7 +450,7 @@ void evaluateCandidates(EnginePlan &Plan, std::vector<CandidateWork> &Work,
     Cand.MergingFactor = C.MergingFactor;
     Cand.NumGroups = C.NumGroups;
     Cand.Groups = std::move(C.Reports);
-    summarize(Cand, !Patterns.empty(), Options.Coefficients);
+    summarize(Cand, !Patterns.empty());
     Plan.Candidates.push_back(std::move(Cand));
   }
 }
@@ -492,22 +535,6 @@ void decideParallelInput(EnginePlan &Plan, const PlannerOptions &Options) {
   }
 }
 
-void jsonEscapeTo(std::string &Out, std::string_view S) {
-  for (char Ch : S) {
-    unsigned char U = static_cast<unsigned char>(Ch);
-    if (Ch == '"' || Ch == '\\') {
-      Out += '\\';
-      Out += Ch;
-    } else if (U < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", U);
-      Out += Buf;
-    } else {
-      Out += Ch;
-    }
-  }
-}
-
 void appendNumber(std::string &Out, double V) {
   char Buf[48];
   std::snprintf(Buf, sizeof(Buf), "%.4g", V);
@@ -538,7 +565,7 @@ std::string EnginePlan::explainJson() const {
   J += ", \"enabled\": ";
   J += ParallelInput ? "true" : "false";
   J += ", \"why\": \"";
-  jsonEscapeTo(J, ParallelInputWhy);
+  J += jsonEscape(ParallelInputWhy);
   J += "\"},\n  \"candidates\": [";
   for (size_t I = 0; I < Candidates.size(); ++I) {
     const CandidatePlan &Cand = Candidates[I];
@@ -590,7 +617,7 @@ std::string EnginePlan::explainJson() const {
       J += ", \"feasible\": ";
       J += Est.Feasible ? "true" : "false";
       J += ", \"why\": \"";
-      jsonEscapeTo(J, Est.Why);
+      J += jsonEscape(Est.Why);
       J += "\"}";
     }
     J += "\n     ],\n     \"best\": \"";

@@ -7,11 +7,12 @@
 /// \file
 /// Declares the adaptive engine planner the ROADMAP's "Adaptive engine
 /// planner" item asks for: convert the static facts of analysis/CostModel.h
-/// plus cost coefficients fitted to the committed `bench/baselines/`
-/// numbers into an EnginePlan — which of the four engines to run, at what
-/// merging factor K, and at what stride — with a JSON explain trace of
-/// every candidate evaluated and why the winner won (Hyperscan-style
-/// hybrid dispatch, grounded in our own baselines rather than guesswork).
+/// plus cost constants (Planner.cpp) fitted to the committed
+/// `bench/baselines/` numbers into an EnginePlan — which of the four
+/// engines to run, at what merging factor K, and at what stride — with a
+/// JSON explain trace of every candidate evaluated and why the winner won
+/// (Hyperscan-style hybrid dispatch, grounded in our own baselines rather
+/// than guesswork).
 ///
 /// The planner is pure analysis: it never constructs an engine, so it lives
 /// in the analysis layer and everything above (pipeline, CLIs, benches,
@@ -37,7 +38,7 @@ namespace obs {
 class MetricsRegistry;
 } // namespace obs
 
-/// The engine-selection axis (CompileOptions::Engine): the four concrete
+/// The engine-selection axis (PlannerOptions::Force): the four concrete
 /// execution strategies the benches compare, plus Auto ("let the planner
 /// decide"). The values are stable: the `analysis.cost.chosen_engine` gauge
 /// exports them, and 2 stays unused since the sparse iMFAnt engine was
@@ -55,45 +56,6 @@ const char *engineName(Engine E);
 
 /// Parses an engineName() string. \returns false on an unknown name.
 bool engineFromName(std::string_view Name, Engine &Out);
-
-/// Per-unit cost constants, in nanoseconds, fitted to the committed
-/// bench/baselines/BENCH_*.json numbers (docs/performance.md shows the
-/// derivation). They only need to get *ratios* right: the planner compares
-/// candidate engines against each other, never against the wall clock.
-struct CostCoefficients {
-  /// Dense iMFAnt: per per-symbol table entry evaluated per input byte
-  /// (BENCH_engine_throughput dense rows / avg table row).
-  double DenseNsPerEntry = 1.2;
-  /// Dense iMFAnt: per 64-bit belonging word combined per entry.
-  double BitsetNsPerWord = 0.4;
-  /// DFA: one table lookup + accept probe per byte.
-  double DfaNsPerByte = 1.0;
-  /// Stride-2 DFA: one lookup per byte *pair*.
-  double Stride2NsPerStep = 1.3;
-  /// AC prefilter: literal-scan cost per byte (root-skip fast path).
-  double PrefilterNsPerByte = 0.6;
-  /// Residual (non-prefilterable) rules scan every byte with a dense
-  /// engine; this scales that engine's estimate by the residual fraction.
-  /// Fitted at ~2×: the baselines show the prefilter's residual path
-  /// costing about twice the tuned dense engine per residual rule share
-  /// (abl_planner: prefilter/dense ≈ 2.0-3.3 × (1 - prefilterable
-  /// fraction) across the Table I datasets), which flips literal-poor
-  /// rulesets (DS9) back to dense while keeping literal-heavy ones
-  /// (PEN/RG1/TCP) on the prefilter.
-  double ResidualPenalty = 2.0;
-  /// Confirm-window cost: a prefilter hit reruns an automaton over the
-  /// window, and hit probability rises steeply as the mandatory literal
-  /// shortens. This charges the prefilterable share of the dense cost
-  /// inversely to the average literal length (abl_planner: PRO's 4.4-byte
-  /// average literal makes its prefilter slower than plain dense, while
-  /// BRO's 11-byte literals keep the confirm path cold).
-  double ConfirmPenalty = 1.0;
-  /// Tables larger than this spill the last-level working set; their
-  /// estimate is multiplied by CacheSpillFactor (baselines show the dense
-  /// engine degrading ~2-3× once the table leaves L2).
-  double CacheBytes = 1.5e6;
-  double CacheSpillFactor = 2.5;
-};
 
 /// One engine's evaluated cost for a candidate configuration.
 struct EngineCostEstimate {
@@ -125,9 +87,9 @@ struct EnginePlan {
   /// and whether the planner recommends it for the chosen engine. Enabled
   /// for every engine with an input-parallel executor (dense iMFAnt, DFA,
   /// stride-2 DFA, prefilter) when more than one thread is requested: each
-  /// executor's run-time guard (death-probe window, state-map class cap,
-  /// sequential re-scan fallback) bounds its worst case at about sequential
-  /// cost. ParallelInputWhy records the reason either way.
+  /// executor's run-time guard (state-map class cap, the iMFAnt join's
+  /// re-scan of the carry until it dies) bounds its worst case at about
+  /// sequential cost. ParallelInputWhy records the reason either way.
   unsigned InputThreads = 1;
   bool ParallelInput = false;
   std::string ParallelInputWhy;
@@ -154,23 +116,17 @@ struct EnginePlan {
 /// Planner knobs.
 struct PlannerOptions {
   /// Planning must stay orders of magnitude cheaper than scanning, so the
-  /// DFA probe budget defaults lower here than CostOptions' own: a probe
-  /// needs few states to *prove* a blowup (completing under the smaller cap
-  /// still implies the engine builder's far larger cap succeeds).
-  PlannerOptions() { Cost.Probe.MaxStates = 1u << 12; }
-
-  CostCoefficients Coefficients;
-  CostOptions Cost;
+  /// DFA probe budget defaults lower here than DfaProbeOptions' own: a
+  /// probe needs few states to *prove* a blowup (completing under the
+  /// smaller cap still implies the engine builder's far larger cap
+  /// succeeds).
+  DfaProbeOptions Probe{.MaxStates = 1u << 12};
   /// Merging factors to trial (0 = all). planMfsas ignores this — its K is
-  /// fixed by the Mfsas it is given.
+  /// fixed by the Mfsas it is given. A candidate of more than eight groups
+  /// has an evenly spaced sample of eight analyzed, and its summed cost
+  /// terms are scaled by the real group count (a K=300 candidate would
+  /// otherwise pay 300 DFA probes per plan).
   std::vector<uint32_t> CandidateFactors = {1, 50, 0};
-  /// Cap on fully-analyzed groups per candidate: beyond it, an evenly
-  /// spaced sample is analyzed and the summed cost terms are scaled by the
-  /// real group count (a K=300 candidate would otherwise pay 300 DFA
-  /// probes per plan). Each analyzed group costs two planner tasks (shape
-  /// and literal profile; DFA probe), and a probe is skipped when a blown
-  /// group of a candidate with more groups holds a subset of its rules.
-  uint32_t MaxAnalyzedGroups = 8;
   /// Merge options for planRuleset's trial merges.
   MergeOptions Merge;
   /// Force a specific engine: the planner still evaluates every candidate

@@ -108,22 +108,19 @@ bool validateEquivalence(const Nfa &Before, const Nfa &After,
   const bool WitnessInBefore = Cex == &Proof.AInB; // A=Before ⊆ B=After side.
   const std::string &Word = Cex->Counterexample;
 
-  if (Options.ReplayCounterexamples) {
-    const bool InBefore = acceptsWord(Before, Word);
-    const bool InAfter = acceptsWord(After, Word);
-    const bool Confirmed =
-        InBefore != InAfter && InBefore == WitnessInBefore;
-    if (!Confirmed) {
-      ++S.Failures;
-      reportFinding(
-          Diags, Severity::Error, "validate.replay.diverged",
-          Subject + ": prover found counterexample " + renderWord(Word) +
-              " but oracle replay disagrees (oracle: before=" +
-              std::to_string(InBefore) + " after=" + std::to_string(InAfter) +
-              ") — inclusion checker bug, not a miscompile",
-          Span, &Word);
-      return false;
-    }
+  const bool InBefore = acceptsWord(Before, Word);
+  const bool InAfter = acceptsWord(After, Word);
+  const bool Confirmed = InBefore != InAfter && InBefore == WitnessInBefore;
+  if (!Confirmed) {
+    ++S.Failures;
+    reportFinding(
+        Diags, Severity::Error, "validate.replay.diverged",
+        Subject + ": prover found counterexample " + renderWord(Word) +
+            " but oracle replay disagrees (oracle: before=" +
+            std::to_string(InBefore) + " after=" + std::to_string(InAfter) +
+            ") — inclusion checker bug, not a miscompile",
+        Span, &Word);
+    return false;
   }
 
   ++S.Failures;
@@ -131,9 +128,7 @@ bool validateEquivalence(const Nfa &Before, const Nfa &After,
                 Subject + " changed the language: " + renderWord(Word) +
                     (WitnessInBefore ? " is accepted before but not after"
                                      : " is accepted after but not before") +
-                    (Options.ReplayCounterexamples
-                         ? " (confirmed by oracle replay)"
-                         : ""),
+                    " (confirmed by oracle replay)",
                 Span, &Word);
   return false;
 }

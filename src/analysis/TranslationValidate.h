@@ -65,10 +65,6 @@ struct ValidateOptions {
   /// the proof is counted as skipped rather than attempted, since the
   /// antichain bound is worst-case exponential. 0 means no cutoff.
   uint32_t MaxProofStates = 4096;
-
-  /// Replay counterexamples through the independent acceptsWord oracle
-  /// before reporting (cheap; only runs on failed proofs).
-  bool ReplayCounterexamples = true;
 };
 
 /// Aggregate cost/outcome accounting for a validation run, published as

@@ -19,16 +19,6 @@
 
 using namespace mfsa;
 
-const char *mfsa::irLevelName(IrLevel Level) {
-  switch (Level) {
-  case IrLevel::RawNfa:
-    return "raw-nfa";
-  case IrLevel::OptimizedFsa:
-    return "optimized-fsa";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Forward BFS over in-range transitions from \p Start.

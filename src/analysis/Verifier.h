@@ -64,9 +64,6 @@ enum class IrLevel : uint8_t {
   OptimizedFsa, ///< Stage-3 output: ε-free, canonical, compacted.
 };
 
-/// Human-readable IR level name ("raw-nfa", "optimized-fsa").
-const char *irLevelName(IrLevel Level);
-
 /// Verifies \p A against the invariants of \p Level, appending every
 /// violation to \p Diags. \p RuleIndex, when not kNoRule, tags findings with
 /// the rule the automaton belongs to. \returns true when clean.

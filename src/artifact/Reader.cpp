@@ -526,11 +526,9 @@ Result<bool> validateImage(const std::string &Path, const uint8_t *D,
 
     // Semantic pass: the PR 2 verifier on the materialized automaton
     // (per-rule connectivity, duplicate-arc coalescing, id consistency).
-    if (Options.VerifyStructure) {
-      const std::string E = verifyMfsaError(V.materialize());
-      if (!E.empty())
-        return MErr("failed structural verification: " + E);
-    }
+    const std::string E = verifyMfsaError(V.materialize());
+    if (!E.empty())
+      return MErr("failed structural verification: " + E);
     Views.push_back(V);
   }
   return true;

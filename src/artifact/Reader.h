@@ -98,9 +98,6 @@ struct MfsaView {
 
 /// Loader knobs.
 struct LoadOptions {
-  /// Run the PR 2 structural verifier on every materialized MFSA.
-  bool VerifyStructure = true;
-
   /// Opt-in translation-validation spot check: recompile up to
   /// SpotCheckMaxRules embedded patterns and prove each extracted rule
   /// language equals the fresh compile (Eq. 10 confidence on top of the

@@ -172,7 +172,7 @@ mfsa::artifact::serializeArtifact(const std::vector<Mfsa> &Mfsas,
   }
   Sections.insert(Sections.begin(), std::move(Meta));
 
-  if (Options.IncludePatterns && !Patterns.empty()) {
+  if (!Patterns.empty()) {
     StagedSection Offsets{static_cast<uint32_t>(SectionKind::PatternOffsets),
                           kGlobalSection, Patterns.size() + 1, {}};
     StagedSection Blob{static_cast<uint32_t>(SectionKind::PatternBlob),

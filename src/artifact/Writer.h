@@ -33,11 +33,6 @@ namespace mfsa::artifact {
 
 /// Emission knobs plus the compile provenance recorded in the header.
 struct ArtifactWriteOptions {
-  /// Embed the source rule text (pattern sections). Costs bytes, buys
-  /// self-describing artifacts: provenance for diagnostics and the input
-  /// the loader's opt-in translation-validation spot check recompiles.
-  bool IncludePatterns = true;
-
   /// Provenance echoed into the header so a loader can reproduce the
   /// compile: case folding, atom splitting, and the merging factor M.
   bool CaseInsensitive = false;
@@ -45,10 +40,12 @@ struct ArtifactWriteOptions {
   uint32_t MergingFactor = 0;
 };
 
-/// Serializes \p Mfsas (plus \p Patterns when embedding is on) into one
-/// artifact image, returned as raw bytes. \p Patterns is the *original*
-/// ruleset text, indexed by the rules' GlobalIds; pass {} to skip
-/// embedding. Fails only on injected faults or capacity overflows — the
+/// Serializes \p Mfsas plus \p Patterns into one artifact image, returned
+/// as raw bytes. \p Patterns is the *original* ruleset text, indexed by the
+/// rules' GlobalIds: embedding it costs bytes and buys self-describing
+/// artifacts (provenance for diagnostics, the input the loader's opt-in
+/// spot check recompiles, the literals a prefilter plan needs); pass {} to
+/// skip embedding. Fails only on injected faults or capacity overflows — the
 /// inputs are trusted compiler output.
 Result<std::string> serializeArtifact(const std::vector<Mfsa> &Mfsas,
                                       const std::vector<std::string> &Patterns,

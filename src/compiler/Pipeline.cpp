@@ -71,6 +71,14 @@ FaultPoint toFaultPoint(CompileStage Stage) {
   return FaultPoint::Parse;
 }
 
+/// Auto-mode ruleset-size threshold: Debug builds validate by default only
+/// rulesets of at most this many rules (proofs are per-pass per-rule).
+constexpr uint32_t kValidateAutoMaxRules = 64;
+
+/// Proof resource caps for translation validation (cutoffs; the oracle
+/// replay of every counterexample always runs).
+constexpr ValidateOptions kValidation{};
+
 /// MFSA_VALIDATE environment override: 1 = force on, 0 = force off,
 /// unset/unrecognized = no override.
 enum class ValidateEnv : uint8_t { Unset, ForceOn, ForceOff };
@@ -179,7 +187,7 @@ mfsa::compileRuleset(const std::vector<std::string> &Patterns,
   const bool Isolate = Options.Policy == FailurePolicy::Isolate;
   const FaultSpec Fault = readFaultSpec();
   const bool Validate = validatePassesEnabled(
-      Options.Validate, Patterns.size(), Options.ValidateAutoMaxRules);
+      Options.Validate, Patterns.size(), kValidateAutoMaxRules);
 
   auto Injected = [&](CompileStage S, uint32_t OriginalId) {
     return Fault.at(toFaultPoint(S), OriginalId);
@@ -343,7 +351,7 @@ mfsa::compileRuleset(const std::vector<std::string> &Patterns,
         PassCheck = [&](const char *PassName, const Nfa &Before,
                         const Nfa &After) {
           return validatePassEquivalenceError(Before, After, PassName,
-                                              Options.Validation,
+                                              kValidation,
                                               &Tel.Validation);
         };
       Result<Nfa> Optimized =
@@ -400,7 +408,7 @@ mfsa::compileRuleset(const std::vector<std::string> &Patterns,
       for (size_t L = 0; L < Artifacts.OptimizedFsas.size(); ++L) {
         std::string Violation = validatePassEquivalenceError(
             PreSplit[L], Artifacts.OptimizedFsas[L], "split-cc-by-atoms",
-            Options.Validation, &Tel.Validation);
+            kValidation, &Tel.Validation);
         if (!Violation.empty())
           return Result<CompileArtifacts>::error(
               "translation validation: rule " + std::to_string(Alive[L]) +
@@ -483,7 +491,7 @@ mfsa::compileRuleset(const std::vector<std::string> &Patterns,
           // fails under either policy, like a stage-4 verifier failure.
           if (Validate) {
             std::string Violation = validateMergeProjectionError(
-                *Z, Members, Options.Validation, &Tel.Validation);
+                *Z, Members, kValidation, &Tel.Validation);
             if (!Violation.empty())
               return Result<CompileArtifacts>::error(
                   "translation validation: " + Violation);
@@ -569,15 +577,5 @@ mfsa::compileRuleset(const std::vector<std::string> &Patterns,
 
   Tel.QuarantinedRules = Artifacts.Quarantined.size();
   Artifacts.CompiledRuleIds = std::move(Alive);
-
-  // Post-pipeline: static cost analysis over the stage-4 MFSAs. The plan is
-  // computed at this compile's own merging factor; `mfsac --plan` runs the
-  // K-sweep over OptimizedFsas separately.
-  if (Options.EmitPlan) {
-    PlannerOptions PO = Options.Planner;
-    PO.Force = Options.Engine;
-    Artifacts.Plan =
-        planMfsas(Artifacts.Mfsas, Patterns, Options.MergingFactor, PO);
-  }
   return Artifacts;
 }

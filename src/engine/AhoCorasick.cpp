@@ -18,8 +18,7 @@
 
 using namespace mfsa;
 
-AhoCorasick::AhoCorasick(const std::vector<std::string> &Literals)
-    : NumLiterals(Literals.size()) {
+AhoCorasick::AhoCorasick(const std::vector<std::string> &Literals) {
   // Build the trie with sparse child maps first; densify afterwards.
   struct TrieNode {
     std::map<unsigned char, uint32_t> Children;

@@ -69,7 +69,6 @@ public:
   }
 
   uint32_t numNodes() const { return NumNodes; }
-  size_t numLiterals() const { return NumLiterals; }
   /// Length of the longest literal: an occurrence ending at offset E
   /// starts no earlier than E - maxLiteralLength().
   size_t maxLiteralLength() const { return MaxLiteralLength; }
@@ -84,7 +83,6 @@ public:
 
 private:
   uint32_t NumNodes = 0;
-  size_t NumLiterals = 0;
   size_t MaxLiteralLength = 0;
   std::vector<uint32_t> Next;          ///< NumNodes x 256 dense table.
   std::vector<uint32_t> Outputs;       ///< Flattened literal indices.

@@ -183,11 +183,6 @@ std::string MetricsRegistry::toText() const {
 // Process-wide plumbing
 //===----------------------------------------------------------------------===//
 
-MetricsRegistry &mfsa::obs::globalRegistry() {
-  static MetricsRegistry Registry;
-  return Registry;
-}
-
 namespace {
 
 // Relaxed: the override is a standalone test knob read at scan-loop entry;

@@ -172,10 +172,6 @@ private:
       MFSA_GUARDED_BY(RegistryMutex);
 };
 
-/// The process-wide registry the CLIs and benches dump. Library code only
-/// touches it when explicitly pointed at it (setMetrics / recordTo).
-MetricsRegistry &globalRegistry();
-
 /// Scan-path sampling period: instrumented engines record distribution
 /// samples every Nth consumed byte (counters stay exact). Initialized from
 /// the MFSA_METRICS_SAMPLE environment variable (default 64, minimum 1).

@@ -8,8 +8,8 @@
 /// Byte-order-explicit load/store helpers for on-disk structures. The MFSA
 /// artifact format (src/artifact/Format.h) fixes every multi-byte field to
 /// little-endian; these helpers make that contract independent of the host:
-/// they assemble values byte-by-byte through memcpy, so they are safe on any
-/// alignment and compile to single moves on little-endian targets.
+/// they assemble values byte by byte, so they are safe on any alignment and
+/// compile to single moves on little-endian targets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #define MFSA_SUPPORT_ENDIAN_H
 
 #include <cstdint>
-#include <cstring>
 
 namespace mfsa {
 
@@ -37,12 +36,6 @@ inline uint64_t loadLE64(const void *P) {
   return uint64_t(loadLE32(B)) | (uint64_t(loadLE32(B + 4)) << 32);
 }
 
-inline void storeLE16(void *P, uint16_t V) {
-  uint8_t *B = static_cast<uint8_t *>(P);
-  B[0] = static_cast<uint8_t>(V);
-  B[1] = static_cast<uint8_t>(V >> 8);
-}
-
 inline void storeLE32(void *P, uint32_t V) {
   uint8_t *B = static_cast<uint8_t *>(P);
   B[0] = static_cast<uint8_t>(V);
@@ -55,16 +48,6 @@ inline void storeLE64(void *P, uint64_t V) {
   uint8_t *B = static_cast<uint8_t *>(P);
   storeLE32(B, static_cast<uint32_t>(V));
   storeLE32(B + 4, static_cast<uint32_t>(V >> 32));
-}
-
-/// True when the executing host is little-endian — i.e. the artifact's
-/// on-disk order matches memory order and flat arrays of fixed-width records
-/// can be read through typed views without conversion.
-inline bool hostIsLittleEndian() {
-  const uint32_t Probe = 0x01020304;
-  uint8_t First;
-  std::memcpy(&First, &Probe, 1);
-  return First == 0x04;
 }
 
 } // namespace mfsa

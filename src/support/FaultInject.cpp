@@ -11,24 +11,6 @@
 
 using namespace mfsa;
 
-const char *mfsa::faultPointName(FaultPoint Point) {
-  switch (Point) {
-  case FaultPoint::Parse:
-    return "parse";
-  case FaultPoint::Build:
-    return "build";
-  case FaultPoint::Opt:
-    return "opt";
-  case FaultPoint::Merge:
-    return "merge";
-  case FaultPoint::Serialize:
-    return "serialize";
-  case FaultPoint::Load:
-    return "load";
-  }
-  return "unknown";
-}
-
 FaultSpec mfsa::readFaultSpec() {
   FaultSpec Spec;
   const char *Env = std::getenv("MFSA_FAULT_STAGE");

@@ -46,9 +46,6 @@ enum class FaultPoint : uint8_t {
   Load,      ///< Artifact loading (artifact/Reader.h).
 };
 
-/// The spelling used in MFSA_FAULT_STAGE ("parse", ..., "serialize", "load").
-const char *faultPointName(FaultPoint Point);
-
 /// A parsed MFSA_FAULT_STAGE request. Inactive (Active == false) when the
 /// variable is unset, empty, or malformed — a malformed spec never injects.
 struct FaultSpec {

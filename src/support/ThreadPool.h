@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Defines ThreadPool, the worker pool behind the paper's multi-threaded
-/// evaluation (§VI-C2): "each thread manages different automata
-/// asynchronously, selecting an MFSA at a time from the remaining ones until
-/// all are executed". Tasks are drained from a shared queue by T workers.
+/// Defines ThreadPool, a fixed set of T workers draining one shared task
+/// queue. The planner's trial merges and probes, the input-parallel
+/// executors' chunk rounds and the scan service's request handlers run on
+/// it. (runParallel, the paper's §VI-C2 one-MFSA-at-a-time scheduler in
+/// engine/Parallel.h, spawns its own threads per call.)
 ///
 /// Locking protocol (verified by the Sync.h capability annotations): every
 /// queue/bookkeeping field is guarded by PoolMutex (rank 70); the mutex is
@@ -47,8 +48,6 @@ public:
 
   /// Blocks until every submitted task has finished.
   void wait() MFSA_EXCLUDES(PoolMutex);
-
-  unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
 
 private:
   void workerLoop() MFSA_EXCLUDES(PoolMutex);

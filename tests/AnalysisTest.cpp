@@ -26,6 +26,7 @@
 #include "analysis/Planner.h"
 #include "analysis/Verifier.h"
 #include "compiler/Pipeline.h"
+#include "engine/MultiStride.h"
 #include "fsa/AlphabetPartition.h"
 #include "fsa/Determinize.h"
 #include "mfsa/Merge.h"
@@ -583,9 +584,9 @@ TEST(Planner, ForcedEnginePinsChoiceButKeepsTrace) {
 }
 
 TEST(Planner, InputParallelAcceptedBehindRuntimeGuards) {
-  // Dense iMFAnt and the prefilter are accepted — their executors'
-  // death-probe window and re-scan fallback bound the worst case at run
-  // time — while a single input thread declines.
+  // Dense iMFAnt and the prefilter are accepted — the iMFAnt join's re-scan
+  // of the carry until it dies bounds the worst case at run time — while a
+  // single input thread declines.
   std::vector<std::string> Patterns = {"foobar", "bazqux", "[ab]+c",
                                        "(a|b)*abb"};
   std::vector<Mfsa> Mfsas;
@@ -635,7 +636,7 @@ struct PairsAndAllPlan {
       Fsas.push_back(compileOptimized(Patterns[I]));
       Ids.push_back(I);
     }
-    Options.Cost.Probe.MaxStates = 64;
+    Options.Probe.MaxStates = 64;
     Options.CandidateFactors = {2, 0};
     Plan = planRuleset(Fsas, Ids, Patterns, Options);
     for (const CandidatePlan &Cand : Plan.Candidates)
@@ -645,7 +646,7 @@ struct PairsAndAllPlan {
   /// A direct probe of the M = all group.
   DfaEstimate probeAll() const {
     return probeDfaBlowup(mergeInGroups(Fsas, Ids, 0).front(),
-                          Options.Cost.Probe);
+                          Options.Probe);
   }
 };
 
@@ -1068,14 +1069,15 @@ DfaEstimate expectedVerdict(const Result<Dfa> &Reference,
   Est.Stride2Entries =
       uint64_t(Est.DfaStates) * Est.NumAtoms * Est.NumAtoms;
   Est.Stride2Feasible =
-      Est.NumAtoms > 0 && Est.Stride2Entries <= Options.MaxStride2Entries;
+      Est.NumAtoms > 0 &&
+      Est.Stride2Entries <= StrideOptions().MaxTableEntries;
   return Est;
 }
 
 TEST(Exactness, DeterminizeMatchesReferenceOnFirstM50Groups) {
   // The planner's probe workload: each dataset's first M=50 group under its
   // 4096-state cap. Most blow it; the probe's verdict must match anyway.
-  const DfaProbeOptions Probe = PlannerOptions().Cost.Probe;
+  const DfaProbeOptions Probe = PlannerOptions().Probe;
   ASSERT_EQ(Probe.MaxStates, 1u << 12);
   for (const DatasetSpec &Spec : standardDatasets()) {
     const M50Group G(Spec.Abbrev.c_str(), 0);

@@ -227,6 +227,60 @@ TEST(ArtifactRoundTrip, SerializationIsByteStable) {
   EXPECT_EQ(*A, *B) << "same input must serialize to identical bytes";
 }
 
+TEST(ArtifactRoundTrip, ArtifactWithoutPatternsLoads) {
+  TempDir Dir;
+  CompileOptions Options;
+  Options.MergingFactor = 3;
+  Options.EmitAnml = false;
+  Result<CompileArtifacts> Compiled = compileRuleset(kSmallRuleset, Options);
+  ASSERT_TRUE(Compiled.ok());
+  const std::string Path = Dir.file("nopatterns.mfsa");
+  Result<uint64_t> Written = writeArtifactFile(Path, Compiled->Mfsas, {});
+  ASSERT_TRUE(Written.ok()) << Written.diag().render();
+
+  Result<LoadedArtifact> Loaded = loadArtifact(Path);
+  ASSERT_TRUE(Loaded.ok()) << Loaded.diag().render();
+  EXPECT_TRUE(Loaded->patterns().empty());
+  const std::vector<Mfsa> Restored = Loaded->materializeAll();
+  ASSERT_EQ(Restored.size(), Compiled->Mfsas.size());
+  for (size_t I = 0; I < Restored.size(); ++I) {
+    const Mfsa &Want = Compiled->Mfsas[I];
+    const Mfsa &Got = Restored[I];
+    EXPECT_EQ(Got.numStates(), Want.numStates()) << "mfsa " << I;
+    ASSERT_EQ(Got.numTransitions(), Want.numTransitions()) << "mfsa " << I;
+    for (size_t T = 0; T < Want.numTransitions(); ++T) {
+      const MfsaTransition &G = Got.transitions()[T];
+      const MfsaTransition &W = Want.transitions()[T];
+      EXPECT_TRUE(G.From == W.From && G.To == W.To && G.Label == W.Label &&
+                  G.Bel == W.Bel)
+          << "mfsa " << I << " transition " << T;
+    }
+    ASSERT_EQ(Got.numRules(), Want.numRules()) << "mfsa " << I;
+    for (RuleId R = 0; R < Want.numRules(); ++R) {
+      EXPECT_EQ(Got.rule(R).GlobalId, Want.rule(R).GlobalId);
+      EXPECT_EQ(Got.rule(R).Initial, Want.rule(R).Initial);
+      EXPECT_EQ(Got.rule(R).Finals, Want.rule(R).Finals);
+      EXPECT_EQ(Got.rule(R).AnchoredStart, Want.rule(R).AnchoredStart);
+      EXPECT_EQ(Got.rule(R).AnchoredEnd, Want.rule(R).AnchoredEnd);
+    }
+  }
+
+  // The spot check has nothing to recompile, so the structural checks
+  // stand alone and the load succeeds.
+  LoadOptions Checked;
+  Checked.SpotCheckValidate = true;
+  Result<LoadedArtifact> SpotChecked = loadArtifact(Path, Checked);
+  EXPECT_TRUE(SpotChecked.ok()) << SpotChecked.diag().render();
+
+  // A prefilter plan reads each rule's literal from the source text.
+  Result<PlannedEngineSet> Prefilter =
+      PlannedEngineSet::create(Engine::Prefilter, Restored, Loaded->patterns());
+  ASSERT_FALSE(Prefilter.ok());
+  EXPECT_NE(Prefilter.diag().Message.find("needs the source patterns"),
+            std::string::npos)
+      << Prefilter.diag().render();
+}
+
 TEST(ArtifactRoundTrip, OlderWritersSimdLevelTwoStillLoads) {
   // Offset 20 is provenance only. Older writers stored their SIMD dispatch
   // level there, 2 on AVX2 hosts; such an image loads and scans like one
