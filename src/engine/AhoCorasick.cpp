@@ -9,8 +9,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <iterator>
 #include <map>
-#include <queue>
 
 #if defined(__x86_64__)
 #include <emmintrin.h>
@@ -19,13 +19,14 @@
 using namespace mfsa;
 
 AhoCorasick::AhoCorasick(const std::vector<std::string> &Literals) {
-  // Build the trie with sparse child maps first; densify afterwards.
+  // The trie with sparse child maps; node 0 is the root.
   struct TrieNode {
     std::map<unsigned char, uint32_t> Children;
     std::vector<uint32_t> Ends; ///< Literals terminating here.
     uint32_t Fail = 0;
   };
   std::vector<TrieNode> Trie(1);
+  bool Used[256] = {};
 
   for (size_t L = 0; L < Literals.size(); ++L) {
     const std::string &Literal = Literals[L];
@@ -34,6 +35,7 @@ AhoCorasick::AhoCorasick(const std::vector<std::string> &Literals) {
     uint32_t Node = 0;
     for (char C : Literal) {
       unsigned char Byte = static_cast<unsigned char>(C);
+      Used[Byte] = true;
       auto It = Trie[Node].Children.find(Byte);
       if (It == Trie[Node].Children.end()) {
         uint32_t Fresh = static_cast<uint32_t>(Trie.size());
@@ -47,65 +49,84 @@ AhoCorasick::AhoCorasick(const std::vector<std::string> &Literals) {
     Trie[Node].Ends.push_back(static_cast<uint32_t>(L));
   }
 
-  NumNodes = static_cast<uint32_t>(Trie.size());
-  Next.assign(static_cast<size_t>(NumNodes) * 256, 0);
+  // Classes: every literal byte its own, in byte order, after class 0 for
+  // all other bytes (absent when the literals use all 256 values). Every
+  // transition on an "other" byte returns to the root.
+  const bool AllUsed = std::all_of(std::begin(Used), std::end(Used),
+                                   [](bool U) { return U; });
+  NumClasses = AllUsed ? 0 : 1;
+  for (unsigned Byte = 0; Byte < 256; ++Byte)
+    if (Used[Byte])
+      ClassOfByte[Byte] = static_cast<uint8_t>(NumClasses++);
+  const uint32_t K = NumClasses;
 
-  // BFS: fail links, flattened outputs (own ends plus the fail target's
-  // already-flattened outputs), and the dense next table (goto where a
-  // child exists, fail-resolved transition otherwise).
+  // BFS order, fail links (walking the goto function up the suffix chain)
+  // and flattened outputs: a node's own ends, then its fail target's.
+  const uint32_t NumNodes = static_cast<uint32_t>(Trie.size());
+  std::vector<uint32_t> Order{0};
   std::vector<std::vector<uint32_t>> Flattened(NumNodes);
-  std::queue<uint32_t> Work;
-
-  Flattened[0] = Trie[0].Ends;
-  for (unsigned Byte = 0; Byte < 256; ++Byte) {
-    auto It = Trie[0].Children.find(static_cast<unsigned char>(Byte));
-    if (It != Trie[0].Children.end()) {
-      Trie[It->second].Fail = 0;
-      Next[Byte] = It->second;
-      Work.push(It->second);
-    } else {
-      Next[Byte] = 0;
-    }
-  }
-
-  while (!Work.empty()) {
-    uint32_t Node = Work.front();
-    Work.pop();
-    uint32_t Fail = Trie[Node].Fail;
+  for (size_t Head = 0; Head < Order.size(); ++Head) {
+    const uint32_t Node = Order[Head];
     Flattened[Node] = Trie[Node].Ends;
-    Flattened[Node].insert(Flattened[Node].end(), Flattened[Fail].begin(),
-                           Flattened[Fail].end());
-    for (unsigned Byte = 0; Byte < 256; ++Byte) {
-      size_t Row = static_cast<size_t>(Node) * 256 + Byte;
-      auto It = Trie[Node].Children.find(static_cast<unsigned char>(Byte));
-      if (It != Trie[Node].Children.end()) {
-        Trie[It->second].Fail =
-            Next[static_cast<size_t>(Fail) * 256 + Byte];
-        Next[Row] = It->second;
-        Work.push(It->second);
-      } else {
-        Next[Row] = Next[static_cast<size_t>(Fail) * 256 + Byte];
-      }
+    if (Node != 0) {
+      const std::vector<uint32_t> &Inherited = Flattened[Trie[Node].Fail];
+      Flattened[Node].insert(Flattened[Node].end(), Inherited.begin(),
+                             Inherited.end());
+    }
+    for (const auto &[Byte, Child] : Trie[Node].Children) {
+      uint32_t Fail = 0;
+      if (Node != 0)
+        for (uint32_t F = Trie[Node].Fail;; F = Trie[F].Fail) {
+          auto It = Trie[F].Children.find(Byte);
+          if (It != Trie[F].Children.end()) {
+            Fail = It->second;
+            break;
+          }
+          if (F == 0)
+            break;
+        }
+      Trie[Child].Fail = Fail;
+      Order.push_back(Child);
     }
   }
 
-  OutputOffsets.assign(NumNodes + 1, 0);
-  for (uint32_t Node = 0; Node < NumNodes; ++Node)
-    OutputOffsets[Node + 1] =
-        OutputOffsets[Node] + static_cast<uint32_t>(Flattened[Node].size());
-  Outputs.resize(OutputOffsets[NumNodes]);
-  for (uint32_t Node = 0; Node < NumNodes; ++Node)
-    std::copy(Flattened[Node].begin(), Flattened[Node].end(),
-              Outputs.begin() + OutputOffsets[Node]);
+  // Number the nodes without outputs first (the root is one: literals are
+  // non-empty), then those with outputs, each part in BFS order.
+  std::vector<uint32_t> ByNumber = Order;
+  const auto FirstOutput = std::stable_partition(
+      ByNumber.begin(), ByNumber.end(),
+      [&](uint32_t Node) { return Flattened[Node].empty(); });
+  std::vector<uint32_t> Renumbered(NumNodes);
+  for (uint32_t Id = 0; Id < NumNodes; ++Id)
+    Renumbered[ByNumber[Id]] = Id;
+  FirstOutputRow = static_cast<uint32_t>(FirstOutput - ByNumber.begin()) * K;
+
+  // The table, row by row in BFS order: a node's row is its fail target's
+  // (filled earlier, as that node is shallower) with its own children laid
+  // over it; the root's row is its children over zeros.
+  Next.assign(static_cast<size_t>(NumNodes) * K, 0);
+  for (uint32_t Node : Order) {
+    uint32_t *Row = &Next[static_cast<size_t>(Renumbered[Node]) * K];
+    if (Node != 0)
+      std::copy_n(&Next[static_cast<size_t>(Renumbered[Trie[Node].Fail]) * K],
+                  K, Row);
+    for (const auto &[Byte, Child] : Trie[Node].Children)
+      Row[ClassOfByte[Byte]] = Renumbered[Child] * K;
+  }
+
+  OutputOffsets.assign(1, 0);
+  for (auto It = FirstOutput; It != ByNumber.end(); ++It) {
+    Outputs.insert(Outputs.end(), Flattened[*It].begin(), Flattened[*It].end());
+    OutputOffsets.push_back(static_cast<uint32_t>(Outputs.size()));
+  }
 
   // Root-skip acceleration: collect the bytes that leave the root. While
   // scanning from the root every other byte provably stays there with no
   // output, so the scan loop may jump straight to the next start byte.
-  for (unsigned Byte = 0; Byte < 256; ++Byte)
-    if (Next[Byte] != 0) {
-      RootNeedles.push_back(static_cast<uint8_t>(Byte));
-      RootBitmap[Byte >> 6] |= 1ULL << (Byte & 63);
-    }
+  for (const auto &[Byte, Child] : Trie[0].Children) {
+    RootNeedles.push_back(Byte);
+    RootBitmap[Byte >> 6] |= 1ULL << (Byte & 63);
+  }
   RootSkipEnabled =
       !RootNeedles.empty() && RootNeedles.size() <= kMaxRootNeedles;
 }

@@ -292,6 +292,15 @@ ImfantEngine::Scanner::Scanner(const ImfantEngine &Engine)
       NextFrontier(Engine.NumStates), FinalArrivals(Engine.NumStates),
       PendingAtEnd(Engine.Words, 0) {}
 
+void ImfantEngine::Scanner::reset() {
+  ++Gen;
+  CurSize = 0;
+  AbsoluteOffset = 0;
+  Finished = false;
+  InjectionEnabled = true;
+  std::fill(PendingAtEnd.begin(), PendingAtEnd.end(), 0);
+}
+
 void ImfantEngine::Scanner::startAt(uint64_t Offset) {
   assert(!Finished && AbsoluteOffset == 0 && CurSize == 0 &&
          "startAt() on a scanner that already consumed input");

@@ -112,6 +112,8 @@ public:
   std::vector<std::pair<uint32_t, uint64_t>> takeMatches() {
     return std::exchange(Matches, {});
   }
+  /// Drops the retained pairs but keeps their storage; the counters stay.
+  void clearMatches() { Matches.clear(); }
 
   /// Maximum number of retained pairs in Collect mode.
   size_t Cap = size_t(1) << 22;
@@ -194,6 +196,12 @@ public:
 
     /// Absolute offset consumed so far.
     uint64_t offset() const { return AbsoluteOffset; }
+
+    /// Returns the scanner to the state of a fresh one on the same engine —
+    /// offset 0, empty frontier, no `$` match pending, injection on — so it
+    /// can scan another stream. Allocates nothing: bumping the generation
+    /// empties the stamped frontier.
+    void reset();
 
     /// Repositions the stream's absolute offset before the first feed():
     /// an input-parallel chunk scan starting at byte B must see non-zero

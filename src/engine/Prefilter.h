@@ -35,7 +35,9 @@
 #include "engine/Imfant.h"
 #include "engine/InputParallel.h"
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,10 +104,21 @@ private:
   coalesceWindows(const std::vector<std::vector<size_t>> &Hits,
                   size_t InputSize) const;
 
-  /// Runs \p W's confirm automaton, appending its matches with absolute
-  /// end offsets to \p Out. \returns whether the window matched.
+  /// One confirm pass's scratch, reused window after window: the scanner
+  /// is rebuilt only when the window's rule changes (windows arrive in rule
+  /// order) and reset otherwise.
+  struct ConfirmScratch {
+    ConfirmScratch() { Window.Cap = std::numeric_limits<size_t>::max(); }
+    std::optional<ImfantEngine::Scanner> Scan;
+    uint32_t RuleIdx = 0;
+    MatchRecorder Window{MatchRecorder::Mode::Collect};
+  };
+
+  /// Runs \p W's confirm automaton on \p Scratch, appending its matches
+  /// with absolute end offsets to \p Out. \returns whether the window
+  /// matched.
   bool confirm(const ConfirmWindow &W, std::string_view Input,
-               std::vector<Match> &Out) const;
+               ConfirmScratch &Scratch, std::vector<Match> &Out) const;
 
   /// Publishes one scan's `prefilter.*` counts (no-op when detached).
   void recordScan(size_t Bytes, const std::vector<std::vector<size_t>> &Hits,

@@ -149,6 +149,98 @@ TEST(AhoCorasick, RootSkipAgreesWithFind) {
   }
 }
 
+namespace {
+
+/// Every (literal, end) occurrence, by std::string_view::find.
+std::multiset<std::pair<uint32_t, size_t>>
+findHits(const std::vector<std::string> &Literals, std::string_view Input) {
+  std::multiset<std::pair<uint32_t, size_t>> Hits;
+  for (uint32_t L = 0; L < Literals.size(); ++L)
+    for (size_t At = Input.find(Literals[L]); At != Input.npos;
+         At = Input.find(Literals[L], At + 1))
+      Hits.emplace(L, At + Literals[L].size());
+  return Hits;
+}
+
+/// Random input over \p Alphabet, with literals planted at random.
+std::string plantedInput(Rng &Random, const std::vector<std::string> &Literals,
+                         const std::string &Alphabet, size_t Len) {
+  std::string Input(Len, '\0');
+  for (char &C : Input)
+    C = Alphabet[Random.nextBelow(Alphabet.size())];
+  for (size_t Plant = 0; Plant < Len / 8 && Len > 0; ++Plant) {
+    const std::string &P = Literals[Random.nextBelow(Literals.size())];
+    const size_t At = Random.nextBelow(Len);
+    Input.replace(At, std::min(P.size(), Len - At), P, 0,
+                  std::min(P.size(), Len - At));
+  }
+  return Input;
+}
+
+} // namespace
+
+TEST(AhoCorasick, ByteClassTableAgreesWithFind) {
+  // The class table has one class per literal byte plus one for the rest;
+  // each literal set below stresses one corner of it, and the start-byte
+  // counts put it on both scan loops.
+  std::string AllBytes;
+  for (unsigned B = 0; B < 256; ++B)
+    AllBytes.push_back(static_cast<char>(B));
+  std::vector<std::string> Covering; // all 256 values: no "other" class
+  for (unsigned B = 0; B < 256; B += 4)
+    Covering.push_back(AllBytes.substr(B, 4));
+  Covering.push_back(std::string("\xFF\x00", 2));
+  const std::vector<std::string> Extremes = {
+      std::string("\x00", 1), std::string("\xFF\xFF", 2),
+      std::string("a\x00\xFF", 3), std::string("\x00\x00b", 3)};
+  const std::vector<std::string> Nested = {"he", "she", "his", "hers", "e",
+                                           "s"};
+  auto Starts = [](unsigned N) {
+    std::vector<std::string> Literals;
+    for (unsigned I = 0; I < N; ++I)
+      Literals.push_back(std::string{static_cast<char>('A' + I), 'x', 'y'});
+    Literals.push_back("Axyx"); // nested in and overlapping "Axy"
+    return Literals;
+  };
+  const struct {
+    const char *Name;
+    std::vector<std::string> Literals;
+    bool RootSkip;
+    std::string Alphabet;
+  } Cases[] = {
+      {"covering", Covering, false, AllBytes},
+      {"extremes", Extremes, true, std::string("\x00\xFF\x01" "ab", 5)},
+      {"nested", Nested, true, "ehirsx"},
+      {"1 start", Starts(1), true, "Axyz"},
+      {"8 starts", Starts(8), true, "ABCDEFGHIxyz"},
+      {"9 starts", Starts(9), false, "ABCDEFGHIJxyz"},
+  };
+  Rng Random(0xAC1A55);
+  for (const auto &Case : Cases) {
+    const AhoCorasick Automaton(Case.Literals);
+    EXPECT_EQ(Automaton.rootSkipEnabled(), Case.RootSkip) << Case.Name;
+    for (size_t Len : {0, 1, 5, 16, 17, 100, 1000}) {
+      const std::string Input =
+          plantedInput(Random, Case.Literals, Case.Alphabet, Len);
+      std::multiset<std::pair<uint32_t, size_t>> Got;
+      Automaton.scan(Input,
+                     [&](uint32_t L, size_t End) { Got.emplace(L, End); });
+      EXPECT_EQ(Got, findHits(Case.Literals, Input))
+          << Case.Name << " len=" << Len;
+    }
+  }
+}
+
+TEST(AhoCorasick, TableHasOneClassPerLiteralByte) {
+  // "ab" and "b": nodes root, a, ab and b over classes {other, a, b}.
+  EXPECT_EQ(AhoCorasick({"ab", "b"}).tableBytes(), 4u * 3 * 4);
+  // Every byte value a literal: 257 nodes over 256 classes, no "other".
+  std::vector<std::string> Singles;
+  for (unsigned B = 0; B < 256; ++B)
+    Singles.emplace_back(1, static_cast<char>(B));
+  EXPECT_EQ(AhoCorasick(Singles).tableBytes(), 257u * 256 * 4);
+}
+
 //===----------------------------------------------------------------------===//
 // Literal analysis
 //===----------------------------------------------------------------------===//
@@ -381,6 +473,50 @@ TEST(PrefilterEngine, QuarantinedRuleStaysQuarantined) {
   const std::map<uint32_t, std::set<size_t>> Dense = Ends(Engine::ImfantDense);
   EXPECT_EQ(Dense, Expected);
   EXPECT_EQ(Ends(Engine::Prefilter), Dense);
+}
+
+TEST(PrefilterEngine, ConfirmRunsEqualRunWhetherRulesAlternateOrRepeat) {
+  // A confirm pass rebuilds its scanner when the window's rule changes and
+  // resets it otherwise. Twelve rules with one window each make every
+  // window switch rules; one rule with many windows makes every window
+  // reuse the scanner (the gaps keep them from coalescing). Some windows
+  // confirm and some do not.
+  std::vector<std::string> Alternating;
+  std::string AlternatingInput;
+  for (int I = 0; I < 12; ++I) {
+    const std::string Literal = "lit" + std::string(1, char('a' + I));
+    Alternating.push_back(Literal + "[0-9]{1,2}");
+    AlternatingInput += Literal + (I % 3 ? "7 " : "x ") + "......";
+  }
+  const std::vector<std::string> Repeating = {"abab[xy]?z"};
+  std::string RepeatingInput;
+  for (int I = 0; I < 40; ++I)
+    RepeatingInput +=
+        (I % 4 ? "ababz" : "ababq") + std::string(16 + I % 7, '.');
+
+  for (const auto &[Patterns, Input] :
+       {std::pair{Alternating, AlternatingInput},
+        std::pair{Repeating, RepeatingInput}}) {
+    const PlannedEngineSet Plan =
+        prefilterPlan(compileMerged(Patterns, 1), Patterns);
+    ASSERT_EQ(prefilterSplit(Plan).Gated, Patterns.size());
+    EXPECT_EQ(prefilterEnds(Plan, Input), oracleEnds(Patterns, Input));
+    MatchRecorder Seq(MatchRecorder::Mode::Collect);
+    Plan.run(Input, Seq);
+    ASSERT_GT(Seq.total(), 0u);
+    for (unsigned Threads : {2u, 3u, 4u})
+      for (bool Pooled : {false, true}) {
+        InputParallelOptions Options;
+        Options.Threads = Threads;
+        Options.MinChunkBytes = 1;
+        Options.UseThreadPool = Pooled;
+        MatchRecorder Par(MatchRecorder::Mode::Collect);
+        Plan.runInputParallel(Input, Par, Options);
+        EXPECT_EQ(Par.matches(), Seq.matches())
+            << Patterns.size() << " rules, T=" << Threads
+            << (Pooled ? " pooled" : " serial");
+      }
+  }
 }
 
 TEST(PrefilterEngine, DatasetSliceAgainstFullScan) {

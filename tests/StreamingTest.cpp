@@ -125,6 +125,63 @@ TEST(Scanner, DollarNotReportedMidStream) {
   EXPECT_EQ(Recorder.matches()[0].second, 4u);
 }
 
+TEST(Scanner, ResetEqualsFreshScanner) {
+  // The previous stream leaves a live frontier mid-match, a `$` match
+  // pending and a non-zero offset, and sometimes is finished and sometimes
+  // not; a reset scanner must match like a fresh one, `^` at its offset 0
+  // included.
+  Mfsa Z = mergePatterns({"^ab", "cd$", "x[0-9]+y", "b[a-d]*c"});
+  ImfantEngine Engine(Z);
+  const std::vector<std::string> Previous = {"", "abx12", "zzcd", "bab",
+                                             "ab cd"};
+  const std::vector<std::string> Next = {"", "ab", "abx12y cd", "12ycd",
+                                         "bbcx9y ab cd"};
+  for (const std::string &Before : Previous)
+    for (bool Finish : {false, true})
+      for (const std::string &Input : Next) {
+        ImfantEngine::Scanner Scan(Engine);
+        MatchRecorder Discard;
+        Scan.feed(Before, Discard);
+        if (Finish)
+          Scan.finish(Discard);
+        else
+          Scan.setInjection(false); // reset turns injection back on
+        Scan.reset();
+        EXPECT_EQ(Scan.offset(), 0u);
+        MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+        Scan.feed(Input, Recorder);
+        Scan.finish(Recorder);
+        Matches Got = Recorder.matches();
+        std::sort(Got.begin(), Got.end());
+        EXPECT_EQ(Got, oneShot(Engine, Input))
+            << "before=\"" << Before << "\" finished=" << Finish
+            << " input=\"" << Input << "\"";
+
+        // A configuration seeded after the reset starts from an empty
+        // frontier, not from the states the previous stream left active.
+        ImfantEngine::Scanner Source(Engine);
+        Source.feed("zx1", Discard);
+        const ActivationSet Carry = Source.captureActivation();
+        ImfantEngine::Scanner Fresh(Engine);
+        Scan.reset();
+        Scan.feed(Before, Discard);
+        Scan.reset();
+        for (ImfantEngine::Scanner *S : {&Scan, &Fresh}) {
+          S->startAt(3);
+          S->seedActivation(Carry);
+        }
+        MatchRecorder FromReset(MatchRecorder::Mode::Collect);
+        MatchRecorder FromFresh(MatchRecorder::Mode::Collect);
+        Scan.feed(Input, FromReset);
+        Scan.finish(FromReset);
+        Fresh.feed(Input, FromFresh);
+        Fresh.finish(FromFresh);
+        EXPECT_EQ(FromReset.matches(), FromFresh.matches())
+            << "seeded; before=\"" << Before << "\" input=\"" << Input
+            << "\"";
+      }
+}
+
 TEST(Scanner, OffsetTracksAbsolutePosition) {
   Mfsa Z = mergePatterns({"x"});
   ImfantEngine Engine(Z);

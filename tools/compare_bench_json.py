@@ -6,8 +6,10 @@ under --fresh-dir and compares the headline "results" rows by (bench,
 row-name) key. --fresh-dir may repeat: the comparison then uses the
 direction-aware best of each row across the runs (fastest time, highest
 throughput), which suppresses the additive scheduling noise of short smoke
-runs — generate baselines the same way via --write-merged. Only rows whose
-unit states a wall-clock or throughput direction are gated:
+runs — generate baselines the same way via --write-merged. Speedup rows
+(unit "x") merge as their highest value too, the best-of-rounds rule CI's
+speedup gates use; every other row comes from the first report. Only rows
+whose unit states a wall-clock or throughput direction are gated:
 
   - lower-is-better : units s / ms / us / ns (elapsed time);
   - higher-is-better: units containing "/s" (throughput).
@@ -61,16 +63,23 @@ def rows_by_name(doc):
     return {row["name"]: row for row in doc.get("results", [])}
 
 
+def merge_direction(unit):
+    """The direction merge_best takes the best in: a gated row's, or
+    'higher' for a speedup (unit x); None keeps the first report's value."""
+    return "higher" if unit == "x" else direction(unit)
+
+
 def merge_best(docs):
-    """One doc whose gated rows are the best across \p docs; the first doc
-    supplies everything else (provenance, config, non-gated rows)."""
+    """One doc whose gated and speedup rows are the best across \p docs;
+    the first doc supplies everything else (provenance, config, other
+    rows)."""
     merged = json.loads(json.dumps(docs[0]))  # deep copy
     best = rows_by_name(merged)
     for other in docs[1:]:
         for name, row in rows_by_name(other).items():
             if name not in best or best[name].get("unit") != row.get("unit"):
                 continue
-            sense = direction(row.get("unit", ""))
+            sense = merge_direction(row.get("unit", ""))
             if sense == "lower" and row["value"] < best[name]["value"]:
                 best[name]["value"] = row["value"]
             elif sense == "higher" and row["value"] > best[name]["value"]:
