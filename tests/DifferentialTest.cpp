@@ -221,6 +221,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialAllEngines,
                          ::testing::Range<uint64_t>(9000, 9030));
 
 //===----------------------------------------------------------------------===//
+// Short-rule seeds: rulesets dense in one- and two-byte rules (literals,
+// classes, `^`/`$` variants) with a few random shapes, so most match
+// attempts end on their first or second byte: 12 seeds x 4 inputs.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string shortPattern(Rng &Random) {
+  static const char *Atoms[] = {"a", "b", "c", "d", "[ab]", "[b-d]", "."};
+  std::string Body = Atoms[Random.nextBelow(7)];
+  if (Random.nextBelow(2))
+    Body += Atoms[Random.nextBelow(7)];
+  switch (Random.nextBelow(6)) {
+  case 0:
+    return "^" + Body;
+  case 1:
+    return Body + "$";
+  case 2:
+    return randomPattern(Random, /*MaxDepth=*/2);
+  default:
+    return Body;
+  }
+}
+
+} // namespace
+
+class DifferentialShortRules : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DifferentialShortRules, MatchSetsAgree) {
+  const uint64_t Seed = GetParam();
+  Rng Random(Seed);
+  std::vector<std::string> Patterns;
+  const unsigned Count = 3 + Random.nextBelow(12);
+  for (unsigned I = 0; I < Count; ++I)
+    Patterns.push_back(shortPattern(Random));
+  std::vector<std::string> Inputs = {""};
+  for (int Trial = 0; Trial < 3; ++Trial)
+    Inputs.push_back(randomInput(Random, 1 + Random.nextBelow(40)));
+  checkRuleset(Seed, Patterns, Inputs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialShortRules,
+                         ::testing::Range<uint64_t>(9100, 9112));
+
+//===----------------------------------------------------------------------===//
 // Curated rulesets: shapes the random generator never emits (anchors, long
 // literals that engage the prefilter, overlapping and duplicate rules).
 //===----------------------------------------------------------------------===//

@@ -692,6 +692,100 @@ TEST(ImfantClasses, AllBytesShuffledAcrossClassBoundaries) {
 }
 
 //===----------------------------------------------------------------------===//
+// One- and two-byte attempts: a match attempt's first byte and the byte
+// after it. Rule 0 `a`, rule 1 `a$` and rule 2 `^a` end on their first
+// byte; rule 3 `ab` and rule 4 `[ab]b` end on their second; rule 5 `ba*`
+// ends on both and stays alive.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Mfsa shortAttemptCase(bool Wide) {
+  HandMfsa H(Wide ? 80 : 6, caseIds(Wide, 6));
+  StateId S0 = H.state(), A = H.state(), AB = H.state(), T0 = H.state(),
+          T1 = H.state(), B0 = H.state(), B1 = H.state();
+  H.edge(S0, A, "a", {0, 1, 2, 3});
+  H.edge(A, AB, "b", {3});
+  H.edge(T0, T1, "ab", {4});
+  H.edge(T1, AB, "b", {4});
+  H.edge(B0, B1, "b", {5});
+  H.edge(B1, B1, "a", {5});
+  H.rule(0, S0, {A});
+  H.rule(1, S0, {A}, false, /*AnchoredEnd=*/true);
+  H.rule(2, S0, {A}, /*AnchoredStart=*/true);
+  H.rule(3, S0, {AB});
+  H.rule(4, T0, {AB});
+  H.rule(5, B0, {B1});
+  return H.take();
+}
+
+/// The Table II values recomputed from the configuration captured after
+/// every byte.
+RunStats statsFromCaptures(const ImfantEngine &Engine,
+                           std::string_view Input) {
+  RunStats Out;
+  uint64_t Sum = 0;
+  ImfantEngine::Scanner Scan(Engine);
+  MatchRecorder Discard;
+  for (size_t Pos = 0; Pos < Input.size(); ++Pos) {
+    Scan.feed(Input.substr(Pos, 1), Discard);
+    const ActivationSet Config = Scan.captureActivation();
+    std::vector<uint64_t> Union(Engine.ruleWords(), 0);
+    for (size_t I = 0; I < Config.size(); ++I)
+      for (uint32_t W = 0; W < Config.Words; ++W)
+        Union[W] |= Config.block(I)[W];
+    uint32_t Active = 0;
+    for (uint64_t W : Union)
+      Active += static_cast<uint32_t>(__builtin_popcountll(W));
+    Sum += Active;
+    Out.MaxActiveRules = std::max(Out.MaxActiveRules, Active);
+    Out.MaxFrontier =
+        std::max(Out.MaxFrontier, static_cast<uint32_t>(Config.size()));
+  }
+  Out.Steps = Input.size();
+  if (!Input.empty())
+    Out.AvgActiveRules = static_cast<double>(Sum) / Input.size();
+  return Out;
+}
+
+} // namespace
+
+TEST(ImfantPairs, ShortAttemptsMatchOracle) {
+  for (bool Wide : {false, true})
+    checkHandMfsa(shortAttemptCase(Wide),
+                  {"", "a", "b", "ab", "ba", "aab", "abb", "bb", "baab",
+                   "abab", "bbab", "xaxbb", "ba$", "aaaa", "babab"});
+}
+
+TEST(ImfantPairs, TableIIStatsEqualCapturedConfigurations) {
+  // AvgActiveRules, MaxActiveRules and MaxFrontier are the Table II values
+  // of the configuration after each byte, however the step reaches it.
+  std::vector<Mfsa> Cases = {shortAttemptCase(false), shortAttemptCase(true),
+                             activeInitialCase(true), byteClassCase(false),
+                             mergePatterns({"a", "ab", "[ab]a$", "^b",
+                                            "b[ab]*c", "c"})};
+  Rng Random(0x7ab1e2);
+  for (size_t Case = 0; Case < Cases.size(); ++Case) {
+    const ImfantEngine Engine(Cases[Case]);
+    std::vector<std::string> Inputs = {"", "a", "ab", "abcab", "xcxcaba"};
+    for (int Trial = 0; Trial < 3; ++Trial)
+      Inputs.push_back(randomInput(Random, 40));
+    for (const std::string &Input : Inputs) {
+      const std::string Tag =
+          "case " + std::to_string(Case) + " \"" + Input + "\"";
+      const RunStats Expected = statsFromCaptures(Engine, Input);
+      RunStats Whole;
+      MatchRecorder Discard;
+      Engine.run(Input, Discard, &Whole);
+      EXPECT_EQ(Whole.Steps, Expected.Steps) << Tag;
+      EXPECT_EQ(Whole.MaxActiveRules, Expected.MaxActiveRules) << Tag;
+      EXPECT_EQ(Whole.MaxFrontier, Expected.MaxFrontier) << Tag;
+      EXPECT_NEAR(Whole.AvgActiveRules, Expected.AvgActiveRules, 1e-9) << Tag;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Engine preprocessing
 //===----------------------------------------------------------------------===//
 

@@ -17,7 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
 
 using namespace mfsa;
 using namespace mfsa::test;
@@ -289,6 +293,241 @@ TEST(Scanner, StatsAccumulateAcrossFeeds) {
   EXPECT_EQ(Split.MaxActiveRules, Whole.MaxActiveRules);
   EXPECT_NEAR(Split.AvgActiveRules, Whole.AvgActiveRules, 1e-9);
   EXPECT_EQ(R1.total(), R2.total());
+}
+
+//===----------------------------------------------------------------------===//
+// Short rules: one- and two-byte matches, anchors and feed boundaries
+//
+// Match attempts that begin at a byte are the ones a scan most often drops
+// or doubles at a feed boundary. Every case below checks run(), byte-by-byte
+// feeding and random splits with empty feeds against the AST oracle, and
+// pins the configuration captureActivation() reports after every byte
+// against tests/golden/activation/captures.txt (states sorted: the order of
+// an ActivationSet's states is unspecified). After an intended change to
+// the configurations, regenerate with
+//   MFSA_UPDATE_ACTIVATION_GOLDENS=1 build/tests/test_streaming
+// and review the diff.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct ShortRuleCase {
+  std::string Name;
+  std::vector<std::string> Patterns;
+  std::vector<std::string> Inputs;
+};
+
+/// \p Count rules cycling through one-byte, two-byte, `$` and `^` shapes
+/// over {a,b,x,y}, so the group fills its last activation word to either
+/// side of a 64-rule boundary.
+std::vector<std::string> shortRules(size_t Count) {
+  static const char Letters[] = "abxy";
+  std::vector<std::string> Patterns;
+  for (size_t I = 0; I < Count; ++I) {
+    const char A = Letters[I % 4], B = Letters[(I / 4) % 4];
+    switch ((I / 16) % 4) {
+    case 0:
+      Patterns.push_back(I % 2 ? std::string{A, B} : std::string{A});
+      break;
+    case 1:
+      Patterns.push_back(std::string{'[', A, B, ']'} + (I % 2 ? "$" : ""));
+      break;
+    case 2:
+      Patterns.push_back(std::string{'^', A} + (I % 2 ? std::string{B} : ""));
+      break;
+    default:
+      Patterns.push_back(std::string{A, B} + (I % 2 ? "$" : "y"));
+      break;
+    }
+  }
+  return Patterns;
+}
+
+std::string shortInput(Rng &Random, size_t Length) {
+  static const char Alphabet[] = "abxyz";
+  std::string Out;
+  for (size_t I = 0; I < Length; ++I)
+    Out.push_back(Alphabet[Random.nextBelow(5)]);
+  return Out;
+}
+
+std::vector<ShortRuleCase> shortRuleCases() {
+  Rng Random(0x5e7);
+  const std::vector<std::string> Fixed = {"",     "a",    "b",   "ab",
+                                          "aab",  "xyab", "ba",  "abab",
+                                          "yxa",  "zaz",  "bbaa"};
+  std::vector<ShortRuleCase> Cases = {
+      {"one-byte", {"a", "[xy]"}, Fixed},
+      {"one-byte-end", {"a$", "b", "[xy]$"}, Fixed},
+      {"anchored", {"^a", "^ab", "b"}, Fixed},
+      {"two-byte", {"ab", "[xy]b", "ba"}, Fixed},
+      {"mixed", {"a", "ab$", "^b", "[xy]", "yx", "a[bx]*y"}, Fixed}};
+  for (ShortRuleCase &Case : Cases)
+    for (size_t Len : {17u, 33u})
+      Case.Inputs.push_back(shortInput(Random, Len));
+  for (size_t Count : {63u, 64u, 65u}) {
+    ShortRuleCase Case{"rules" + std::to_string(Count), shortRules(Count),
+                       {"", "a", "ab", "xyab", "bbaa"}};
+    Case.Inputs.push_back(shortInput(Random, 21));
+    Cases.push_back(std::move(Case));
+  }
+  return Cases;
+}
+
+Matches collected(const MatchRecorder &Recorder) {
+  Matches Out = Recorder.matches();
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+Matches oracleMatches(const std::vector<std::string> &Patterns,
+                      const std::string &Input) {
+  Matches Out;
+  for (const auto &[Rule, Ends] : oracleRuleEnds(Patterns, Input))
+    for (size_t End : Ends)
+      Out.emplace_back(Rule, End);
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// One configuration as "state:word.word" entries sorted by state.
+std::string formatActivation(const ActivationSet &Config) {
+  std::vector<std::pair<StateId, std::string>> Entries;
+  for (size_t I = 0; I < Config.size(); ++I) {
+    std::string Words;
+    for (uint32_t W = 0; W < Config.Words; ++W) {
+      char Hex[24];
+      std::snprintf(Hex, sizeof(Hex), "%s%llx", W ? "." : "",
+                    static_cast<unsigned long long>(Config.block(I)[W]));
+      Words += Hex;
+    }
+    Entries.emplace_back(Config.States[I], Words);
+  }
+  std::sort(Entries.begin(), Entries.end());
+  std::string Out;
+  for (const auto &[State, Words] : Entries)
+    Out += " " + std::to_string(State) + ":" + Words;
+  return Out;
+}
+
+} // namespace
+
+TEST(ShortRules, EveryFeedingMatchesOracle) {
+  Rng Random(0x5e8);
+  for (const ShortRuleCase &Case : shortRuleCases()) {
+    const Mfsa Z = mergePatterns(Case.Patterns);
+    const ImfantEngine Engine(Z);
+    for (const std::string &Input : Case.Inputs) {
+      const std::string Tag = Case.Name + " \"" + Input + "\"";
+      const Matches Expected = oracleMatches(Case.Patterns, Input);
+      EXPECT_EQ(oneShot(Engine, Input), Expected) << "run " << Tag;
+      EXPECT_EQ(chunked(Engine, Input, {1}), Expected) << "bytes " << Tag;
+      for (int Trial = 0; Trial < 6; ++Trial) {
+        // Cuts may repeat and may sit at 0 or the end: empty feeds.
+        std::vector<uint64_t> Cuts;
+        for (uint64_t C = Random.nextBelow(6); C > 0; --C)
+          Cuts.push_back(Random.nextBelow(Input.size() + 1));
+        EXPECT_EQ(chunkedAtCuts(Engine, Input, Cuts), Expected)
+            << "cuts=" << Cuts.size() << " " << Tag;
+      }
+    }
+  }
+}
+
+TEST(ShortRules, ResetAndInjectionOffAtEveryByte) {
+  // Stop a stream after every prefix P of each input, then:
+  //  - reset() and scan the whole input: it must match like a fresh scan;
+  //  - turn injection off and feed the rest R: the attempts begun in P,
+  //    with those a fresh scan of R begins at offset |P|, must give every
+  //    match of P + R (the input-parallel join's decomposition);
+  //  - capture the configuration and seed it, injection off, into a
+  //    scanner positioned at |P|: it must report what the carried scan
+  //    reports.
+  for (const ShortRuleCase &Case : shortRuleCases()) {
+    const Mfsa Z = mergePatterns(Case.Patterns);
+    const ImfantEngine Engine(Z);
+    for (const std::string &Input : Case.Inputs) {
+      const Matches Expected = oracleMatches(Case.Patterns, Input);
+      for (size_t Cut = 0; Cut <= Input.size(); ++Cut) {
+        const std::string Tag = Case.Name + " \"" + Input.substr(0, Cut) +
+                                "|" + Input.substr(Cut) + "\"";
+        const std::string_view Prefix = std::string_view(Input).substr(0, Cut);
+        const std::string_view Rest = std::string_view(Input).substr(Cut);
+        {
+          ImfantEngine::Scanner Scan(Engine);
+          MatchRecorder Discard;
+          Scan.feed(Prefix, Discard);
+          Scan.reset();
+          MatchRecorder Recorder(MatchRecorder::Mode::Collect);
+          Scan.feed(Input, Recorder);
+          Scan.finish(Recorder);
+          EXPECT_EQ(collected(Recorder), Expected) << "reset " << Tag;
+        }
+        MatchRecorder Whole(MatchRecorder::Mode::Collect);
+        ImfantEngine::Scanner Carried(Engine);
+        Carried.feed(Prefix, Whole);
+        const ActivationSet Boundary = Carried.captureActivation();
+        Carried.setInjection(false);
+        MatchRecorder CarriedOnly(MatchRecorder::Mode::Collect);
+        Carried.feed(Rest, CarriedOnly);
+        Carried.finish(CarriedOnly);
+        for (const auto &[Rule, End] : CarriedOnly.matches())
+          Whole.onMatch(Rule, End);
+        ImfantEngine::Scanner Iso(Engine);
+        Iso.startAt(Cut);
+        Iso.feed(Rest, Whole);
+        Iso.finish(Whole);
+        Matches Union = collected(Whole);
+        Union.erase(std::unique(Union.begin(), Union.end()), Union.end());
+        EXPECT_EQ(Union, Expected) << "injection off " << Tag;
+
+        ImfantEngine::Scanner Seeded(Engine);
+        Seeded.startAt(Cut);
+        Seeded.setInjection(false);
+        Seeded.seedActivation(Boundary);
+        EXPECT_EQ(Seeded.frontierEmpty(), Boundary.empty()) << Tag;
+        MatchRecorder FromSeed(MatchRecorder::Mode::Collect);
+        Seeded.feed(Rest, FromSeed);
+        if (!Rest.empty())
+          Seeded.finish(FromSeed);
+        Matches CarriedRest = collected(CarriedOnly);
+        if (Rest.empty()) // `$` matches at |P| are the prefix scan's own
+          CarriedRest.clear();
+        EXPECT_EQ(collected(FromSeed), CarriedRest) << "seeded " << Tag;
+      }
+    }
+  }
+}
+
+TEST(ShortRules, CapturedConfigurationsMatchCommittedGolden) {
+  std::string Actual;
+  for (const ShortRuleCase &Case : shortRuleCases()) {
+    const Mfsa Z = mergePatterns(Case.Patterns);
+    const ImfantEngine Engine(Z);
+    for (const std::string &Input : Case.Inputs) {
+      Actual += Case.Name + " \"" + Input + "\"\n";
+      ImfantEngine::Scanner Scan(Engine);
+      MatchRecorder Discard;
+      for (size_t Pos = 0; Pos < Input.size(); ++Pos) {
+        Scan.feed(std::string_view(Input).substr(Pos, 1), Discard);
+        Actual += "  @" + std::to_string(Pos + 1) +
+                  formatActivation(Scan.captureActivation()) + "\n";
+      }
+    }
+  }
+
+  const std::string Path =
+      std::string(MFSA_ACTIVATION_GOLDEN_DIR) + "/captures.txt";
+  const char *Update = std::getenv("MFSA_UPDATE_ACTIVATION_GOLDENS");
+  if (Update && std::string(Update) == "1") {
+    std::ofstream(Path, std::ios::binary) << Actual;
+    GTEST_SKIP() << "rewrote " << Path;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In) << "missing golden " << Path;
+  std::ostringstream Golden;
+  Golden << In.rdbuf();
+  EXPECT_EQ(Actual, Golden.str()) << "configurations drifted from " << Path;
 }
 
 //===----------------------------------------------------------------------===//
